@@ -214,7 +214,7 @@ def spf_relative_path(publication: HarvestedPublication) -> str:
     """
     type_slug = _SLUG_RE.sub("-", (publication.publication_type or "untyped").lower())
     type_slug = type_slug.strip("-") or "untyped"
-    volume = publication.volume or "0"
+    volume = _SLUG_RE.sub("-", (publication.volume or "").lower()).strip("-") or "0"
     match = re.search(r"(\d+)$", publication.identifier)
     stem = match.group(1) if match else _SLUG_RE.sub(
         "-", publication.identifier.lower()

@@ -11,7 +11,7 @@ import logging
 import re
 from dataclasses import dataclass
 from html.entities import name2codepoint
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Sequence
 from xml.etree import ElementTree as ET
 
 from .similarity import MatchConfig, names_match
@@ -61,6 +61,7 @@ class CoauthorEdge:
 
 _XML_BUILTINS = {"amp", "lt", "gt", "quot", "apos"}
 _NAMED_ENTITY_RE = re.compile(rb"&([A-Za-z][A-Za-z0-9]*);")
+_ENTITY_HEAD_RE = re.compile(rb"&[A-Za-z0-9]*")
 
 
 def _rewrite_named_entities(chunk: bytes) -> bytes:
@@ -82,8 +83,17 @@ def _iter_elements(stream: BinaryIO | Iterable[bytes]) -> Iterator[ET.Element]:
     parser = ET.XMLPullParser(events=("start", "end"))
     root = None
     depth = 0
-    for line in stream:
-        parser.feed(_rewrite_named_entities(line))
+    tail = b""
+    for chunk in stream:
+        chunk = tail + chunk
+        # A named entity cut off at the chunk end is rewritten only once
+        # its closing ";" has arrived with the next chunk.
+        cut = chunk.rfind(b"&")
+        if cut != -1 and _ENTITY_HEAD_RE.fullmatch(chunk, cut):
+            chunk, tail = chunk[:cut], chunk[cut:]
+        else:
+            tail = b""
+        parser.feed(_rewrite_named_entities(chunk))
         for event, elem in parser.read_events():
             if event == "start":
                 if root is None:
@@ -94,6 +104,7 @@ def _iter_elements(stream: BinaryIO | Iterable[bytes]) -> Iterator[ET.Element]:
                 if depth == 1:
                     yield elem
                     root.clear()
+    parser.feed(tail)
     parser.close()
 
 
@@ -104,15 +115,23 @@ def _text(elem: ET.Element, tag: str) -> str | None:
     return "".join(child.itertext()).strip() or None
 
 
+def coauthor_pairs(authors: Sequence[str]) -> Iterator[tuple[str, str]]:
+    """Author pairs (i < j) of one author list, skipping equal names."""
+    for i, author_a in enumerate(authors):
+        for author_b in authors[i + 1 :]:
+            if author_a != author_b:
+                yield author_a, author_b
+
+
 class CorpusStore:
     """Publications plus the coauthor adjacency derived from them."""
 
     def __init__(self) -> None:
         self.publications: list[CorpusPublication] = []
         self.by_key: dict[str, CorpusPublication] = {}
+        self.coauthors: dict[str, set[str]] = {}
         self._by_id: dict[int, CorpusPublication] = {}
         self._by_title: dict[str, list[int]] = {}
-        self._adjacency: dict[str, dict[str, set[int]]] = {}
 
     def add(self, publication: CorpusPublication) -> None:
         self.publications.append(publication)
@@ -121,24 +140,13 @@ class CorpusStore:
         self._by_title.setdefault(
             normalize_title(publication.title), []
         ).append(publication.id)
-
-    def add_edge(self, edge: CoauthorEdge) -> None:
-        self._adjacency.setdefault(edge.author_a, {}).setdefault(
-            edge.author_b, set()
-        ).add(edge.publication_id)
-        self._adjacency.setdefault(edge.author_b, {}).setdefault(
-            edge.author_a, set()
-        ).add(edge.publication_id)
+        for author_a, author_b in coauthor_pairs(publication.authors):
+            self.coauthors.setdefault(author_a, set()).add(author_b)
+            self.coauthors.setdefault(author_b, set()).add(author_a)
 
     def by_title(self, title: str) -> list[CorpusPublication]:
         ids = self._by_title.get(normalize_title(title), [])
         return [self._by_id[i] for i in ids]
-
-    def author_names(self) -> list[str]:
-        return sorted(self._adjacency)
-
-    def neighbours(self, author: str) -> dict[str, set[int]]:
-        return self._adjacency.get(author, {})
 
 
 def normalize_title(title: str) -> str:
@@ -180,13 +188,10 @@ def parse_corpus(
             volume=_text(elem, "volume"),
         )
         store.add(publication)
-        for i in range(len(authors)):
-            for j in range(i + 1, len(authors)):
-                if authors[i] == authors[j]:
-                    continue
-                edge = CoauthorEdge(authors[i], authors[j], publication.id)
-                edges.append(edge)
-                store.add_edge(edge)
+        edges.extend(
+            CoauthorEdge(author_a, author_b, publication.id)
+            for author_a, author_b in coauthor_pairs(authors)
+        )
         next_id += 1
     return store, edges
 
@@ -209,7 +214,6 @@ def find_publication(
 def common_coauthors(
     authors: list[str],
     store: CorpusStore,
-    edges: list[CoauthorEdge],
     cfg: MatchConfig | None = None,
 ) -> list[str]:
     """Corpus authors that at least two of the given authors worked with.
@@ -218,17 +222,12 @@ def common_coauthors(
     inputs are excluded.  Result is sorted lexicographically.
     """
     cfg = cfg or MatchConfig()
-    adjacency: dict[str, set[str]] = {}
-    for edge in edges:
-        adjacency.setdefault(edge.author_a, set()).add(edge.author_b)
-        adjacency.setdefault(edge.author_b, set()).add(edge.author_a)
-    corpus_names = sorted(adjacency)
     counts: dict[str, int] = {}
     for author in dict.fromkeys(authors):
         neighbourhood: set[str] = set()
-        for name in corpus_names:
+        for name, coauthors in store.coauthors.items():
             if names_match(author, name, cfg):
-                neighbourhood |= adjacency[name]
+                neighbourhood |= coauthors
         for neighbour in neighbourhood:
             counts[neighbour] = counts.get(neighbour, 0) + 1
     return sorted(

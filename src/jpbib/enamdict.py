@@ -12,7 +12,7 @@ instead of patched by hand.
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "NameRecord",
@@ -215,25 +215,8 @@ def apostrophe_variants(record: NameRecord) -> list[NameRecord]:
     return [record, stripped]
 
 
-_TYPE_ORDER = [
-    NameType.SURNAME,
-    NameType.GIVEN,
-    NameType.FEMALE_GIVEN,
-    NameType.MALE_GIVEN,
-    NameType.UNCLASSIFIED,
-]
-
-
 def format_entry_line(record: NameRecord) -> str:
     """Render a record back into single-sense entry form."""
-    codes = ",".join(t.value for t in _TYPE_ORDER if t in record.types)
+    codes = ",".join(t.value for t in NameType if t in record.types)
     reading = f" [{record.reading}]" if record.reading is not None else ""
     return f"{record.surface}{reading} /{record.latin} ({codes})/"
-
-
-def iter_person_records(
-    records: Iterable[NameRecord],
-) -> Iterator[NameRecord]:
-    """Records with their apostrophe lookup variants expanded."""
-    for record in records:
-        yield from apostrophe_variants(record)

@@ -117,13 +117,13 @@ def stage_enamdict(config: Config, store: SqliteStore) -> None:
 
 def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     dictionary = NameDictionary(store.load_name_records())
-    corpus, edges = store.load_corpus()
+    corpus = store.load_corpus()
     match_config = MatchConfig(config.lev_threshold, config.match_threshold)
     store.create_harvest_tables()
 
     mode = "list" if config.use_list_records else (config.min_id, config.max_id)
     save_dir = config.resolve(config.files_path) if config.files_path else None
-    bht_root = config.resolve(config.bht_path)
+    bht_root = os.path.abspath(config.resolve(config.bht_path))
     stats = RunStatistics()
 
     log.info("harvesting %s (mode=%s)", config.endpoint or "<injected>", mode)
@@ -163,11 +163,13 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
 
         shared: list[str] = []
         if config.show_common_coauthors and latin_names:
-            shared = common_coauthors(latin_names, corpus, edges, match_config)
+            shared = common_coauthors(latin_names, corpus, match_config)
 
+        target = os.path.join(bht_root, spf_relative_path(publication))
+        if os.path.commonpath([bht_root, os.path.abspath(target)]) != bht_root:
+            raise OSError(f"BHT path {target!r} leaves {bht_root!r}")
         store.add_harvested(publication, resolutions, dblp_key)
         entry = build_entry(publication, resolutions, shared, dblp_key)
-        target = os.path.join(bht_root, spf_relative_path(publication))
         os.makedirs(os.path.dirname(target), exist_ok=True)
         with open(target, "w", encoding="ascii", newline="") as handle:
             handle.write(render_spf(entry))

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 from .matching import NameStatus
 
-__all__ = ["RunStatistics", "record_statistics"]
+__all__ = ["RunStatistics"]
 
 
 @dataclass
@@ -93,28 +93,3 @@ class RunStatistics:
                 lines.append(f"    {key:<28} {count:>6}  {percentages[key]:.1f}%")
         return "\n".join(lines)
 
-
-def record_statistics(events) -> RunStatistics:
-    """Fold an event stream into statistics.
-
-    Events are (kind, value) pairs: ("record", deleted-flag),
-    ("type", publication-type), ("language", tag),
-    ("status", NameStatus), ("duplicate", None), ("parse-error", None).
-    """
-    stats = RunStatistics()
-    for kind, value in events:
-        if kind == "record":
-            stats.observe_record(bool(value))
-        elif kind == "type":
-            stats.publication_types[value] = stats.publication_types.get(value, 0) + 1
-        elif kind == "language":
-            stats.languages[value] = stats.languages.get(value, 0) + 1
-        elif kind == "status":
-            stats.observe_status(value)
-        elif kind == "duplicate":
-            stats.observe_duplicate()
-        elif kind == "parse-error":
-            stats.observe_parse_error()
-        else:
-            raise ValueError(f"unknown statistics event kind {kind!r}")
-    return stats

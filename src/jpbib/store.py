@@ -106,7 +106,6 @@ class SqliteStore:
             f"INSERT INTO {self.names} (surface, reading, latin, types) "
             "VALUES (?, ?, ?, ?)"
         )
-        code_order = "sgfmu"
         return self._batched_insert(
             sql,
             (
@@ -114,7 +113,7 @@ class SqliteStore:
                     r.surface,
                     r.reading,
                     r.latin,
-                    "".join(c for c in code_order if NameType(c) in r.types),
+                    "".join(t.value for t in NameType if t in r.types),
                 )
                 for r in records
             ),
@@ -142,6 +141,8 @@ class SqliteStore:
     # -- corpus ---------------------------------------------------------------
 
     def create_corpus_tables(self) -> None:
+        # The edge table is an output of -d for queries outside jpbib; the
+        # harvest derives the adjacency from the publication rows instead.
         self.connection.executescript(
             f"""
             DROP TABLE IF EXISTS {self.dblp};
@@ -197,7 +198,7 @@ class SqliteStore:
             sql, ((e.author_a, e.author_b, e.publication_id) for e in rows)
         )
 
-    def load_corpus(self) -> tuple[CorpusStore, list[CoauthorEdge]]:
+    def load_corpus(self) -> CorpusStore:
         store = CorpusStore()
         for row in self.connection.execute(
             f"SELECT id, key, authors, title, year, journal, pages, volume "
@@ -215,14 +216,7 @@ class SqliteStore:
                     volume=row[7],
                 )
             )
-        edges = []
-        for author_a, author_b, publication_id in self.connection.execute(
-            f"SELECT author_a, author_b, publication_id FROM {self.edges} ORDER BY id"
-        ):
-            edge = CoauthorEdge(author_a, author_b, publication_id)
-            edges.append(edge)
-            store.add_edge(edge)
-        return store, edges
+        return store
 
     def has_corpus(self) -> bool:
         if not self._has_table(self.dblp):
@@ -446,8 +440,3 @@ class SqliteStore:
                 )
             )
         return resolutions
-
-    def count_rows(self, table: str) -> int:
-        return self.connection.execute(
-            f"SELECT COUNT(*) FROM {_table(table)}"
-        ).fetchone()[0]

@@ -16,7 +16,7 @@ from jpbib.bht import (
 )
 from jpbib.dblp import common_coauthors, parse_corpus
 from jpbib.matching import AuthorResolution, NameStatus, PersonName, resolve_author
-from jpbib.oai import get_record, parse_junii2
+from jpbib.oai import HarvestedPublication, get_record, parse_junii2
 
 from mockrepo import GOLDEN_ID, NO_LATIN_ID, build_provider
 
@@ -61,9 +61,9 @@ def golden_entry(name_dictionary):
         for latin, kanji in publication.creators
     ]
     with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
-        store, edges = parse_corpus(handle)
+        store, _ = parse_corpus(handle)
     shared = common_coauthors(
-        [r.latin.display() for r in resolutions if r.latin], store, edges
+        [r.latin.display() for r in resolutions if r.latin], store
     )
     return build_entry(publication, resolutions, shared)
 
@@ -164,6 +164,23 @@ def test_spf_relative_path(golden_entry):
     assert path.endswith(f"{GOLDEN_ID}.bht")
     assert path.startswith("journal-article")
     assert "volume-52" in path
+
+
+def test_spf_relative_path_stays_under_root(tmp_path):
+    publication = HarvestedPublication(
+        identifier="oai:example.org:7",
+        titles=[],
+        creators=[],
+        publication_type="Journal Article",
+        volume="../../../../tmp/evil",
+    )
+    target = (tmp_path / spf_relative_path(publication)).resolve()
+    assert target.is_relative_to(tmp_path.resolve())
+    assert Path(spf_relative_path(publication)).parts == (
+        "journal-article",
+        "volume-tmp-evil",
+        "7.bht",
+    )
 
 
 def test_concatenate(tmp_path):

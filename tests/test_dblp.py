@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from jpbib.dblp import (
+    CoauthorEdge,
     common_coauthors,
     find_publication,
     parse_corpus,
@@ -80,6 +81,28 @@ def test_edges_resolve_to_their_publication(corpus):
         assert edge.author_a != edge.author_b
 
 
+def test_adjacency_skips_repeated_and_single_authors():
+    xml = (
+        b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
+        b'<article key="a/1"><author>Ann</author><author>Bo</author>'
+        b"<author>Ann</author><title>One</title></article>\n"
+        b'<article key="a/2"><author>Cy</author><title>Two</title></article>\n'
+        b"</dblp>\n"
+    )
+    store, edges = parse_corpus(io.BytesIO(xml))
+    assert store.coauthors == {"Ann": {"Bo"}, "Bo": {"Ann"}}
+    assert edges == [CoauthorEdge("Ann", "Bo", 1), CoauthorEdge("Bo", "Ann", 1)]
+
+
+def test_entity_split_across_chunks(corpus):
+    data = FIXTURE.read_bytes()
+    for size in (1, 7):
+        chunks = [data[i : i + size] for i in range(0, len(data), size)]
+        store, edges = parse_corpus(chunks)
+        assert store.publications == corpus[0].publications
+        assert edges == corpus[1]
+
+
 def test_unknown_record_type_warns(caplog):
     xml = (
         b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
@@ -143,22 +166,22 @@ def test_find_publication_self_lookup(corpus):
 
 
 def test_common_coauthors(corpus):
-    store, edges = corpus
+    store, _ = corpus
     cfg = MatchConfig()
     result = common_coauthors(
-        ["Shinsuke Mori", "Graham Neubig", "Yuuta Tsuboi"], store, edges, cfg
+        ["Shinsuke Mori", "Graham Neubig", "Yuuta Tsuboi"], store, cfg
     )
     assert result == ["Masato Mimura"]
 
 
 def test_common_coauthors_single_input(corpus):
-    store, edges = corpus
-    assert common_coauthors(["Shinsuke Mori"], store, edges) == []
+    store, _ = corpus
+    assert common_coauthors(["Shinsuke Mori"], store) == []
 
 
 def test_common_coauthors_no_shared_third_party(corpus):
-    store, edges = corpus
-    assert common_coauthors(["E. F. Codd", "Markus Tresch"], store, edges) == []
+    store, _ = corpus
+    assert common_coauthors(["E. F. Codd", "Markus Tresch"], store) == []
 
 
 def test_malformed_xml_raises_positioned_error():

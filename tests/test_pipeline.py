@@ -10,7 +10,7 @@ from jpbib.config import Config, ConfigError, parse_config
 from jpbib.matching import NameStatus
 from jpbib.oai import get_record, parse_junii2
 from jpbib.pipeline import run
-from jpbib.stats import RunStatistics, record_statistics
+from jpbib.stats import RunStatistics
 from jpbib.store import SqliteStore, StoreError
 
 from mockrepo import GOLDEN_ID, build_provider
@@ -96,53 +96,34 @@ def test_store_path_resolution(tmp_path):
 
 
 def test_record_statistics_counts():
-    stats = record_statistics(
-        [
-            ("record", False),
-            ("record", False),
-            ("record", True),
-            ("record", False),
-            ("record", False),
-        ]
-    )
+    stats = RunStatistics()
+    for deleted in (False, False, True, False, False):
+        stats.observe_record(deleted)
     assert stats.records_with_metadata == 4
     assert stats.deleted_records == 1
 
 
 def test_record_statistics_percentages():
-    stats = record_statistics(
-        [
-            ("status", NameStatus.OK),
-            ("status", NameStatus.OK),
-            ("status", NameStatus.OK),
-            ("status", NameStatus.ABBREVIATED),
-        ]
-    )
+    stats = RunStatistics()
+    for status in (NameStatus.OK, NameStatus.OK, NameStatus.OK, NameStatus.ABBREVIATED):
+        stats.observe_status(status)
     assert stats.status_percentages() == {"ok": 75.0, "abbreviated": 25.0}
     assert sum(stats.status_percentages().values()) == pytest.approx(100.0)
 
 
 def test_record_statistics_empty():
-    stats = record_statistics([])
-    assert stats == RunStatistics()
+    stats = RunStatistics()
+    assert stats.total_authors() == 0
     assert stats.status_percentages() == {}
-
-
-def test_record_statistics_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        record_statistics([("nope", 1)])
+    assert json.loads(stats.to_json())["name_status_percentages"] == {}
 
 
 def test_statistics_report_and_json():
-    stats = record_statistics(
-        [
-            ("record", False),
-            ("type", "Journal Article"),
-            ("language", "ja"),
-            ("status", NameStatus.OK),
-            ("duplicate", None),
-        ]
-    )
+    stats = RunStatistics()
+    stats.observe_record(False)
+    stats.observe_publication("Journal Article", "ja")
+    stats.observe_status(NameStatus.OK)
+    stats.observe_duplicate()
     report = stats.format_report()
     assert "records with metadata   1" in report
     assert "Journal Article" in report
@@ -169,7 +150,7 @@ def test_store_names_roundtrip(store, name_records):
 
 
 def test_store_corpus_roundtrip(store):
-    from jpbib.dblp import parse_corpus
+    from jpbib.dblp import CoauthorEdge, parse_corpus
 
     with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
         corpus, edges = parse_corpus(handle)
@@ -177,9 +158,13 @@ def test_store_corpus_roundtrip(store):
     store.add_corpus_publications(corpus.publications)
     store.add_coauthor_edges(edges)
     assert store.has_corpus()
-    loaded, loaded_edges = store.load_corpus()
+    loaded = store.load_corpus()
     assert loaded.publications == corpus.publications
-    assert loaded_edges == edges
+    assert loaded.coauthors == corpus.coauthors
+    rows = store.connection.execute(
+        f"SELECT author_a, author_b, publication_id FROM {store.edges} ORDER BY id"
+    )
+    assert [CoauthorEdge(*row) for row in rows] == edges
 
 
 def test_store_harvested_roundtrip(store, name_dictionary):
