@@ -10,6 +10,7 @@ references.
 """
 
 import calendar
+import itertools
 import logging
 import os
 import re
@@ -21,6 +22,7 @@ from .oai import HarvestedPublication
 __all__ = [
     "BhtEntry",
     "build_entry",
+    "claim_spf_path",
     "concatenate",
     "date_label",
     "escape_non_ascii",
@@ -206,20 +208,41 @@ def build_entry(
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
 
+def _slug(text: str, fallback: str = "") -> str:
+    return _SLUG_RE.sub("-", text.lower()).strip("-") or fallback
+
+
 def spf_relative_path(publication: HarvestedPublication) -> str:
     """Directory grouping and file name for one publication.
 
     Files group by publication type and volume; the file itself is named
     after the trailing integer of the OAI identifier.
     """
-    type_slug = _SLUG_RE.sub("-", (publication.publication_type or "untyped").lower())
-    type_slug = type_slug.strip("-") or "untyped"
-    volume = _SLUG_RE.sub("-", (publication.volume or "").lower()).strip("-") or "0"
+    type_slug = _slug(publication.publication_type or "", "untyped")
+    volume = _slug(publication.volume or "", "0")
     match = re.search(r"(\d+)$", publication.identifier)
-    stem = match.group(1) if match else _SLUG_RE.sub(
-        "-", publication.identifier.lower()
-    ).strip("-")
+    stem = match.group(1) if match else _slug(publication.identifier)
     return os.path.join(type_slug, f"volume-{volume}", f"{stem}.bht")
+
+
+def claim_spf_path(publication: HarvestedPublication, owners: dict[str, str]) -> str:
+    """``spf_relative_path``, unless another identifier already owns it.
+
+    ``owners`` maps each relative path claimed in this run to its
+    identifier.  The first identifier keeps the path; a different one
+    that maps there is named after its whole slugged identifier, with a
+    "-2", "-3", ... suffix if even that is taken.
+    """
+    identifier = publication.identifier
+    path = spf_relative_path(publication)
+    directory, stem = os.path.dirname(path), _slug(identifier)
+    candidates = itertools.chain(
+        (path, os.path.join(directory, f"{stem}.bht")),
+        (os.path.join(directory, f"{stem}-{n}.bht") for n in itertools.count(2)),
+    )
+    for candidate in candidates:
+        if owners.setdefault(candidate, identifier) == identifier:
+            return candidate
 
 
 def concatenate(root: str) -> int:

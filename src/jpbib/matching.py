@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .enamdict import NameRecord, NameType, apostrophe_variants
 from .transcription import (
+    _DIGRAPHS,
     EmptyNameError,
     NormalizedLatin,
     VariantExplosionError,
@@ -168,9 +169,6 @@ def _separator_forms(base: NormalizedLatin) -> list[tuple[str, list[int]]]:
                 positions.append(i - removed)
         forms.append((stripped, positions))
     return forms
-
-
-_DIGRAPHS = {"aa", "ii", "uu", "ee", "ei", "oo", "ou"}
 
 
 def _fallback_variants(name: str) -> list[str]:

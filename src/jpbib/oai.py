@@ -1,10 +1,14 @@
 """OAI-PMH client: record listing, single-record retrieval, junii2 parsing.
 
 Transport is a plain callable ``fetch(url) -> bytes`` so tests and replay
-runs can serve canned XML; the default implementation does HTTP GET with
-retries.  Requests follow the protocol's two request shapes: the first
-ListRecords call carries the metadata prefix, continuations carry only
-the resumption token.
+runs can serve canned XML; the default implementation does an HTTP GET.
+Every request goes through one retry site, ``_fetch_with_retries``: it
+retries network failures (no HTTP status), 429 and 5xx up to
+``RETRY_ATTEMPTS`` times, waiting an integer ``Retry-After`` (at most
+``RETRY_AFTER_CAP_S``) or else an exponential backoff from
+``RETRY_BACKOFF_S``; any other HTTP status fails at once.  Requests follow
+the protocol's two request shapes: the first ListRecords call carries the
+metadata prefix, continuations carry only the resumption token.
 
 junii2 field mapping (fixed by the fixtures shipped in this repository):
 ``title`` elements carry per-language titles via xml:lang; ``creator``
@@ -16,6 +20,7 @@ codes; ``URI`` (or an http identifier) is the electronic edition;
 ``contributor`` and ``description`` are carried through verbatim.
 """
 
+import itertools
 import logging
 import time
 import urllib.error
@@ -35,10 +40,8 @@ __all__ = [
     "get_record",
     "harvest",
     "http_fetch",
-    "list_metadata_formats",
     "list_records",
     "parse_junii2",
-    "parse_oai_dc",
     "replay_fetcher",
 ]
 
@@ -48,15 +51,28 @@ OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 
 Fetch = Callable[[str], bytes]
 
+RETRY_ATTEMPTS = 3
+RETRY_BACKOFF_S = 0.5
+RETRY_AFTER_CAP_S = 60
+
 
 class TransportError(RuntimeError):
-    """Network-level failure after the configured number of attempts."""
+    """Failed fetch; ``status`` and ``retry_after`` come from an HTTP error."""
 
-    def __init__(self, url: str, attempts: int, cause: Exception | None = None):
+    def __init__(
+        self,
+        url: str,
+        attempts: int,
+        cause: Exception | None = None,
+        status: int | None = None,
+        retry_after: str | None = None,
+    ):
         super().__init__(f"fetch failed after {attempts} attempts: {url}")
         self.url = url
         self.attempts = attempts
         self.cause = cause
+        self.status = status
+        self.retry_after = retry_after
 
 
 class OaiProtocolError(RuntimeError):
@@ -105,22 +121,28 @@ def http_fetch(url: str, timeout: float = 30.0) -> bytes:
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.read()
-    except (urllib.error.URLError, OSError) as exc:
+    except urllib.error.HTTPError as exc:
+        retry_after = exc.headers.get("Retry-After") if exc.headers else None
+        raise TransportError(url, 1, exc, exc.code, retry_after) from exc
+    except OSError as exc:
         raise TransportError(url, 1, exc) from exc
 
 
-def _fetch_with_retries(
-    fetch: Fetch, url: str, retries: int = 3, backoff: float = 0.5
-) -> bytes:
-    last: Exception | None = None
-    for attempt in range(1, retries + 1):
+def _fetch_with_retries(fetch: Fetch, url: str) -> bytes:
+    for attempt in itertools.count(1):
         try:
             return fetch(url)
         except (TransportError, OSError) as exc:
-            last = exc
-            if attempt < retries:
-                time.sleep(backoff * 2 ** (attempt - 1))
-    raise TransportError(url, retries, last)
+            status = getattr(exc, "status", None)
+            retryable = status is None or status == 429 or status >= 500
+            if attempt == RETRY_ATTEMPTS or not retryable:
+                raise TransportError(url, attempt, exc, status) from exc
+            retry_after = (getattr(exc, "retry_after", None) or "").strip()
+            time.sleep(
+                min(int(retry_after), RETRY_AFTER_CAP_S)
+                if retry_after.isdecimal()
+                else RETRY_BACKOFF_S * 2 ** (attempt - 1)
+            )
 
 
 def _build_url(endpoint: str, params: dict[str, str]) -> str:
@@ -153,34 +175,19 @@ def _parse_record(elem: ET.Element) -> OaiRecord:
 
 
 def list_records(
-    endpoint: str,
-    prefix: str,
-    token: str | None = None,
-    *,
-    fetch: Fetch = http_fetch,
-    retries: int = 3,
-    backoff: float = 0.5,
-    from_date: str | None = None,
-    until_date: str | None = None,
+    endpoint: str, prefix: str, token: str | None = None, *, fetch: Fetch = http_fetch
 ) -> tuple[list[OaiRecord], str | None]:
     """One ListRecords page plus the token for the next one, if any.
 
-    Continuation requests carry only the resumption token; the optional
-    date window applies to the first request of a harvest.
+    Continuation requests carry only the resumption token.
     """
     if token:
         params = {"verb": "ListRecords", "resumptionToken": token}
     else:
         params = {"verb": "ListRecords", "metadataPrefix": prefix}
-        if from_date:
-            params["from"] = from_date
-        if until_date:
-            params["until"] = until_date
     url = _build_url(endpoint, params)
     try:
-        body = _parse_response(
-            _fetch_with_retries(fetch, url, retries, backoff), "ListRecords"
-        )
+        body = _parse_response(_fetch_with_retries(fetch, url), "ListRecords")
     except OaiProtocolError as exc:
         if exc.code == "noRecordsMatch":
             return [], None
@@ -194,13 +201,7 @@ def list_records(
 
 
 def get_record(
-    endpoint: str,
-    prefix: str,
-    identifier: str,
-    *,
-    fetch: Fetch = http_fetch,
-    retries: int = 3,
-    backoff: float = 0.5,
+    endpoint: str, prefix: str, identifier: str, *, fetch: Fetch = http_fetch
 ) -> OaiRecord | None:
     """A single record, or None when the provider reports idDoesNotExist."""
     url = _build_url(
@@ -208,9 +209,7 @@ def get_record(
         {"verb": "GetRecord", "metadataPrefix": prefix, "identifier": identifier},
     )
     try:
-        body = _parse_response(
-            _fetch_with_retries(fetch, url, retries, backoff), "GetRecord"
-        )
+        body = _parse_response(_fetch_with_retries(fetch, url), "GetRecord")
     except OaiProtocolError as exc:
         if exc.code == "idDoesNotExist":
             return None
@@ -219,24 +218,6 @@ def get_record(
     if record is None:
         return None
     return _parse_record(record)
-
-
-def list_metadata_formats(
-    endpoint: str,
-    *,
-    fetch: Fetch = http_fetch,
-    retries: int = 3,
-    backoff: float = 0.5,
-) -> list[str]:
-    """Metadata prefixes declared by the provider."""
-    url = _build_url(endpoint, {"verb": "ListMetadataFormats"})
-    body = _parse_response(
-        _fetch_with_retries(fetch, url, retries, backoff), "ListMetadataFormats"
-    )
-    return [
-        fmt.findtext(f"{{{OAI_NS}}}metadataPrefix", "").strip()
-        for fmt in body.findall(f"{{{OAI_NS}}}metadataFormat")
-    ]
 
 
 def _local_name(elem: ET.Element) -> str:
@@ -350,43 +331,6 @@ def parse_junii2(payload: ET.Element | str, identifier: str = "") -> HarvestedPu
     )
 
 
-def parse_oai_dc(payload: ET.Element | str, identifier: str = "") -> HarvestedPublication:
-    """Thin Dublin Core mapping; junii2 is the richer primary format.
-
-    Plain dc elements carry no per-field language attributes, so language
-    tags fall back to script detection; issue fields (volume, number,
-    pages) have no dc equivalent and stay empty.
-    """
-    if isinstance(payload, str):
-        payload = ET.fromstring(payload)
-    titles: list[tuple[str, str]] = []
-    creators_raw: list[str] = []
-    fields: dict[str, str] = {}
-    for child in payload.iter():
-        name = _local_name(child)
-        text = (child.text or "").strip()
-        if not text:
-            continue
-        if name == "title":
-            titles.append((text, _language_tag(child, text)))
-        elif name == "creator":
-            creators_raw.append(text)
-        elif name not in fields:
-            fields[name] = text
-    if not titles:
-        raise MalformedRecordError(f"record {identifier or '?'} has no titles")
-    source_url = fields.get("identifier", "")
-    return HarvestedPublication(
-        identifier=identifier,
-        titles=titles,
-        creators=_pair_creators(creators_raw),
-        publication_type=fields.get("type", ""),
-        date=fields.get("date"),
-        language=_LANGUAGE_CODES.get(fields.get("language", "").lower(), "other"),
-        source_url=source_url if source_url.startswith("http") else None,
-    )
-
-
 def harvest(
     endpoint: str,
     prefix: str,
@@ -394,12 +338,7 @@ def harvest(
     *,
     fetch: Fetch = http_fetch,
     id_prefix: str = "",
-    delay: float = 0.0,
-    retries: int = 3,
-    backoff: float = 0.5,
     save_dir: str | None = None,
-    from_date: str | None = None,
-    until_date: str | None = None,
 ) -> Iterator[tuple[OaiRecord, HarvestedPublication | None]]:
     """Stream every record of a provider exactly once.
 
@@ -410,26 +349,13 @@ def harvest(
     as their publication.  With ``save_dir`` set, every raw response body
     is written there in request order for later replay.
     """
-    saver = _ResponseSaver(save_dir) if save_dir else None
-    wrapped_fetch = saver.wrap(fetch) if saver else fetch
+    if save_dir:
+        fetch = _saving_fetcher(fetch, save_dir)
 
     if mode == "list":
         token: str | None = None
-        first = True
         while True:
-            if not first and delay:
-                time.sleep(delay)
-            records, token = list_records(
-                endpoint,
-                prefix,
-                token,
-                fetch=wrapped_fetch,
-                retries=retries,
-                backoff=backoff,
-                from_date=from_date if first else None,
-                until_date=until_date if first else None,
-            )
-            first = False
+            records, token = list_records(endpoint, prefix, token, fetch=fetch)
             for record in records:
                 yield record, _parse_payload(record)
             if not token:
@@ -438,22 +364,10 @@ def harvest(
         lower, upper = mode
         if lower > upper:
             raise ValueError(f"invalid id range: {lower} > {upper}")
-        first = True
         for number in range(lower, upper + 1):
-            if not first and delay:
-                time.sleep(delay)
-            first = False
-            record = get_record(
-                endpoint,
-                prefix,
-                f"{id_prefix}{number}",
-                fetch=wrapped_fetch,
-                retries=retries,
-                backoff=backoff,
-            )
-            if record is None:
-                continue
-            yield record, _parse_payload(record)
+            record = get_record(endpoint, prefix, f"{id_prefix}{number}", fetch=fetch)
+            if record is not None:
+                yield record, _parse_payload(record)
 
 
 def _parse_payload(record: OaiRecord) -> HarvestedPublication | None:
@@ -466,20 +380,17 @@ def _parse_payload(record: OaiRecord) -> HarvestedPublication | None:
         return None
 
 
-class _ResponseSaver:
-    def __init__(self, directory: str):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.sequence = 0
+def _saving_fetcher(fetch: Fetch, directory: str) -> Fetch:
+    target = Path(directory)
+    target.mkdir(parents=True, exist_ok=True)
+    sequence = itertools.count(1)
 
-    def wrap(self, fetch: Fetch) -> Fetch:
-        def saving_fetch(url: str) -> bytes:
-            data = fetch(url)
-            self.sequence += 1
-            (self.directory / f"{self.sequence:06d}.xml").write_bytes(data)
-            return data
+    def saving_fetch(url: str) -> bytes:
+        data = fetch(url)
+        (target / f"{next(sequence):06d}.xml").write_bytes(data)
+        return data
 
-        return saving_fetch
+    return saving_fetch
 
 
 def replay_fetcher(directory: str) -> Fetch:

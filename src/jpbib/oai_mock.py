@@ -1,8 +1,8 @@
 """In-process OAI-PMH data provider for tests, demos and replay runs.
 
-Serves ListRecords with resumption-token pagination, GetRecord with
-deleted-record and idDoesNotExist handling, and ListMetadataFormats,
-all over the ``fetch(url) -> bytes`` transport interface of the client.
+Serves ListRecords with resumption-token pagination and GetRecord with
+deleted-record and idDoesNotExist handling over the ``fetch(url) ->
+bytes`` transport interface of the client.  Records are junii2 only.
 """
 
 import urllib.parse
@@ -13,6 +13,7 @@ __all__ = ["MockDataProvider", "MockRecord", "junii2_payload"]
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 JUNII2_NS = "http://irdb.example.org/junii2/"
+FORMATS = ("junii2",)
 
 
 @dataclass
@@ -70,23 +71,12 @@ def junii2_payload(
 class MockDataProvider:
     """A repository addressed through the client's fetch interface."""
 
-    def __init__(
-        self,
-        records: list[MockRecord],
-        page_size: int = 100,
-        formats: tuple[str, ...] = ("oai_dc", "junii2"),
-        repository_id: str = "mock",
-    ):
+    id_prefix = "oai:mock:"
+
+    def __init__(self, records: list[MockRecord], page_size: int = 100):
         self.records = sorted(records, key=lambda r: r.number)
         self.by_number = {r.number: r for r in self.records}
         self.page_size = page_size
-        self.formats = formats
-        self.repository_id = repository_id
-        self.request_count = 0
-
-    @property
-    def id_prefix(self) -> str:
-        return f"oai:{self.repository_id}:"
 
     def identifier(self, number: int) -> str:
         return f"{self.id_prefix}{number}"
@@ -94,7 +84,6 @@ class MockDataProvider:
     # -- transport entry point -------------------------------------------
 
     def fetch(self, url: str) -> bytes:
-        self.request_count += 1
         query = urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)
         params = {key: values[0] for key, values in query.items()}
         verb = params.get("verb", "")
@@ -102,8 +91,6 @@ class MockDataProvider:
             body = self._list_records(params)
         elif verb == "GetRecord":
             body = self._get_record(params)
-        elif verb == "ListMetadataFormats":
-            body = self._list_metadata_formats()
         else:
             body = self._error("badVerb", f"unsupported verb {verb!r}")
         return self._envelope(verb, body).encode("utf-8")
@@ -114,7 +101,7 @@ class MockDataProvider:
         token = params.get("resumptionToken")
         if token is None:
             prefix = params.get("metadataPrefix", "")
-            if prefix not in self.formats:
+            if prefix not in FORMATS:
                 return self._error(
                     "cannotDisseminateFormat", f"unknown prefix {prefix!r}"
                 )
@@ -137,7 +124,7 @@ class MockDataProvider:
 
     def _get_record(self, params: dict[str, str]) -> str:
         prefix = params.get("metadataPrefix", "")
-        if prefix not in self.formats:
+        if prefix not in FORMATS:
             return self._error("cannotDisseminateFormat", f"unknown prefix {prefix!r}")
         identifier = params.get("identifier", "")
         number = identifier.rsplit(":", 1)[-1]
@@ -145,17 +132,6 @@ class MockDataProvider:
         if record is None:
             return self._error("idDoesNotExist", identifier)
         return f"<GetRecord>{self._record_xml(record)}</GetRecord>"
-
-    def _list_metadata_formats(self) -> str:
-        parts = ["<ListMetadataFormats>"]
-        for prefix in self.formats:
-            parts.append(
-                "<metadataFormat>"
-                f"<metadataPrefix>{prefix}</metadataPrefix>"
-                "</metadataFormat>"
-            )
-        parts.append("</ListMetadataFormats>")
-        return "".join(parts)
 
     # -- helpers -----------------------------------------------------------
 

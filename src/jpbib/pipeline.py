@@ -15,7 +15,7 @@ import sqlite3
 import sys
 import xml.etree.ElementTree as ET
 
-from .bht import build_entry, concatenate, render_spf, spf_relative_path
+from .bht import build_entry, claim_spf_path, concatenate, render_spf
 from .config import Config, ConfigError, parse_config
 from .dblp import common_coauthors, find_publication, parse_corpus
 from .enamdict import load_enamdict
@@ -124,6 +124,8 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     mode = "list" if config.use_list_records else (config.min_id, config.max_id)
     save_dir = config.resolve(config.files_path) if config.files_path else None
     bht_root = os.path.abspath(config.resolve(config.bht_path))
+    owners: dict[str, str] = {}  # relative BHT path -> identifier, this run
+    written: dict[str, str] = {}  # identifier -> relative BHT path
     stats = RunStatistics()
 
     log.info("harvesting %s (mode=%s)", config.endpoint or "<injected>", mode)
@@ -165,7 +167,8 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
         if config.show_common_coauthors and latin_names:
             shared = common_coauthors(latin_names, corpus, match_config)
 
-        target = os.path.join(bht_root, spf_relative_path(publication))
+        relative = claim_spf_path(publication, owners)
+        target = os.path.join(bht_root, relative)
         if os.path.commonpath([bht_root, os.path.abspath(target)]) != bht_root:
             raise OSError(f"BHT path {target!r} leaves {bht_root!r}")
         store.add_harvested(publication, resolutions, dblp_key)
@@ -173,6 +176,12 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
         os.makedirs(os.path.dirname(target), exist_ok=True)
         with open(target, "w", encoding="ascii", newline="") as handle:
             handle.write(render_spf(entry))
+        # A repeated identifier replaces its earlier copy, file included.
+        earlier = written.get(publication.identifier)
+        if earlier and earlier != relative:
+            os.remove(os.path.join(bht_root, earlier))
+            del owners[earlier]
+        written[publication.identifier] = relative
     store.flush()
     return stats
 

@@ -27,7 +27,6 @@ __all__ = [
     "levenshtein",
     "levenshtein_py",
     "names_match",
-    "precision_recall",
 ]
 
 
@@ -99,16 +98,3 @@ def names_match(a: str, b: str, cfg: MatchConfig) -> bool:
     tokens_a = set(a.casefold().split())
     tokens_b = set(b.casefold().split())
     return jaccard_lev(tokens_a, tokens_b, cfg) >= cfg.match_threshold
-
-
-def precision_recall(answer: Iterable, relevant: Iterable) -> tuple[float, float]:
-    """(precision, recall) of an answer set against the relevant set.
-
-    Precision is 1.0 for an empty answer, recall 1.0 for an empty relevant
-    set (nothing reported wrongly / nothing missed).
-    """
-    answer, relevant = set(answer), set(relevant)
-    hits = len(answer & relevant)
-    precision = hits / len(answer) if answer else 1.0
-    recall = hits / len(relevant) if relevant else 1.0
-    return precision, recall

@@ -1,8 +1,9 @@
 """Embedded tabular persistence for dictionary, corpus and harvest data.
 
 A single SQLite file holds every relation; table names come from the
-configuration.  Inserts are batched (default every 1000 rows) so large
-inputs stream through without holding everything in memory.
+configuration.  Bulk inserts are committed every ``FLUSH_INTERVAL`` rows
+so large inputs stream through without holding everything in memory.
+A harvested identifier that arrives again replaces its earlier rows.
 """
 
 import json
@@ -19,7 +20,7 @@ from .oai import HarvestedPublication
 
 __all__ = ["SqliteStore", "StoreError"]
 
-DEFAULT_FLUSH_INTERVAL = 1000
+FLUSH_INTERVAL = 1000
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -37,9 +38,8 @@ def _table(name: str) -> str:
 class SqliteStore:
     """All pipeline relations in one embedded database file."""
 
-    def __init__(self, config: Config, flush_interval: int = DEFAULT_FLUSH_INTERVAL):
+    def __init__(self, config: Config):
         self.config = config
-        self.flush_interval = flush_interval
         path = config.store_path
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         self.connection = sqlite3.connect(path)
@@ -72,7 +72,7 @@ class SqliteStore:
         total = 0
         for row in rows:
             batch.append(row)
-            if len(batch) >= self.flush_interval:
+            if len(batch) >= FLUSH_INTERVAL:
                 self.connection.executemany(sql, batch)
                 self.connection.commit()
                 total += len(batch)
@@ -291,6 +291,25 @@ class SqliteStore:
         resolutions: list[AuthorResolution],
         dblp_key: str | None = None,
     ) -> int:
+        # OAI-PMH lets a provider send a record again when it changes
+        # mid-harvest; the last copy wins.
+        earlier = self.connection.execute(
+            f"SELECT id FROM {self.publications} WHERE identifier=?",
+            (publication.identifier,),
+        ).fetchone()
+        if earlier is not None:
+            for table in (
+                self.authors,
+                self.titles,
+                self.contributors,
+                self.descriptions,
+            ):
+                self.connection.execute(
+                    f"DELETE FROM {table} WHERE publication_id=?", earlier
+                )
+            self.connection.execute(
+                f"DELETE FROM {self.publications} WHERE id=?", earlier
+            )
         cursor = self.connection.execute(
             f"INSERT INTO {self.publications} "
             "(identifier, publication_type, date, volume, number, pages, "

@@ -8,6 +8,7 @@ import pytest
 from jpbib.bht import (
     BhtEntry,
     build_entry,
+    claim_spf_path,
     concatenate,
     date_label,
     escape_non_ascii,
@@ -181,6 +182,27 @@ def test_spf_relative_path_stays_under_root(tmp_path):
         "volume-tmp-evil",
         "7.bht",
     )
+
+
+def test_claim_spf_path_never_shares_a_file():
+    def publication(identifier: str) -> HarvestedPublication:
+        return HarvestedPublication(
+            identifier, [], [], publication_type="Journal Article", volume="5"
+        )
+
+    owners: dict[str, str] = {}
+    claims = [
+        claim_spf_path(publication(identifier), owners)
+        for identifier in ("oai:mock:1", "oai:other:1", "oai:mock:1", "OAI:Other:1")
+    ]
+    directory = Path("journal-article", "volume-5")
+    assert [Path(claim) for claim in claims] == [
+        directory / "1.bht",
+        directory / "oai-other-1.bht",
+        directory / "1.bht",
+        directory / "oai-other-1-2.bht",
+    ]
+    assert owners[claims[3]] == "OAI:Other:1"
 
 
 def test_concatenate(tmp_path):

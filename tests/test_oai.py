@@ -1,14 +1,21 @@
 """OAI-PMH client behaviour against the in-process mock provider."""
 
+import email.message
+import io
+import urllib.error
+import urllib.parse
+
 import pytest
 
+from jpbib import oai
 from jpbib.oai import (
+    RETRY_AFTER_CAP_S,
     MalformedRecordError,
     OaiProtocolError,
     TransportError,
     get_record,
     harvest,
-    list_metadata_formats,
+    http_fetch,
     list_records,
     parse_junii2,
     replay_fetcher,
@@ -23,6 +30,36 @@ ENDPOINT = "http://example.org/oai?action=repository_oaipmh"
 @pytest.fixture()
 def provider():
     return build_provider()
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """Every wait of the retry site, in seconds, without waiting."""
+    waits = []
+    monkeypatch.setattr(oai.time, "sleep", waits.append)
+    return waits
+
+
+def serve_http(monkeypatch, provider, *errors):
+    """Let urlopen raise HTTP errors, given as (status, Retry-After), then
+    serve the provider; returns the list of requested URLs."""
+    pending = list(errors)
+    requested = []
+
+    def urlopen(request, timeout):
+        requested.append(request.full_url)
+        if pending:
+            status, retry_after = pending.pop(0)
+            headers = email.message.Message()
+            if retry_after is not None:
+                headers["Retry-After"] = retry_after
+            raise urllib.error.HTTPError(
+                request.full_url, status, "error", headers, None
+            )
+        return io.BytesIO(provider.fetch(request.full_url))
+
+    monkeypatch.setattr(oai.urllib.request, "urlopen", urlopen)
+    return requested
 
 
 def test_pagination_three_pages(provider):
@@ -99,35 +136,66 @@ def test_get_record_not_found(provider):
     )
 
 
-def test_list_metadata_formats(provider):
-    assert list_metadata_formats(ENDPOINT, fetch=provider.fetch) == [
-        "oai_dc",
-        "junii2",
-    ]
-    single = MockDataProvider([], formats=("junii2",))
-    assert list_metadata_formats(ENDPOINT, fetch=single.fetch) == ["junii2"]
-
-
-def test_transport_error_carries_attempts():
+def test_transport_error_carries_attempts(sleeps):
     def failing(url: str) -> bytes:
         raise TransportError(url, 1)
 
     with pytest.raises(TransportError) as info:
-        list_metadata_formats(ENDPOINT, fetch=failing, retries=3, backoff=0)
+        list_records(ENDPOINT, "junii2", fetch=failing)
     assert info.value.attempts == 3
+    assert info.value.status is None
+    assert sleeps == [0.5, 1.0]
 
 
-def test_transport_retry_recovers(provider):
+def test_transport_retry_recovers(provider, sleeps):
     calls = {"n": 0}
 
     def flaky(url: str) -> bytes:
         calls["n"] += 1
         if calls["n"] < 3:
-            raise TransportError(url, 1)
+            raise OSError("connection reset")
         return provider.fetch(url)
 
-    formats = list_metadata_formats(ENDPOINT, fetch=flaky, retries=3, backoff=0)
-    assert formats == ["oai_dc", "junii2"]
+    record = get_record(
+        ENDPOINT, "junii2", provider.identifier(GOLDEN_ID), fetch=flaky
+    )
+    assert record is not None and record.payload is not None
+    assert calls["n"] == 3
+    assert sleeps == [0.5, 1.0]
+
+
+def test_http_error_carries_status_and_retry_after(monkeypatch, provider):
+    serve_http(monkeypatch, provider, (503, "7"))
+    with pytest.raises(TransportError) as info:
+        http_fetch(ENDPOINT)
+    assert info.value.status == 503
+    assert info.value.retry_after == "7"
+
+
+def test_client_error_fails_after_one_attempt(monkeypatch, provider, sleeps):
+    requested = serve_http(monkeypatch, provider, (404, None))
+    with pytest.raises(TransportError) as info:
+        list_records(ENDPOINT, "junii2")
+    assert info.value.attempts == 1
+    assert info.value.status == 404
+    assert len(requested) == 1
+    assert sleeps == []
+
+
+def test_retry_after_is_honoured_and_capped(monkeypatch, provider, sleeps):
+    serve_http(monkeypatch, provider, (503, "7"), (503, "86400"))
+    records, _ = list_records(ENDPOINT, "junii2")
+    assert len(records) == 100
+    assert sleeps == [7, RETRY_AFTER_CAP_S]
+
+
+def test_backoff_without_integer_retry_after(monkeypatch, provider, sleeps):
+    serve_http(
+        monkeypatch, provider, (429, "\u00b2"), (500, "Wed, 21 Oct 2015 07:28:00 GMT")
+    )
+    record = get_record(ENDPOINT, "junii2", provider.identifier(GOLDEN_ID))
+    assert record is not None
+    assert sleeps == [0.5, 1.0]
 
 
 def test_parse_junii2_golden(provider):
@@ -259,49 +327,21 @@ def test_harvest_invalid_range(provider):
         list(harvest(ENDPOINT, "junii2", (10, 5), fetch=provider.fetch))
 
 
-def test_list_records_date_window_in_first_request(provider):
+def test_continuation_carries_only_the_token(provider):
     seen = []
 
     def spying(url: str) -> bytes:
-        seen.append(url)
+        seen.append(dict(urllib.parse.parse_qsl(urllib.parse.urlsplit(url).query)))
         return provider.fetch(url)
 
-    list_records(
-        ENDPOINT,
-        "junii2",
-        fetch=spying,
-        from_date="2011-01-01",
-        until_date="2011-12-31",
-    )
-    assert "from=2011-01-01" in seen[0] and "until=2011-12-31" in seen[0]
-
-    # Continuations carry the token only.
-    list_records(ENDPOINT, "junii2", "100", fetch=spying, from_date="2011-01-01")
-    assert "from" not in seen[1].rsplit("?", 1)[1].replace("resumptionToken", "")
-
-
-def test_parse_oai_dc_thin_mapping():
-    from jpbib.oai import parse_oai_dc
-
-    payload = (
-        '<oai_dc:dc xmlns:oai_dc="http://www.openarchives.org/OAI/2.0/oai_dc/" '
-        'xmlns:dc="http://purl.org/dc/elements/1.1/">'
-        "<dc:title>点予測による自動単語分割</dc:title>"
-        "<dc:creator>森信介</dc:creator>"
-        "<dc:creator>Shinsuke Mori</dc:creator>"
-        "<dc:type>Journal Article</dc:type>"
-        "<dc:date>2011-10-15</dc:date>"
-        "<dc:language>jpn</dc:language>"
-        "<dc:identifier>http://id.nii.ac.jp/1001/00078161/</dc:identifier>"
-        "</oai_dc:dc>"
-    )
-    publication = parse_oai_dc(payload, "oai:mock:161")
-    assert publication.titles == [("点予測による自動単語分割", "ja")]
-    assert publication.creators == [("Shinsuke Mori", "森信介")]
-    assert publication.publication_type == "Journal Article"
-    assert publication.language == "ja"
-    assert publication.source_url == "http://id.nii.ac.jp/1001/00078161/"
-    assert publication.volume is None and publication.pages is None
+    _, token = list_records(ENDPOINT, "junii2", fetch=spying)
+    list_records(ENDPOINT, "junii2", token, fetch=spying)
+    assert seen[0]["metadataPrefix"] == "junii2"
+    assert seen[1] == {
+        "action": "repository_oaipmh",
+        "verb": "ListRecords",
+        "resumptionToken": "100",
+    }
 
 
 def test_save_and_replay(tmp_path, provider):

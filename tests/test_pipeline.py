@@ -8,7 +8,8 @@ import pytest
 
 from jpbib.config import Config, ConfigError, parse_config
 from jpbib.matching import NameStatus
-from jpbib.oai import get_record, parse_junii2
+from jpbib.oai import OAI_NS, get_record, parse_junii2
+from jpbib.oai_mock import junii2_payload
 from jpbib.pipeline import run
 from jpbib.stats import RunStatistics
 from jpbib.store import SqliteStore, StoreError
@@ -342,3 +343,73 @@ def test_harvest_requires_endpoint_without_injected_fetch(tmp_path, capsys):
     status = run(["--config", str(config), "--harvest"])
     assert status == 2
     assert "endpoint" in capsys.readouterr().err
+
+
+def one_page_fetch(*records: tuple[str, str]):
+    """A provider whose only ListRecords page holds the given
+    (identifier, junii2 payload) records, in order."""
+    page = "".join(
+        f"<record><header><identifier>{identifier}</identifier>"
+        f"<datestamp>2012-10-19</datestamp></header>"
+        f"<metadata>{payload}</metadata></record>"
+        for identifier, payload in records
+    )
+    body = f'<OAI-PMH xmlns="{OAI_NS}"><ListRecords>{page}</ListRecords></OAI-PMH>'
+    body = body.encode()
+    return lambda url: body
+
+
+def article(title: str, volume: str, creators: list[str]) -> str:
+    return junii2_payload(
+        titles=[(title, "en")], creators=creators, volume=volume, language="eng"
+    )
+
+
+def written_bht(root: Path) -> dict[str, str]:
+    return {
+        str(path.relative_to(root)): path.read_text()
+        for path in sorted(root.rglob("*.bht"))
+        if path.name != "all.bht"
+    }
+
+
+def test_run_repeated_identifier_last_copy_wins(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    fetch = one_page_fetch(
+        ("oai:mock:1", article("First Copy", "5", ["Jane Doe", "John Roe"])),
+        ("oai:mock:1", article("Second Copy", "6", ["Jane Doe"])),
+    )
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+
+    with SqliteStore(parse_config(str(config))) as opened:
+        stored = opened.load_harvested("oai:mock:1")
+        counts = [
+            opened.connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            for table in (opened.publications, opened.authors, opened.titles)
+        ]
+    assert stored.titles == [("Second Copy", "en")]
+    assert stored.volume == "6"
+    assert counts == [1, 1, 1]
+
+    files = written_bht(tmp_path / "bht")
+    assert list(files) == ["journal-article/volume-6/1.bht"]
+    assert "Second Copy" in files["journal-article/volume-6/1.bht"]
+
+
+def test_run_colliding_file_names_keep_both(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    fetch = one_page_fetch(
+        ("oai:mock:1", article("Mock Title", "5", ["Jane Doe"])),
+        ("oai:other:1", article("Other Title", "5", ["John Roe"])),
+    )
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+
+    files = written_bht(tmp_path / "bht")
+    assert list(files) == [
+        "journal-article/volume-5/1.bht",
+        "journal-article/volume-5/oai-other-1.bht",
+    ]
+    assert "Mock Title" in files["journal-article/volume-5/1.bht"]
+    assert "Other Title" in files["journal-article/volume-5/oai-other-1.bht"]

@@ -12,7 +12,6 @@ from jpbib.similarity import (
     levenshtein,
     levenshtein_py,
     names_match,
-    precision_recall,
 )
 
 
@@ -150,25 +149,6 @@ def test_names_match_cases():
 def test_names_match_is_case_insensitive():
     cfg = MatchConfig(lev_threshold=1, match_threshold=1.0)
     assert names_match("SHINSUKE MORI", "Shinsuke Mori", cfg)
-
-
-def test_precision_recall():
-    assert precision_recall({1, 2}, {1, 2}) == (1.0, 1.0)
-    precision, _ = precision_recall({3, 4}, {3, 4, 5})
-    assert precision == 1.0
-    assert precision_recall({1, 2, 3, 4}, {3, 4, 5}) == (0.5, 2 / 3)
-    assert precision_recall(set(), {1}) == (1.0, 0.0)
-    assert precision_recall({1}, set()) == (0.0, 1.0)
-
-
-def test_precision_recall_bounds():
-    rng = random.Random(17)
-    for _ in range(300):
-        a = set(rng.sample(range(10), rng.randrange(10)))
-        r = set(rng.sample(range(10), rng.randrange(10)))
-        precision, recall = precision_recall(a, r)
-        assert 0.0 <= precision <= 1.0
-        assert 0.0 <= recall <= 1.0
 
 
 def test_match_config_validation():
