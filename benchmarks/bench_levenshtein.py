@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled edit-distance kernel against the pure fallback.
+"""Benchmark the edit-distance kernel, exact and bounded, and names_match.
 
 The kernel sits in the inner loop of fuzzy coauthor matching, where every
 harvested author is compared against every corpus author, so a corpus of
@@ -12,12 +12,7 @@ import argparse
 import random
 import time
 
-from jpbib.similarity import USING_COMPILED, levenshtein_py, names_match, MatchConfig
-
-try:
-    from jpbib.similarity._speedups import levenshtein as levenshtein_c
-except ImportError:
-    levenshtein_c = None
+from jpbib.similarity import MatchConfig, levenshtein, names_match
 
 SYLLABLES = [
     "ka", "ki", "ku", "ke", "ko", "sa", "shi", "su", "se", "so",
@@ -65,26 +60,17 @@ def main() -> None:
 
     pairs = make_pairs(args.pairs)
     print(f"{args.pairs} name pairs, best of {args.repeat} runs")
-    print(f"compiled kernel active in package: {USING_COMPILED}")
-
-    py_time = bench(levenshtein_py, pairs, args.repeat)
-    print(f"pure python : {py_time:8.3f} s  ({args.pairs / py_time:>12,.0f} pairs/s)")
-
-    if levenshtein_c is None:
-        print("compiled    : not built (install with Cython to compare)")
-        return
-    c_time = bench(levenshtein_c, pairs, args.repeat)
-    print(f"compiled    : {c_time:8.3f} s  ({args.pairs / c_time:>12,.0f} pairs/s)")
-    print(f"speedup     : {py_time / c_time:8.1f}x")
+    for label, function in (
+        ("exact", levenshtein),
+        ("limit=2", lambda a, b: levenshtein(a, b, 2)),
+    ):
+        elapsed = bench(function, pairs, args.repeat)
+        print(f"{label:<12}: {elapsed:8.3f} s  ({args.pairs / elapsed:>12,.0f} pairs/s)")
 
     sample = [(f"{a} {b}", f"{b} {a}") for a, b in pairs[:2_000]]
     cfg = MatchConfig()
-    started = time.perf_counter()
-    for a, b in sample:
-        names_match(a, b, cfg)
-    elapsed = time.perf_counter() - started
-    print(f"names_match : {len(sample) / elapsed:>12,.0f} comparisons/s "
-          f"(full-name, via {'compiled' if USING_COMPILED else 'pure'} kernel)")
+    elapsed = bench(lambda a, b: names_match(a, b, cfg), sample, args.repeat)
+    print(f"names_match : {len(sample) / elapsed:>12,.0f} comparisons/s (full names)")
 
 
 if __name__ == "__main__":

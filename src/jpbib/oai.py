@@ -75,6 +75,10 @@ class TransportError(RuntimeError):
         self.retry_after = retry_after
 
 
+class _ReplayExhausted(TransportError):
+    """No saved response is left to replay; another attempt cannot help."""
+
+
 class OaiProtocolError(RuntimeError):
     """Protocol-level error element returned by the provider."""
 
@@ -134,7 +138,9 @@ def _fetch_with_retries(fetch: Fetch, url: str) -> bytes:
             return fetch(url)
         except (TransportError, OSError) as exc:
             status = getattr(exc, "status", None)
-            retryable = status is None or status == 429 or status >= 500
+            retryable = not isinstance(exc, _ReplayExhausted) and (
+                status is None or status == 429 or status >= 500
+            )
             if attempt == RETRY_ATTEMPTS or not retryable:
                 raise TransportError(url, attempt, exc, status) from exc
             retry_after = (getattr(exc, "retry_after", None) or "").strip()
@@ -402,6 +408,6 @@ def replay_fetcher(directory: str) -> Fetch:
         try:
             return next(iterator).read_bytes()
         except StopIteration:
-            raise TransportError(url, 1, None)
+            raise _ReplayExhausted(url, 1) from None
 
     return fetch

@@ -14,12 +14,13 @@ import os
 import sqlite3
 import sys
 import xml.etree.ElementTree as ET
+from typing import NamedTuple
 
 from .bht import build_entry, claim_spf_path, concatenate, render_spf
 from .config import Config, ConfigError, parse_config
 from .dblp import common_coauthors, find_publication, parse_corpus
 from .enamdict import load_enamdict
-from .matching import NameDictionary, resolve_author
+from .matching import NameDictionary, NameStatus, resolve_author
 from .oai import TransportError, harvest, http_fetch
 from .similarity import MatchConfig
 from .stats import RunStatistics
@@ -115,6 +116,15 @@ def stage_enamdict(config: Config, store: SqliteStore) -> None:
     log.info("stored %d name records (%d warnings)", count, len(warnings))
 
 
+class _Outcome(NamedTuple):
+    """What one harvested record adds to the run statistics."""
+
+    deleted: bool
+    publication: tuple[str, str] | None = None  # (type, language); None: unparsable
+    statuses: tuple[NameStatus, ...] = ()
+    duplicate: bool = False
+
+
 def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     dictionary = NameDictionary(store.load_name_records())
     corpus = store.load_corpus()
@@ -126,7 +136,8 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     bht_root = os.path.abspath(config.resolve(config.bht_path))
     owners: dict[str, str] = {}  # relative BHT path -> identifier, this run
     written: dict[str, str] = {}  # identifier -> relative BHT path
-    stats = RunStatistics()
+    # The statistics count each identifier once, by its last copy.
+    outcomes: dict[str, _Outcome] = {}
 
     log.info("harvesting %s (mode=%s)", config.endpoint or "<injected>", mode)
     for record, publication in harvest(
@@ -137,20 +148,21 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
         id_prefix=config.id_prefix,
         save_dir=save_dir,
     ):
-        stats.observe_record(record.deleted)
-        if record.deleted:
+        # A repeated identifier replaces its earlier copy, rows and file
+        # included; a deleted or unparsable last copy leaves nothing.
+        earlier = written.pop(record.identifier, None)
+        if earlier:
+            store.remove_harvested(record.identifier)
+            os.remove(os.path.join(bht_root, earlier))
+            del owners[earlier]
+        if record.deleted or publication is None:
+            outcomes[record.identifier] = _Outcome(record.deleted)
             continue
-        if publication is None:
-            stats.observe_parse_error()
-            continue
-        stats.observe_publication(publication.publication_type, publication.language)
 
         resolutions = [
             resolve_author(latin, kanji, dictionary)
             for latin, kanji in publication.creators
         ]
-        for resolution in resolutions:
-            stats.observe_status(resolution.status)
         latin_names = [
             r.latin.display() for r in resolutions if r.latin and r.latin.display()
         ]
@@ -160,8 +172,12 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
             dblp_key = find_publication(title, latin_names, corpus, match_config)
             if dblp_key:
                 break
-        if dblp_key:
-            stats.observe_duplicate()
+        outcomes[record.identifier] = _Outcome(
+            False,
+            (publication.publication_type, publication.language),
+            tuple(resolution.status for resolution in resolutions),
+            bool(dblp_key),
+        )
 
         shared: list[str] = []
         if config.show_common_coauthors and latin_names:
@@ -176,13 +192,22 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
         os.makedirs(os.path.dirname(target), exist_ok=True)
         with open(target, "w", encoding="ascii", newline="") as handle:
             handle.write(render_spf(entry))
-        # A repeated identifier replaces its earlier copy, file included.
-        earlier = written.get(publication.identifier)
-        if earlier and earlier != relative:
-            os.remove(os.path.join(bht_root, earlier))
-            del owners[earlier]
         written[publication.identifier] = relative
     store.flush()
+
+    stats = RunStatistics()
+    for outcome in outcomes.values():
+        stats.observe_record(outcome.deleted)
+        if outcome.deleted:
+            continue
+        if outcome.publication is None:
+            stats.observe_parse_error()
+            continue
+        stats.observe_publication(*outcome.publication)
+        for status in outcome.statuses:
+            stats.observe_status(status)
+        if outcome.duplicate:
+            stats.observe_duplicate()
     return stats
 
 

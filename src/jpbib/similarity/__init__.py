@@ -1,33 +1,63 @@
-"""String-distance and set-similarity measures for coauthor matching.
-
-The edit-distance kernel exists twice: a compiled extension for the hot
-pairwise loops and a pure-Python fallback.  The fastest available one is
-selected at import time; ``USING_COMPILED`` records which is active.
-"""
+"""String-distance and set-similarity measures for coauthor matching."""
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._pylev import levenshtein as levenshtein_py
-
-try:
-    from ._speedups import levenshtein as _levenshtein
-    USING_COMPILED = True
-except ImportError:
-    _levenshtein = levenshtein_py
-    USING_COMPILED = False
-
-levenshtein = _levenshtein
+# There is no compiled kernel.  perfbench/stages.py still reads this flag
+# in traced runs, so it goes only in a later change to the benchmark.
+USING_COMPILED = False
 
 __all__ = [
     "MatchConfig",
-    "USING_COMPILED",
     "jaccard",
     "jaccard_lev",
     "levenshtein",
-    "levenshtein_py",
     "names_match",
 ]
+
+
+def levenshtein(s: str, t: str, limit: int | None = None) -> int:
+    """Unit-cost edit distance (replacement, insertion, deletion).
+
+    With ``limit`` the result is the distance when that is below ``limit``
+    and ``limit`` otherwise.  Only cells with ``|i - j| < limit`` can hold a
+    value below it, so the dynamic program fills just that band and stops
+    once a whole row reaches ``limit`` (Ukkonen 1985).  Without ``limit``
+    the band covers the whole table and the result is exact.
+    """
+    if s == t:
+        return 0
+    m = len(t)
+    if limit is None:
+        limit = len(s) + m + 1
+    elif abs(len(s) - m) >= limit:
+        return limit
+    if not s or not t:
+        return len(s) + m
+    band = limit - 1
+    # Two rows, swapped after each one.  A cell left of the band is reset
+    # per row; cells right of it still hold ``limit`` from the start.
+    prev = list(range(min(m, band) + 1)) + [limit] * (m - band)
+    curr = [limit] * (m + 1)
+    for i, cs in enumerate(s, start=1):
+        lo = i - band if i > band else 1
+        hi = i + band if i + band < m else m
+        row_min = curr[lo - 1] = i if i <= band else limit
+        for j, ct in enumerate(t[lo - 1 : hi], lo):
+            d = prev[j - 1] + (cs != ct)
+            up = prev[j] + 1
+            if up < d:
+                d = up
+            left = curr[j - 1] + 1
+            if left < d:
+                d = left
+            curr[j] = d
+            if d < row_min:
+                row_min = d
+        if row_min >= limit:
+            return limit
+        prev, curr = curr, prev
+    return prev[m] if prev[m] < limit else limit
 
 
 @dataclass(frozen=True)
@@ -72,7 +102,7 @@ def jaccard_lev(s: Iterable[str], t: Iterable[str], cfg: MatchConfig) -> float:
     pairs = []
     for x in s:
         for y in t:
-            d = levenshtein(x, y)
+            d = levenshtein(x, y, cfg.lev_threshold)
             if d < cfg.lev_threshold:
                 # Orientation-free sort key keeps the pairing symmetric.
                 pairs.append((d, min(x, y), max(x, y), x, y))

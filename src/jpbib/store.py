@@ -285,31 +285,34 @@ class SqliteStore:
             """
         )
 
+    def remove_harvested(self, identifier: str) -> None:
+        """Delete the publication stored under ``identifier``, if any,
+        with its author, title, contributor and description rows."""
+        earlier = self.connection.execute(
+            f"SELECT id FROM {self.publications} WHERE identifier=?",
+            (identifier,),
+        ).fetchone()
+        if earlier is None:
+            return
+        for table in (
+            self.authors,
+            self.titles,
+            self.contributors,
+            self.descriptions,
+        ):
+            self.connection.execute(
+                f"DELETE FROM {table} WHERE publication_id=?", earlier
+            )
+        self.connection.execute(f"DELETE FROM {self.publications} WHERE id=?", earlier)
+
     def add_harvested(
         self,
         publication: HarvestedPublication,
         resolutions: list[AuthorResolution],
         dblp_key: str | None = None,
     ) -> int:
-        # OAI-PMH lets a provider send a record again when it changes
-        # mid-harvest; the last copy wins.
-        earlier = self.connection.execute(
-            f"SELECT id FROM {self.publications} WHERE identifier=?",
-            (publication.identifier,),
-        ).fetchone()
-        if earlier is not None:
-            for table in (
-                self.authors,
-                self.titles,
-                self.contributors,
-                self.descriptions,
-            ):
-                self.connection.execute(
-                    f"DELETE FROM {table} WHERE publication_id=?", earlier
-                )
-            self.connection.execute(
-                f"DELETE FROM {self.publications} WHERE id=?", earlier
-            )
+        """Store a publication whose identifier is not stored yet; a new
+        copy of a stored one goes in after ``remove_harvested``."""
         cursor = self.connection.execute(
             f"INSERT INTO {self.publications} "
             "(identifier, publication_type, date, volume, number, pages, "

@@ -164,6 +164,13 @@ def test_transport_retry_recovers(provider, sleeps):
     assert sleeps == [0.5, 1.0]
 
 
+def test_replay_out_of_responses_fails_at_once(tmp_path, sleeps):
+    with pytest.raises(TransportError) as info:
+        list_records(ENDPOINT, "junii2", fetch=replay_fetcher(str(tmp_path)))
+    assert info.value.attempts == 1
+    assert sleeps == []
+
+
 def test_http_error_carries_status_and_retry_after(monkeypatch, provider):
     serve_http(monkeypatch, provider, (503, "7"))
     with pytest.raises(TransportError) as info:

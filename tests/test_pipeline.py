@@ -191,6 +191,24 @@ def test_store_harvested_roundtrip(store, name_dictionary):
     assert loaded == publication
     assert store.load_resolutions(publication.identifier) == resolutions
 
+    # Removing leaves no row behind, and the identifier can be stored again.
+    store.remove_harvested(publication.identifier)
+    assert store.load_harvested(publication.identifier) is None
+    tables = (
+        store.publications,
+        store.authors,
+        store.titles,
+        store.contributors,
+        store.descriptions,
+    )
+    counts = [
+        store.connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+        for table in tables
+    ]
+    assert counts == [0] * len(tables)
+    store.add_harvested(publication, resolutions, dblp_key=None)
+    assert store.load_harvested(publication.identifier) == publication
+
 
 def test_store_rejects_bad_table_name(tmp_path):
     config = Config(base_dir=str(tmp_path), japnames_table="bad name!")
@@ -345,13 +363,17 @@ def test_harvest_requires_endpoint_without_injected_fetch(tmp_path, capsys):
     assert "endpoint" in capsys.readouterr().err
 
 
-def one_page_fetch(*records: tuple[str, str]):
+def one_page_fetch(*records: tuple[str, str | None]):
     """A provider whose only ListRecords page holds the given
-    (identifier, junii2 payload) records, in order."""
+    (identifier, junii2 payload) records, in order; a payload of None
+    gives a deleted header."""
     page = "".join(
         f"<record><header><identifier>{identifier}</identifier>"
         f"<datestamp>2012-10-19</datestamp></header>"
         f"<metadata>{payload}</metadata></record>"
+        if payload is not None
+        else f'<record><header status="deleted"><identifier>{identifier}'
+        f"</identifier><datestamp>2012-10-19</datestamp></header></record>"
         for identifier, payload in records
     )
     body = f'<OAI-PMH xmlns="{OAI_NS}"><ListRecords>{page}</ListRecords></OAI-PMH>'
@@ -373,6 +395,15 @@ def written_bht(root: Path) -> dict[str, str]:
     }
 
 
+def harvested_row_counts(config: Path) -> list[int]:
+    """Rows in the publication, author and title tables."""
+    with SqliteStore(parse_config(str(config))) as opened:
+        return [
+            opened.connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            for table in (opened.publications, opened.authors, opened.titles)
+        ]
+
+
 def test_run_repeated_identifier_last_copy_wins(tmp_path, capsys):
     config = make_config_file(tmp_path)
     fetch = one_page_fetch(
@@ -384,17 +415,54 @@ def test_run_repeated_identifier_last_copy_wins(tmp_path, capsys):
 
     with SqliteStore(parse_config(str(config))) as opened:
         stored = opened.load_harvested("oai:mock:1")
-        counts = [
-            opened.connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-            for table in (opened.publications, opened.authors, opened.titles)
-        ]
     assert stored.titles == [("Second Copy", "en")]
     assert stored.volume == "6"
-    assert counts == [1, 1, 1]
+    assert harvested_row_counts(config) == [1, 1, 1]
 
     files = written_bht(tmp_path / "bht")
     assert list(files) == ["journal-article/volume-6/1.bht"]
     assert "Second Copy" in files["journal-article/volume-6/1.bht"]
+
+
+def test_run_repeated_identifier_counted_once_by_last_copy(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    fetch = one_page_fetch(
+        ("oai:mock:1", article("First Copy", "5", ["Jane Doe", "John Roe"])),
+        ("oai:mock:1", article("Second Copy", "5", ["Jane Doe"])),
+    )
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+
+    stats = json.loads((tmp_path / "log" / "statistics.json").read_text())
+    assert stats["records_with_metadata"] == 1
+    assert sum(stats["name_statuses"].values()) == 1
+    assert stats["publication_types"] == {"Journal Article": 1}
+    assert harvested_row_counts(config) == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "last_copy, counter, with_metadata",
+    [(None, "deleted_records", 0), (article("", "5", ["Jane Doe"]), "parse_errors", 1)],
+    ids=["deleted", "unparsable"],
+)
+def test_run_repeated_identifier_removed_by_last_copy(
+    tmp_path, capsys, last_copy, counter, with_metadata
+):
+    config = make_config_file(tmp_path)
+    fetch = one_page_fetch(
+        ("oai:mock:1", article("Mock Title", "5", ["Jane Doe"])),
+        ("oai:mock:1", last_copy),
+    )
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+
+    assert harvested_row_counts(config) == [0, 0, 0]
+    assert written_bht(tmp_path / "bht") == {}
+    stats = json.loads((tmp_path / "log" / "statistics.json").read_text())
+    assert stats["records_with_metadata"] == with_metadata
+    assert stats[counter] == 1
+    assert stats["name_statuses"] == {}
+    assert stats["publication_types"] == {}
 
 
 def test_run_colliding_file_names_keep_both(tmp_path, capsys):

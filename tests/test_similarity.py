@@ -1,16 +1,18 @@
 """Distance and similarity measures, checked against independent oracles."""
 
+import itertools
 import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpbib.similarity import (
     MatchConfig,
     jaccard,
     jaccard_lev,
     levenshtein,
-    levenshtein_py,
     names_match,
 )
 
@@ -53,11 +55,19 @@ def test_levenshtein_kitten_sitting_matches_oracle():
 
 
 def test_levenshtein_against_oracle_on_short_strings():
-    rng = random.Random(4)
-    for _ in range(200):
-        s = "".join(rng.choice("ab") for _ in range(rng.randrange(5)))
-        t = "".join(rng.choice("abc") for _ in range(rng.randrange(5)))
-        assert levenshtein(s, t) == edit_distance_oracle(s, t)
+    def words(alphabet):
+        return [
+            "".join(letters)
+            for size in range(5)
+            for letters in itertools.product(alphabet, repeat=size)
+        ]
+
+    for s in words("ab"):
+        for t in words("abc"):
+            exact = edit_distance_oracle(s, t)
+            assert levenshtein(s, t) == exact
+            for limit in range(6):
+                assert levenshtein(s, t, limit) == min(exact, limit), (s, t, limit)
 
 
 def test_levenshtein_metric_properties():
@@ -74,14 +84,6 @@ def test_levenshtein_metric_properties():
         assert (d_st == 0) == (s == t)
         assert abs(len(s) - len(t)) <= d_st <= max(len(s), len(t))
         assert d_st <= levenshtein(s, u) + levenshtein(u, t)
-
-
-def test_pure_python_kernel_agrees_with_selected_kernel():
-    rng = random.Random(23)
-    for _ in range(500):
-        s = "".join(rng.choice("abcde") for _ in range(rng.randrange(12)))
-        t = "".join(rng.choice("abcde") for _ in range(rng.randrange(12)))
-        assert levenshtein(s, t) == levenshtein_py(s, t)
 
 
 def test_jaccard_basics():
@@ -158,22 +160,56 @@ def test_match_config_validation():
         MatchConfig(lev_threshold=-1)
 
 
-def test_pure_python_fallback_selected_when_extension_missing():
-    import subprocess
-    import sys
-    import textwrap
+# -- properties against the oracles ------------------------------------------
 
-    code = textwrap.dedent(
-        """
-        import sys
-        sys.modules['jpbib.similarity._speedups'] = None  # forces ImportError
-        import jpbib.similarity as sim
-        assert sim.USING_COMPILED is False
-        assert sim.levenshtein is sim.levenshtein_py
-        assert sim.levenshtein('kitten', 'sitting') == 3
-        """
+# Short names over a small alphabet, so that near misses are common and the
+# recursive oracle stays fast.
+token = st.text(alphabet="aiknost", max_size=6)
+name = st.lists(token.filter(bool), max_size=3).map(" ".join)
+thresholds = st.builds(
+    MatchConfig,
+    lev_threshold=st.integers(0, 4),
+    match_threshold=st.floats(0.0, 1.0),
+)
+
+
+def jaccard_lev_oracle(s, t, cfg: MatchConfig) -> float:
+    """``jaccard_lev`` with every distance taken from the oracle."""
+    s, t = set(s), set(t)
+    if not s and not t:
+        return 1.0
+    pairs = sorted(
+        (d, min(x, y), max(x, y), x, y)
+        for x in s
+        for y in t
+        if (d := edit_distance_oracle(x, y)) < cfg.lev_threshold
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
+    used_s: set[str] = set()
+    used_t: set[str] = set()
+    for _, _, _, x, y in pairs:
+        if x not in used_s and y not in used_t:
+            used_s.add(x)
+            used_t.add(y)
+    return len(used_s) / (len(s) + len(t) - len(used_s))
+
+
+@settings(max_examples=300, deadline=None)
+@given(token, token, st.integers(0, 4))
+def test_bounded_levenshtein_against_oracle(s, t, limit):
+    exact = edit_distance_oracle(s, t)
+    bounded = levenshtein(s, t, limit)
+    if exact < limit:
+        assert bounded == exact
+    else:
+        assert bounded == limit
+    assert levenshtein(s, t) == exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(name, name, thresholds)
+def test_names_match_against_oracle(a, b, cfg):
+    expected = (
+        jaccard_lev_oracle(a.casefold().split(), b.casefold().split(), cfg)
+        >= cfg.match_threshold
     )
-    assert result.returncode == 0, result.stderr
+    assert names_match(a, b, cfg) == expected
