@@ -18,9 +18,7 @@ __all__ = [
     "NameRecord",
     "NameType",
     "ParseWarning",
-    "apostrophe_variants",
     "filter_types",
-    "format_entry_line",
     "load_enamdict",
     "parse_entry_line",
     "parse_file",
@@ -204,19 +202,3 @@ def load_enamdict(
     with open(path, encoding="utf-8") as handle:
         return parse_file(handle, include_unclassified)
 
-
-def apostrophe_variants(record: NameRecord) -> list[NameRecord]:
-    """The record itself, plus an apostrophe-free copy when one applies."""
-    if "'" not in record.latin:
-        return [record]
-    stripped = NameRecord(
-        record.surface, record.reading, record.latin.replace("'", ""), record.types
-    )
-    return [record, stripped]
-
-
-def format_entry_line(record: NameRecord) -> str:
-    """Render a record back into single-sense entry form."""
-    codes = ",".join(t.value for t in NameType if t in record.types)
-    reading = f" [{record.reading}]" if record.reading is not None else ""
-    return f"{record.surface}{reading} /{record.latin} ({codes})/"

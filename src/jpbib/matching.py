@@ -12,16 +12,16 @@ import enum
 import re
 from dataclasses import dataclass, field
 
-from .enamdict import NameRecord, NameType, apostrophe_variants
+from .enamdict import NameType
 from .transcription import (
-    _DIGRAPHS,
     EmptyNameError,
     NormalizedLatin,
     VariantExplosionError,
     consonant_variants,
     expand_double_vowels,
+    fully_doubled,
     normalize_latin,
-    separator_variants,
+    separator_forms,
     strip_length_h,
     to_hepburn,
 )
@@ -87,39 +87,35 @@ class AuthorResolution:
 class NameDictionary:
     """Immutable lookup structure over dictionary name records.
 
-    Latin lookups are case-insensitive and succeed for both spellings of
-    apostrophe-bearing names; surface lookups keep dictionary insertion
+    It answers the two questions resolution asks: which name types a
+    Latin spelling has, and which family or given readings a kanji
+    surface has.  Latin lookups are case-insensitive and succeed for both
+    spellings of apostrophe-bearing names; readings keep dictionary
     order, which defines the candidate ordering downstream.
     """
 
     def __init__(self, records):
-        self._by_latin: dict[str, list[NameRecord]] = {}
-        self._by_surface: dict[str, list[NameRecord]] = {}
+        self._types: dict[str, frozenset[NameType]] = {}
+        self._readings: dict[tuple[str, frozenset[NameType]], list[str]] = {}
         for record in records:
-            for variant in apostrophe_variants(record):
-                self._by_latin.setdefault(variant.latin.lower(), []).append(variant)
-            self._by_surface.setdefault(record.surface, []).append(record)
+            latin = record.latin.lower()
+            for key in {latin, latin.replace("'", "")}:
+                known = self._types.get(key)
+                self._types[key] = record.types if known is None else known | record.types
+            for kind in (FAMILY_TYPES, GIVEN_TYPES):
+                if not kind.isdisjoint(record.types):
+                    readings = self._readings.setdefault((record.surface, kind), [])
+                    if record.latin not in readings:
+                        readings.append(record.latin)
 
-    def by_latin(self, latin: str) -> list[NameRecord]:
-        return self._by_latin.get(latin.lower(), [])
-
-    def by_surface(self, surface: str) -> list[NameRecord]:
-        return self._by_surface.get(surface, [])
-
-    def surface_readings(self, surface: str, types: frozenset[NameType]) -> list[str]:
-        """Latin readings of a surface restricted to the given types."""
-        readings: list[str] = []
-        for record in self._by_surface.get(surface, []):
-            if record.types & types and record.latin not in readings:
-                readings.append(record.latin)
-        return readings
+    def surface_readings(self, surface: str, kind: frozenset[NameType]) -> list[str]:
+        """Latin readings of a surface whose types meet ``kind``, which is
+        FAMILY_TYPES or GIVEN_TYPES; the list is shared, do not change it."""
+        return self._readings.get((surface, kind), [])
 
     def latin_types(self, latin: str) -> frozenset[NameType]:
         """Union of types over all records stored under a Latin form."""
-        found: set[NameType] = set()
-        for record in self.by_latin(latin):
-            found |= record.types
-        return frozenset(found)
+        return self._types.get(latin.lower(), frozenset())
 
 
 _ABBREV_TOKEN_RE = re.compile(r"^[A-Za-z]\.?$")
@@ -130,7 +126,7 @@ def detect_abbreviated(raw: str) -> bool:
     return any(_ABBREV_TOKEN_RE.match(token) for token in raw.split())
 
 
-def latin_lookup_variants(name: str, cap: int = 8) -> list[str]:
+def latin_lookup_variants(name: str) -> list[str]:
     """All spellings probed against the dictionary for one name token.
 
     Composition: Hepburn conversion, length-h removal, separator and
@@ -138,65 +134,23 @@ def latin_lookup_variants(name: str, cap: int = 8) -> list[str]:
     always comes first.  Propagates VariantExplosionError.
     """
     base = strip_length_h(to_hepburn(name))
-    out: list[str] = [name]
-    for sep_text, sep_positions in _separator_forms(base):
-        for candidate in consonant_variants(sep_text):
-            for variant in expand_double_vowels(
-                NormalizedLatin(candidate, sep_positions), cap
-            ):
-                if variant not in out:
-                    out.append(variant)
-    return out
+    out = {name: None}
+    for form in separator_forms(base):
+        for candidate in consonant_variants(form.text):
+            variants = expand_double_vowels(
+                NormalizedLatin(candidate, form.lengthening_positions)
+            )
+            out.update(dict.fromkeys(variants))
+    return list(out)
 
 
-def _separator_forms(base: NormalizedLatin) -> list[tuple[str, list[int]]]:
-    # Like separator_variants, but re-anchors lengthening positions when
-    # separator removal shifts the text.
-    forms: list[tuple[str, list[int]]] = []
-    seen: set[str] = set()
-    for text in separator_variants(base.text)[:-1]:
-        if text not in seen:  # apostrophe<->hyphen swaps keep indices
-            seen.add(text)
-            forms.append((text, list(base.lengthening_positions)))
-    stripped = base.text.replace("'", "").replace("-", "")
-    if stripped not in seen:
-        positions = []
-        removed = 0
-        for i, ch in enumerate(base.text):
-            if ch in "'-":
-                removed += 1
-            elif i in base.lengthening_positions:
-                positions.append(i - removed)
-        forms.append((stripped, positions))
-    return forms
-
-
-def _fallback_variants(name: str) -> list[str]:
-    # Past the explosion cap only the unmodified and fully doubled
-    # spellings are probed.
-    base = strip_length_h(to_hepburn(name))
-    doubled = []
-    i = 0
-    while i < len(base.text):
-        ch = base.text[i]
-        pair = base.text[i:i + 2].lower()
-        doubled.append(ch)
-        if ch.lower() in "aiueo":
-            if pair in _DIGRAPHS:
-                doubled.append(base.text[i + 1])
-                i += 2
-                continue
-            doubled.append(ch.lower())
-        i += 1
-    out = [name, base.text, "".join(doubled)]
-    return list(dict.fromkeys(out))
-
-
-def _probe_forms(name: str, cap: int = 8) -> set[str]:
+def _probe_forms(name: str) -> set[str]:
     try:
-        variants = latin_lookup_variants(name, cap)
+        variants = latin_lookup_variants(name)
     except VariantExplosionError:
-        variants = _fallback_variants(name)
+        # Past the cap only the unmodified and fully doubled spellings.
+        base = strip_length_h(to_hepburn(name)).text
+        variants = [name, base, fully_doubled(base)]
     return {v.lower() for v in variants}
 
 
@@ -281,24 +235,12 @@ def _categorize_hint(
     return NameStatus.NOT_FOUND_IN_DICTIONARY
 
 
-def _records_match_forms(
-    records: list[NameRecord],
-    types: frozenset[NameType],
-    forms: set[str],
-) -> bool:
-    return any(
-        record.types & types and record.latin.lower() in forms for record in records
-    )
-
-
-def _records_match_initial(
-    records: list[NameRecord], types: frozenset[NameType], initial: str
-) -> bool:
-    initial = initial.lower()
-    return any(
-        record.types & types and record.latin.lower().startswith(initial)
-        for record in records
-    )
+def _part_hit(readings: list[str], forms: set[str] | None, initial: str) -> bool:
+    # A reading fits a Latin name part when it is one of the part's probe
+    # forms or, for an abbreviated part (no forms), starts with its initial.
+    if forms is None:
+        return any(reading.lower().startswith(initial) for reading in readings)
+    return any(reading.lower() in forms for reading in readings)
 
 
 def match_latin_kanji(
@@ -361,28 +303,18 @@ def _accepted_splits(
         return []
     family_forms = None if family_abbrev else _probe_forms(latin.family)
     given_forms = None if given_abbrev else _probe_forms(latin.given)
+    family_initial = latin.family[0].lower()
+    given_initial = latin.given[0].lower()
     splits: list[PersonName] = []
     for i in range(1, len(kanji)):
         family, given = kanji[:i], kanji[i:]
-        family_records = dictionary.by_surface(family)
-        given_records = dictionary.by_surface(given)
-        if family_forms is None:
-            family_hit = _records_match_initial(
-                family_records, FAMILY_TYPES, latin.family[0]
-            )
-        else:
-            family_hit = _records_match_forms(
-                family_records, FAMILY_TYPES, family_forms
-            )
-        if not family_hit:
-            continue
-        if given_forms is None:
-            given_hit = _records_match_initial(
-                given_records, GIVEN_TYPES, latin.given[0]
-            )
-        else:
-            given_hit = _records_match_forms(given_records, GIVEN_TYPES, given_forms)
-        if given_hit:
+        if _part_hit(
+            dictionary.surface_readings(family, FAMILY_TYPES),
+            family_forms,
+            family_initial,
+        ) and _part_hit(
+            dictionary.surface_readings(given, GIVEN_TYPES), given_forms, given_initial
+        ):
             splits.append(PersonName(given, family))
     return splits
 

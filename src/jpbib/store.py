@@ -1,9 +1,9 @@
 """Embedded tabular persistence for dictionary, corpus and harvest data.
 
 A single SQLite file holds every relation; table names come from the
-configuration.  Bulk inserts are committed every ``FLUSH_INTERVAL`` rows
-so large inputs stream through without holding everything in memory.
-A harvested identifier that arrives again replaces its earlier rows.
+configuration.  Each bulk load is one transaction, so a load that fails
+partway leaves its table empty rather than truncated.  A harvested
+identifier that arrives again replaces its earlier rows.
 """
 
 import json
@@ -15,12 +15,10 @@ from typing import Iterable
 from .config import Config
 from .dblp import CoauthorEdge, CorpusPublication, CorpusStore
 from .enamdict import NameRecord, NameType
-from .matching import AuthorResolution, NameStatus, PersonName
+from .matching import AuthorResolution
 from .oai import HarvestedPublication
 
 __all__ = ["SqliteStore", "StoreError"]
-
-FLUSH_INTERVAL = 1000
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -67,21 +65,10 @@ class SqliteStore:
         ).fetchone()
         return row is not None
 
-    def _batched_insert(self, sql: str, rows: Iterable[tuple]) -> int:
-        batch: list[tuple] = []
-        total = 0
-        for row in rows:
-            batch.append(row)
-            if len(batch) >= FLUSH_INTERVAL:
-                self.connection.executemany(sql, batch)
-                self.connection.commit()
-                total += len(batch)
-                batch.clear()
-        if batch:
-            self.connection.executemany(sql, batch)
-            total += len(batch)
-        self.connection.commit()
-        return total
+    def _bulk_insert(self, sql: str, rows: Iterable[tuple]) -> int:
+        # One transaction: an error partway rolls back every row.
+        with self.connection:
+            return self.connection.executemany(sql, rows).rowcount
 
     # -- dictionary names ---------------------------------------------------
 
@@ -106,7 +93,7 @@ class SqliteStore:
             f"INSERT INTO {self.names} (surface, reading, latin, types) "
             "VALUES (?, ?, ?, ?)"
         )
-        return self._batched_insert(
+        return self._bulk_insert(
             sql,
             (
                 (
@@ -172,7 +159,7 @@ class SqliteStore:
             "(id, key, authors, title, year, journal, pages, volume) "
             "VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
         )
-        return self._batched_insert(
+        return self._bulk_insert(
             sql,
             (
                 (
@@ -194,7 +181,7 @@ class SqliteStore:
             f"INSERT INTO {self.edges} (author_a, author_b, publication_id) "
             "VALUES (?, ?, ?)"
         )
-        return self._batched_insert(
+        return self._bulk_insert(
             sql, ((e.author_a, e.author_b, e.publication_id) for e in rows)
         )
 
@@ -375,90 +362,3 @@ class SqliteStore:
 
     def flush(self) -> None:
         self.connection.commit()
-
-    def load_harvested(self, identifier: str) -> HarvestedPublication | None:
-        row = self.connection.execute(
-            f"SELECT id, publication_type, date, volume, number, pages, "
-            f"language, source_url FROM {self.publications} WHERE identifier=?",
-            (identifier,),
-        ).fetchone()
-        if row is None:
-            return None
-        publication_id = row[0]
-
-        def rows_of(table: str) -> list[tuple[str, str]]:
-            return [
-                (text, lang)
-                for text, lang in self.connection.execute(
-                    f"SELECT text, lang FROM {table} "
-                    "WHERE publication_id=? ORDER BY position",
-                    (publication_id,),
-                )
-            ]
-
-        creators = [
-            (latin_raw, kanji_raw)
-            for latin_raw, kanji_raw in self.connection.execute(
-                f"SELECT latin_raw, kanji_raw FROM {self.authors} "
-                "WHERE publication_id=? ORDER BY position",
-                (publication_id,),
-            )
-        ]
-        return HarvestedPublication(
-            identifier=identifier,
-            titles=rows_of(self.titles),
-            creators=creators,
-            publication_type=row[1],
-            date=row[2],
-            volume=row[3],
-            number=row[4],
-            pages=row[5],
-            language=row[6],
-            source_url=row[7],
-            contributors=rows_of(self.contributors),
-            descriptions=rows_of(self.descriptions),
-        )
-
-    def load_resolutions(self, identifier: str) -> list[AuthorResolution]:
-        row = self.connection.execute(
-            f"SELECT id FROM {self.publications} WHERE identifier=?",
-            (identifier,),
-        ).fetchone()
-        if row is None:
-            return []
-        resolutions = []
-        for (
-            latin_given,
-            latin_family,
-            kanji_given,
-            kanji_family,
-            status,
-            candidates,
-        ) in self.connection.execute(
-            f"SELECT latin_given, latin_family, kanji_given, kanji_family, "
-            f"status, candidates FROM {self.authors} "
-            "WHERE publication_id=? ORDER BY position",
-            (row[0],),
-        ):
-            latin = (
-                PersonName(latin_given, latin_family)
-                if latin_given is not None or latin_family is not None
-                else None
-            )
-            kanji = (
-                PersonName(kanji_given, kanji_family)
-                if kanji_given is not None or kanji_family is not None
-                else None
-            )
-            resolutions.append(
-                AuthorResolution(
-                    latin=latin,
-                    kanji=kanji,
-                    candidates=[
-                        PersonName(given, family)
-                        for given, family in json.loads(candidates)
-                    ],
-                    status=NameStatus(status),
-                )
-            )
-        return resolutions

@@ -18,13 +18,16 @@ __all__ = [
     "VariantExplosionError",
     "consonant_variants",
     "expand_double_vowels",
+    "fully_doubled",
     "normalize_latin",
-    "separator_variants",
+    "separator_forms",
     "strip_length_h",
     "to_hepburn",
 ]
 
-DEFAULT_VOWEL_SITE_CAP = 8
+# Most expandable vowel sites expand_double_vowels accepts, which bounds
+# its output at 3^8 spellings.
+VOWEL_SITE_CAP = 8
 
 
 class EmptyNameError(ValueError):
@@ -34,12 +37,11 @@ class EmptyNameError(ValueError):
 class VariantExplosionError(ValueError):
     """Raised when a name has more expandable vowel sites than the cap."""
 
-    def __init__(self, sites: int, cap: int):
+    def __init__(self, sites: int):
         super().__init__(
-            f"{sites} expandable vowel sites exceed the cap of {cap}"
+            f"{sites} expandable vowel sites exceed the cap of {VOWEL_SITE_CAP}"
         )
         self.sites = sites
-        self.cap = cap
 
 
 @dataclass
@@ -210,20 +212,11 @@ _DOUBLINGS = {
 _DIGRAPHS = {"aa", "ii", "uu", "ee", "ei", "oo", "ou"}
 
 
-def expand_double_vowels(
-    base: NormalizedLatin, cap: int = DEFAULT_VOWEL_SITE_CAP
-) -> list[str]:
-    """Enumerate the spellings a name takes under vowel doubling.
-
-    Every single vowel may also appear doubled (o and u each have two
-    doublings: oo/ou resp. ee/ei); the variants are the cartesian product
-    over all such sites.  Sites listed in ``lengthening_positions`` are
-    known to be long, so their undoubled spelling is omitted.  Existing
-    double vowels are kept as-is.  More than ``cap`` expandable sites
-    raises VariantExplosionError.
-    """
-    text = base.text
-    lengthened = set(base.lengthening_positions)
+def _vowel_segments(
+    text: str, lengthened: list[int]
+) -> tuple[list[tuple[str, ...]], int]:
+    # The spellings of each piece of ``text`` in order, and how many
+    # pieces are single vowels with more than one spelling.
     segments: list[tuple[str, ...]] = []
     site_count = 0
     i = 0
@@ -241,13 +234,38 @@ def expand_double_vowels(
             # Rebuild each option on the original character to keep case.
             segments.append(tuple(ch + opt[1:] for opt in options))
             site_count += 1
-            i += 1
         else:
             segments.append((ch,))
-            i += 1
-    if site_count > cap:
-        raise VariantExplosionError(site_count, cap)
+        i += 1
+    return segments, site_count
+
+
+def expand_double_vowels(base: NormalizedLatin) -> list[str]:
+    """Enumerate the spellings a name takes under vowel doubling.
+
+    Every single vowel may also appear doubled (o and e each have two
+    doublings: oo/ou resp. ee/ei); the variants are the cartesian product
+    over all such sites.  Sites listed in ``lengthening_positions`` are
+    known to be long, so their undoubled spelling is omitted.  Existing
+    double vowels are kept as-is.  More than ``VOWEL_SITE_CAP``
+    expandable sites raises VariantExplosionError.
+    """
+    segments, site_count = _vowel_segments(base.text, base.lengthening_positions)
+    if site_count > VOWEL_SITE_CAP:
+        raise VariantExplosionError(site_count)
     return ["".join(parts) for parts in itertools.product(*segments)]
+
+
+def fully_doubled(text: str) -> str:
+    """``text`` with every single vowel doubled (aa, ii, uu, ee, oo).
+
+    Existing double vowels are kept.  This is the one doubled spelling
+    probed for a name past ``VOWEL_SITE_CAP``.
+    """
+    segments, _ = _vowel_segments(text, [])
+    return "".join(
+        options[1] if len(options) > 1 else options[0] for options in segments
+    )
 
 
 def consonant_variants(name: str) -> list[str]:
@@ -277,21 +295,31 @@ def consonant_variants(name: str) -> list[str]:
     return variants
 
 
-def separator_variants(name: str) -> list[str]:
+def separator_forms(base: NormalizedLatin) -> list[NormalizedLatin]:
     """Spellings of a name under separator-symbol substitution.
 
     Separators appear as apostrophe, hyphen, or not at all; the dictionary
     convention is the apostrophe, so that form comes first, followed by
-    the input, the hyphenated form and the separator-free form.
+    the input, the hyphenated form and the separator-free form, without
+    repeats.  Lengthening positions are shifted to follow the separators
+    the last form drops.
     """
-    variants = [
-        name.replace("-", "'"),
-        name,
-        name.replace("'", "-"),
-        name.replace("'", "").replace("-", ""),
+    text = base.text
+    if "'" not in text and "-" not in text:
+        return [base]
+    positions = base.lengthening_positions
+    forms = [
+        NormalizedLatin(form, list(positions))
+        for form in dict.fromkeys(
+            (text.replace("-", "'"), text, text.replace("'", "-"))
+        )
     ]
-    out: list[str] = []
-    for v in variants:
-        if v not in out:
-            out.append(v)
-    return out
+    shifted = []
+    removed = 0
+    for i, ch in enumerate(text):
+        if ch in "'-":
+            removed += 1
+        elif i in positions:
+            shifted.append(i - removed)
+    forms.append(NormalizedLatin(text.replace("'", "").replace("-", ""), shifted))
+    return forms

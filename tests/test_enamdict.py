@@ -1,4 +1,4 @@
-"""Dictionary-file parsing, type filtering and apostrophe variants."""
+"""Dictionary-file parsing and type filtering."""
 
 import io
 
@@ -7,9 +7,7 @@ import pytest
 from jpbib.enamdict import (
     NameRecord,
     NameType,
-    apostrophe_variants,
     filter_types,
-    format_entry_line,
     parse_entry_line,
     parse_file,
 )
@@ -91,19 +89,6 @@ def test_filter_types_rejects_foreign_characters():
         body = "".join(rng.choice(valid) for _ in range(rng.randrange(5)))
         poisoned = body + rng.choice("xqz9 .")
         assert filter_types(poisoned) == frozenset()
-
-
-def test_apostrophe_variants():
-    record = NameRecord("真一", "しんいち", "Shin'ichi", types(M))
-    variants = apostrophe_variants(record)
-    assert [v.latin for v in variants] == ["Shin'ichi", "Shinichi"]
-    assert variants[0] == record
-
-    plain = NameRecord("森田", "もりだ", "Morida", types(S))
-    assert apostrophe_variants(plain) == [plain]
-
-    junya = NameRecord("順也", None, "Jun'ya", types(M))
-    assert [v.latin for v in apostrophe_variants(junya)] == ["Jun'ya", "Junya"]
 
 
 def test_missing_terminal_slash_is_salvaged():
@@ -194,10 +179,10 @@ def test_parse_file_fixture_multiset(names_fixture_path):
 def test_parse_file_fixture_with_unclassified(names_fixture_path):
     with open(names_fixture_path, encoding="utf-8") as handle:
         records, _ = parse_file(handle, include_unclassified=True)
-    by_latin = {r.latin: r for r in records}
-    assert by_latin["Star Wars"].types == types(U)
-    assert by_latin["Ib"].types == types(U)
-    assert by_latin["Midori"].types == types(U, F)
+    by_spelling = {r.latin: r for r in records}
+    assert by_spelling["Star Wars"].types == types(U)
+    assert by_spelling["Ib"].types == types(U)
+    assert by_spelling["Midori"].types == types(U, F)
     assert len(records) == 36
 
 
@@ -211,16 +196,14 @@ def test_record_invariants(names_fixture_path):
 
 def test_roundtrip_single_sense_entries():
     samples = [
-        NameRecord("森田", "もりだ", "Morida", types(S)),
-        NameRecord("イブ", None, "Eve", types(F)),
-        NameRecord("あきら", None, "Akira", types(F, M)),
+        ("森田 [もりだ] /Morida (s)/", NameRecord("森田", "もりだ", "Morida", types(S))),
+        ("イブ /Eve (f)/", NameRecord("イブ", None, "Eve", types(F))),
+        ("あきら /Akira (f,m)/", NameRecord("あきら", None, "Akira", types(F, M))),
     ]
-    for record in samples:
-        line = format_entry_line(record)
+    for line, record in samples:
         parsed, warnings = parse_entry_line(line, include_unclassified=True)
         assert warnings == []
         assert parsed == [record]
-        assert format_entry_line(parsed[0]) == line
 
 
 def test_malformed_line_yields_warning_only():

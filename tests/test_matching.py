@@ -1,8 +1,14 @@
 """Name splitting, kanji/Latin matching and candidate generation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jpbib.enamdict import NameRecord, NameType
 from jpbib.matching import (
+    FAMILY_TYPES,
+    GIVEN_TYPES,
+    NameDictionary,
     NameStatus,
     PersonName,
     detect_abbreviated,
@@ -97,13 +103,31 @@ def test_latin_lookup_variants_deduplicated():
 
 
 def test_dictionary_lookup_succeeds_for_both_apostrophe_spellings(name_dictionary):
-    with_apostrophe = name_dictionary.by_latin("Shin'ichi")
-    without = name_dictionary.by_latin("Shinichi")
-    assert with_apostrophe and without
-    assert {r.surface for r in with_apostrophe} == {"真一"}
-    assert {r.surface for r in without} == {"真一"}
+    male = frozenset({NameType.MALE_GIVEN})
+    assert name_dictionary.latin_types("Shin'ichi") == male
+    assert name_dictionary.latin_types("Shinichi") == male
+    # The reading keeps the dictionary spelling.
+    assert name_dictionary.surface_readings("真一", GIVEN_TYPES) == ["Shin'ichi"]
     # Case-insensitive keys.
-    assert name_dictionary.by_latin("MORI") == name_dictionary.by_latin("mori")
+    assert name_dictionary.latin_types("MORI") == name_dictionary.latin_types("mori")
+    assert name_dictionary.latin_types("mori")
+
+
+def test_dictionary_apostrophe_free_spelling_keeps_types():
+    surname = frozenset({NameType.SURNAME})
+    given = frozenset({NameType.GIVEN})
+    dictionary = NameDictionary(
+        [
+            NameRecord("純也", "じゅんや", "Jun'ya", given),
+            NameRecord("順谷", None, "Junya", surname),
+            NameRecord("森田", "もりだ", "Morida", surname),
+        ]
+    )
+    assert dictionary.latin_types("morida") == surname
+    assert dictionary.latin_types("Jun'ya") == given
+    assert dictionary.latin_types("junya") == given | surname
+    assert dictionary.surface_readings("純也", GIVEN_TYPES) == ["Jun'ya"]
+    assert dictionary.surface_readings("純也", FAMILY_TYPES) == []
 
 
 def test_match_latin_kanji_ok(name_dictionary):
@@ -156,9 +180,9 @@ def test_match_latin_kanji_self_consistency(name_dictionary):
         PersonName("Takeshi", "Nakamura"), "中村武志", name_dictionary
     )
     assert resolution.status is NameStatus.OK
-    family_records = name_dictionary.by_surface(resolution.kanji.family)
+    readings = name_dictionary.surface_readings(resolution.kanji.family, FAMILY_TYPES)
     forms = {v.lower() for v in latin_lookup_variants("Nakamura")}
-    assert any(r.latin.lower() in forms for r in family_records)
+    assert any(reading.lower() in forms for reading in readings)
 
 
 def test_abbreviated_with_unique_kanji_split(name_dictionary):
@@ -196,9 +220,6 @@ def test_kanji_candidates_no_hit(name_dictionary):
 
 
 def test_kanji_candidates_multiple_splits():
-    from jpbib.enamdict import NameRecord, NameType
-    from jpbib.matching import NameDictionary
-
     surname = frozenset({NameType.SURNAME})
     given = frozenset({NameType.GIVEN})
     # Both 山 | 田太 and 山田 | 太 are accepted splits for 山田太.
@@ -317,3 +338,83 @@ def test_resolution_invariants_over_mock_corpus(name_dictionary):
                     assert resolution.kanji.given and resolution.kanji.family
             if resolution.candidates:
                 assert resolution.latin is None
+
+
+def test_probe_forms_past_the_cap():
+    from jpbib.matching import _probe_forms
+
+    # Ten expandable vowel sites: only the input and the fully doubled
+    # spelling are probed.
+    assert _probe_forms("Aoyamakasamatanaka") == {
+        "aoyamakasamatanaka",
+        "aaooyaamaakaasaamaataanaakaa",
+    }
+    # The length-h site doubles to "oo", not "ou".
+    assert _probe_forms("Ohtakasamatanakaya") == {
+        "ohtakasamatanakaya",
+        "otakasamatanakaya",
+        "ootaakaasaamaataanaakaayaa",
+    }
+
+
+def test_split_finds_a_name_past_the_cap():
+    dictionary = NameDictionary(
+        [
+            NameRecord(
+                "青山", None, "Aaooyaamaakaasaamaataanaakaa",
+                frozenset({NameType.SURNAME}),
+            ),
+            NameRecord("太郎", None, "Taroo", frozenset({NameType.GIVEN})),
+        ]
+    )
+    person, hint = split_latin_full_name("Taro Aoyamakasamatanaka", dictionary)
+    assert person == PersonName("Taro", "Aoyamakasamatanaka")
+    assert hint is NameStatus.OK
+
+
+# Short spellings over few letters, so that records often share a Latin
+# form, with and without apostrophes, in either case.
+_latin = st.text(alphabet="aAk'", min_size=1, max_size=3)
+_surfaces = ["森", "田", "森田"]
+_records = st.lists(
+    st.builds(
+        NameRecord,
+        surface=st.sampled_from(_surfaces),
+        reading=st.none(),
+        latin=_latin,
+        types=st.frozensets(st.sampled_from(list(NameType)), min_size=1),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_records, _latin)
+def test_dictionary_indexes_against_brute_force(records, probe):
+    dictionary = NameDictionary(records)
+    probes = [probe] + [
+        spelling
+        for record in records
+        for spelling in (record.latin, record.latin.replace("'", "").upper())
+    ]
+    for latin in probes:
+        expected = frozenset().union(
+            *(
+                record.types
+                for record in records
+                if latin.lower()
+                in (record.latin.lower(), record.latin.lower().replace("'", ""))
+            )
+        )
+        assert dictionary.latin_types(latin) == expected
+    for surface in _surfaces:
+        for kind in (FAMILY_TYPES, GIVEN_TYPES):
+            expected = []
+            for record in records:
+                if (
+                    record.surface == surface
+                    and record.types & kind
+                    and record.latin not in expected
+                ):
+                    expected.append(record.latin)
+            assert dictionary.surface_readings(surface, kind) == expected

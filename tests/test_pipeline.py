@@ -150,6 +150,27 @@ def test_store_names_roundtrip(store, name_records):
     assert store.load_name_records() == name_records
 
 
+def test_store_load_that_fails_partway_keeps_no_rows(tmp_path):
+    from jpbib.enamdict import NameRecord, NameType
+
+    def records():
+        for i in range(1500):
+            yield NameRecord("森", None, f"Mori{i}", frozenset({NameType.SURNAME}))
+        raise OSError("dictionary read failed")
+
+    config = Config(base_dir=str(tmp_path), db_name="store")
+    with SqliteStore(config) as store:
+        store.create_names_table()
+        with pytest.raises(OSError):
+            store.add_name_records(records())
+    with SqliteStore(config) as reopened:
+        count = reopened.connection.execute(
+            f"SELECT COUNT(*) FROM {reopened.names}"
+        ).fetchone()[0]
+        assert count == 0
+        assert not reopened.has_names()
+
+
 def test_store_corpus_roundtrip(store):
     from jpbib.dblp import CoauthorEdge, parse_corpus
 
@@ -184,16 +205,45 @@ def test_store_harvested_roundtrip(store, name_dictionary):
         for latin, kanji in publication.creators
     ]
     store.create_harvest_tables()
-    store.add_harvested(publication, resolutions, dblp_key=None)
+    store.add_harvested(publication, resolutions, dblp_key="conf/x/1")
     store.flush()
 
-    loaded = store.load_harvested(publication.identifier)
-    assert loaded == publication
-    assert store.load_resolutions(publication.identifier) == resolutions
+    stored = stored_rows(store, publication.identifier)
+    assert stored["publication"] == (
+        publication.identifier,
+        publication.publication_type,
+        publication.date,
+        publication.volume,
+        publication.number,
+        publication.pages,
+        publication.language,
+        publication.source_url,
+        "conf/x/1",
+    )
+    assert stored["titles"] == publication.titles
+    assert stored["contributors"] == publication.contributors
+    assert stored["descriptions"] == publication.descriptions
+    expected_authors = []
+    for (latin_raw, kanji_raw), resolution in zip(publication.creators, resolutions):
+        latin, kanji = resolution.latin, resolution.kanji
+        expected_authors.append(
+            (
+                latin_raw,
+                kanji_raw,
+                latin.given if latin else None,
+                latin.family if latin else None,
+                kanji.given if kanji else None,
+                kanji.family if kanji else None,
+                resolution.status.value,
+                [[c.given, c.family] for c in resolution.candidates],
+            )
+        )
+    assert stored["authors"] == expected_authors
+    assert len(expected_authors) == len(publication.creators) > 0
 
     # Removing leaves no row behind, and the identifier can be stored again.
     store.remove_harvested(publication.identifier)
-    assert store.load_harvested(publication.identifier) is None
+    assert stored_rows(store, publication.identifier) is None
     tables = (
         store.publications,
         store.authors,
@@ -206,8 +256,48 @@ def test_store_harvested_roundtrip(store, name_dictionary):
         for table in tables
     ]
     assert counts == [0] * len(tables)
-    store.add_harvested(publication, resolutions, dblp_key=None)
-    assert store.load_harvested(publication.identifier) == publication
+    store.add_harvested(publication, resolutions, dblp_key="conf/x/1")
+    assert stored_rows(store, publication.identifier) == stored
+
+
+def stored_rows(store, identifier):
+    """The stored publication of ``identifier``: its columns, then its
+    author, title, contributor and description rows in position order."""
+    row = store.connection.execute(
+        f"SELECT id, identifier, publication_type, date, volume, number, pages, "
+        f"language, source_url, dblp_key FROM {store.publications} "
+        "WHERE identifier=?",
+        (identifier,),
+    ).fetchone()
+    if row is None:
+        return None
+    publication_id, *columns = row
+
+    def rows_of(table, fields):
+        return [
+            tuple(values)
+            for values in store.connection.execute(
+                f"SELECT {fields} FROM {table} "
+                "WHERE publication_id=? ORDER BY position",
+                (publication_id,),
+            )
+        ]
+
+    authors = [
+        (*names, json.loads(candidates))
+        for *names, candidates in rows_of(
+            store.authors,
+            "latin_raw, kanji_raw, latin_given, latin_family, kanji_given, "
+            "kanji_family, status, candidates",
+        )
+    ]
+    return {
+        "publication": tuple(columns),
+        "authors": authors,
+        "titles": rows_of(store.titles, "text, lang"),
+        "contributors": rows_of(store.contributors, "text, lang"),
+        "descriptions": rows_of(store.descriptions, "text, lang"),
+    }
 
 
 def test_store_rejects_bad_table_name(tmp_path):
@@ -414,9 +504,10 @@ def test_run_repeated_identifier_last_copy_wins(tmp_path, capsys):
     capsys.readouterr()
 
     with SqliteStore(parse_config(str(config))) as opened:
-        stored = opened.load_harvested("oai:mock:1")
-    assert stored.titles == [("Second Copy", "en")]
-    assert stored.volume == "6"
+        stored = stored_rows(opened, "oai:mock:1")
+    assert stored["titles"] == [("Second Copy", "en")]
+    assert stored["publication"][3] == "6"  # volume
+    assert [author[0] for author in stored["authors"]] == ["Jane Doe"]
     assert harvested_row_counts(config) == [1, 1, 1]
 
     files = written_bht(tmp_path / "bht")

@@ -5,6 +5,8 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpbib.transcription import (
     EmptyNameError,
@@ -12,8 +14,9 @@ from jpbib.transcription import (
     VariantExplosionError,
     consonant_variants,
     expand_double_vowels,
+    fully_doubled,
     normalize_latin,
-    separator_variants,
+    separator_forms,
     strip_length_h,
     to_hepburn,
 )
@@ -179,6 +182,7 @@ def test_expand_double_vowels_counts_and_membership():
         assert len(variants) == expected
         assert text in variants  # no lengthening info keeps the base
         assert _fully_doubled(text) in variants
+        assert fully_doubled(text) == _fully_doubled(text)
 
 
 def _fully_doubled(text: str) -> str:
@@ -207,9 +211,11 @@ def test_expand_double_vowels_predoubled_left_alone():
 
 
 def test_expand_double_vowels_cap():
+    assert len(expand_double_vowels(NormalizedLatin("xa" * 8))) == 2**8
     with pytest.raises(VariantExplosionError) as info:
-        expand_double_vowels(NormalizedLatin("axaxaxaxa"), cap=4)
-    assert "4" in str(info.value)
+        expand_double_vowels(NormalizedLatin("xa" * 9))
+    assert info.value.sites == 9
+    assert "cap of 8" in str(info.value)
 
 
 def test_consonant_variants():
@@ -223,13 +229,29 @@ def test_consonant_variants_all_combinations():
     assert variants == {"nbmp", "mbmp", "nbnp", "mbnp"}
 
 
-def test_separator_variants():
-    shin = separator_variants("Shin-ichi")
-    assert "Shin'ichi" in shin and "Shinichi" in shin
-    assert shin[0] == "Shin'ichi"  # dictionary spelling probed first
-    assert separator_variants("Shinichi") == ["Shinichi"]
-    moto = separator_variants("Moto'oka")
-    assert "Motooka" in moto and "Moto-oka" in moto
+def _texts(forms):
+    return [form.text for form in forms]
+
+
+def test_separator_spellings():
+    shin = separator_forms(NormalizedLatin("Shin-ichi"))
+    # Dictionary spelling probed first, the input next.
+    assert _texts(shin) == ["Shin'ichi", "Shin-ichi", "Shinichi"]
+    assert _texts(separator_forms(NormalizedLatin("Shinichi"))) == ["Shinichi"]
+    moto = separator_forms(NormalizedLatin("Moto'oka"))
+    assert _texts(moto) == ["Moto'oka", "Moto-oka", "Motooka"]
+    both = separator_forms(NormalizedLatin("a'b-c"))
+    assert _texts(both) == ["a'b'c", "a'b-c", "a-b-c", "abc"]
+
+
+def test_separator_spellings_shift_lengthening_positions():
+    # "Yu-ichi" with a long u and a long final i.
+    forms = separator_forms(NormalizedLatin("Yu-ichi", [1, 6]))
+    assert [(f.text, f.lengthening_positions) for f in forms] == [
+        ("Yu'ichi", [1, 6]),
+        ("Yu-ichi", [1, 6]),
+        ("Yuichi", [1, 5]),
+    ]
 
 
 def test_variant_lists_contain_input_and_are_distinct():
@@ -237,6 +259,31 @@ def test_variant_lists_contain_input_and_are_distinct():
     alphabet = "mnbpa'-"
     for _ in range(500):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 8)))
-        for variants in (consonant_variants(text), separator_variants(text)):
+        for variants in (
+            consonant_variants(text),
+            _texts(separator_forms(NormalizedLatin(text))),
+        ):
             assert text in variants
             assert len(variants) == len(set(variants))
+
+
+@st.composite
+def _lengthened_names(draw):
+    text = draw(st.text(alphabet="aiukn'-", min_size=1, max_size=8))
+    vowels = [i for i, ch in enumerate(text) if ch in "aiu"]
+    chosen = draw(st.sets(st.sampled_from(vowels))) if vowels else set()
+    return NormalizedLatin(text, sorted(chosen))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lengthened_names())
+def test_separator_spellings_keep_lengthened_vowels(base):
+    kept = [i for i, ch in enumerate(base.text) if ch not in "'-"]
+    for form in separator_forms(base):
+        # Index in the input of each character of the form.
+        origin = range(len(base.text)) if len(form.text) == len(base.text) else kept
+        assert [origin[p] for p in form.lengthening_positions] == (
+            base.lengthening_positions
+        )
+        for p in form.lengthening_positions:
+            assert form.text[p] == base.text[origin[p]]
