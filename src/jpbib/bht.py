@@ -225,23 +225,22 @@ def spf_relative_path(publication: HarvestedPublication) -> str:
     return os.path.join(type_slug, f"volume-{volume}", f"{stem}.bht")
 
 
-def claim_spf_path(publication: HarvestedPublication, owners: dict[str, str]) -> str:
-    """``spf_relative_path``, unless another identifier already owns it.
+def claim_spf_path(publication: HarvestedPublication, taken: set[str]) -> str:
+    """The first relative path not in ``taken``, which it is added to.
 
-    ``owners`` maps each relative path claimed in this run to its
-    identifier.  The first identifier keeps the path; a different one
-    that maps there is named after its whole slugged identifier, with a
-    "-2", "-3", ... suffix if even that is taken.
+    ``spf_relative_path`` comes first; a publication whose path is taken
+    is named after its whole slugged identifier, with a "-2", "-3", ...
+    suffix if even that is taken.
     """
-    identifier = publication.identifier
     path = spf_relative_path(publication)
-    directory, stem = os.path.dirname(path), _slug(identifier)
+    directory, stem = os.path.dirname(path), _slug(publication.identifier)
     candidates = itertools.chain(
         (path, os.path.join(directory, f"{stem}.bht")),
         (os.path.join(directory, f"{stem}-{n}.bht") for n in itertools.count(2)),
     )
     for candidate in candidates:
-        if owners.setdefault(candidate, identifier) == identifier:
+        if candidate not in taken:
+            taken.add(candidate)
             return candidate
 
 
@@ -250,6 +249,7 @@ def concatenate(root: str) -> int:
 
     Files concatenate in lexicographic filename order; an existing
     all.bht never feeds its own replacement, so reruns are idempotent.
+    An all.bht in a directory without other BHT files is removed.
     Returns the number of all.bht files written.
     """
     written = 0
@@ -259,14 +259,17 @@ def concatenate(root: str) -> int:
             for name in filenames
             if name.endswith(".bht") and name != "all.bht"
         )
-        if not parts:
-            continue
+        target = os.path.join(directory, "all.bht")
         try:
+            if not parts:
+                if "all.bht" in filenames:
+                    os.remove(target)
+                continue
             chunks = []
             for name in parts:
                 with open(os.path.join(directory, name), "rb") as handle:
                     chunks.append(handle.read())
-            with open(os.path.join(directory, "all.bht"), "wb") as handle:
+            with open(target, "wb") as handle:
                 handle.write(b"".join(chunks))
         except OSError as exc:
             log.error("cannot concatenate in %s: %s", directory, exc)

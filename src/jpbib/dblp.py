@@ -3,8 +3,9 @@
 The corpus file declares Latin-1 and writes everything else as character
 entities, including named HTML entities defined by its DTD.  Those named
 entities are rewritten to numeric references on the byte level before the
-stream reaches the XML parser, so the whole file is processed with memory
-use independent of its size.
+stream reaches the XML parser, which keeps only the current record's
+elements.  The parse result is held in memory whole: every publication,
+its key and title indexes, the coauthor adjacency and the edge list.
 """
 
 import logging
@@ -130,23 +131,21 @@ class CorpusStore:
         self.publications: list[CorpusPublication] = []
         self.by_key: dict[str, CorpusPublication] = {}
         self.coauthors: dict[str, set[str]] = {}
-        self._by_id: dict[int, CorpusPublication] = {}
-        self._by_title: dict[str, list[int]] = {}
+        self._by_title: dict[str, list[CorpusPublication]] = {}
 
     def add(self, publication: CorpusPublication) -> None:
         self.publications.append(publication)
         self.by_key[publication.key] = publication
-        self._by_id[publication.id] = publication
         self._by_title.setdefault(
             normalize_title(publication.title), []
-        ).append(publication.id)
+        ).append(publication)
         for author_a, author_b in coauthor_pairs(publication.authors):
             self.coauthors.setdefault(author_a, set()).add(author_b)
             self.coauthors.setdefault(author_b, set()).add(author_a)
 
     def by_title(self, title: str) -> list[CorpusPublication]:
-        ids = self._by_title.get(normalize_title(title), [])
-        return [self._by_id[i] for i in ids]
+        """Publications with the same normalised title; the list is shared."""
+        return self._by_title.get(normalize_title(title), [])
 
 
 def normalize_title(title: str) -> str:

@@ -188,8 +188,6 @@ def split_latin_full_name(
     types = _token_types(raw, dictionary)
     if types & FAMILY_TYPES and not types & GIVEN_TYPES:
         return PersonName("", raw), NameStatus.OK
-    if types & GIVEN_TYPES and not types & FAMILY_TYPES:
-        return PersonName(raw, ""), NameStatus.OK
     if types:
         return PersonName(raw, ""), NameStatus.OK
     return PersonName(raw, raw), NameStatus.NAME_ANOMALY
@@ -228,6 +226,8 @@ def _split_tokens(
 def _categorize_hint(
     given: str, family: str, dictionary: NameDictionary
 ) -> NameStatus:
+    # Every non-empty part needs its kind of dictionary type; callers
+    # pass at least one non-empty part.
     given_ok = not given or bool(_token_types(given, dictionary) & GIVEN_TYPES)
     family_ok = not family or bool(_token_types(family, dictionary) & FAMILY_TYPES)
     if given_ok and family_ok:
@@ -270,7 +270,8 @@ def match_latin_kanji(
     if not kanji:
         if abbreviated:
             return AuthorResolution(latin, None, status=NameStatus.ABBREVIATED)
-        return AuthorResolution(latin, None, status=_latin_only_status(latin, dictionary))
+        status = _categorize_hint(latin.given, latin.family, dictionary)
+        return AuthorResolution(latin, None, status=status)
 
     if abbreviated:
         splits = _accepted_splits(
@@ -317,17 +318,6 @@ def _accepted_splits(
         ):
             splits.append(PersonName(given, family))
     return splits
-
-
-def _latin_only_status(latin: PersonName, dictionary: NameDictionary) -> NameStatus:
-    checks = []
-    if latin.family:
-        checks.append(bool(_token_types(latin.family, dictionary) & FAMILY_TYPES))
-    if latin.given:
-        checks.append(bool(_token_types(latin.given, dictionary) & GIVEN_TYPES))
-    if checks and all(checks):
-        return NameStatus.OK
-    return NameStatus.NOT_FOUND_IN_DICTIONARY
 
 
 def kanji_name_candidates(

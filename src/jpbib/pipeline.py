@@ -14,16 +14,15 @@ import os
 import sqlite3
 import sys
 import xml.etree.ElementTree as ET
-from typing import NamedTuple
 
 from .bht import build_entry, claim_spf_path, concatenate, render_spf
 from .config import Config, ConfigError, parse_config
 from .dblp import common_coauthors, find_publication, parse_corpus
 from .enamdict import load_enamdict
-from .matching import NameDictionary, NameStatus, resolve_author
+from .matching import NameDictionary, resolve_author
 from .oai import TransportError, harvest, http_fetch
 from .similarity import MatchConfig
-from .stats import RunStatistics
+from .stats import RecordOutcome, RunStatistics
 from .store import SqliteStore, StoreError
 
 __all__ = ["PrerequisiteError", "main", "run"]
@@ -116,15 +115,6 @@ def stage_enamdict(config: Config, store: SqliteStore) -> None:
     log.info("stored %d name records (%d warnings)", count, len(warnings))
 
 
-class _Outcome(NamedTuple):
-    """What one harvested record adds to the run statistics."""
-
-    deleted: bool
-    publication: tuple[str, str] | None = None  # (type, language); None: unparsable
-    statuses: tuple[NameStatus, ...] = ()
-    duplicate: bool = False
-
-
 def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     dictionary = NameDictionary(store.load_name_records())
     corpus = store.load_corpus()
@@ -134,10 +124,10 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     mode = "list" if config.use_list_records else (config.min_id, config.max_id)
     save_dir = config.resolve(config.files_path) if config.files_path else None
     bht_root = os.path.abspath(config.resolve(config.bht_path))
-    owners: dict[str, str] = {}  # relative BHT path -> identifier, this run
+    taken: set[str] = set()  # relative BHT paths written in this run
     written: dict[str, str] = {}  # identifier -> relative BHT path
     # The statistics count each identifier once, by its last copy.
-    outcomes: dict[str, _Outcome] = {}
+    outcomes: dict[str, RecordOutcome] = {}
 
     log.info("harvesting %s (mode=%s)", config.endpoint or "<injected>", mode)
     for record, publication in harvest(
@@ -153,10 +143,9 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
         earlier = written.pop(record.identifier, None)
         if earlier:
             store.remove_harvested(record.identifier)
-            os.remove(os.path.join(bht_root, earlier))
-            del owners[earlier]
+            taken.discard(earlier)
         if record.deleted or publication is None:
-            outcomes[record.identifier] = _Outcome(record.deleted)
+            outcomes[record.identifier] = RecordOutcome(record.deleted)
             continue
 
         resolutions = [
@@ -172,7 +161,7 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
             dblp_key = find_publication(title, latin_names, corpus, match_config)
             if dblp_key:
                 break
-        outcomes[record.identifier] = _Outcome(
+        outcomes[record.identifier] = RecordOutcome(
             False,
             (publication.publication_type, publication.language),
             tuple(resolution.status for resolution in resolutions),
@@ -183,7 +172,7 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
         if config.show_common_coauthors and latin_names:
             shared = common_coauthors(latin_names, corpus, match_config)
 
-        relative = claim_spf_path(publication, owners)
+        relative = claim_spf_path(publication, taken)
         target = os.path.join(bht_root, relative)
         if os.path.commonpath([bht_root, os.path.abspath(target)]) != bht_root:
             raise OSError(f"BHT path {target!r} leaves {bht_root!r}")
@@ -194,21 +183,22 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
             handle.write(render_spf(entry))
         written[publication.identifier] = relative
     store.flush()
+    _remove_unclaimed(bht_root, taken)
+    return RunStatistics(outcomes.values())
 
-    stats = RunStatistics()
-    for outcome in outcomes.values():
-        stats.observe_record(outcome.deleted)
-        if outcome.deleted:
-            continue
-        if outcome.publication is None:
-            stats.observe_parse_error()
-            continue
-        stats.observe_publication(*outcome.publication)
-        for status in outcome.statuses:
-            stats.observe_status(status)
-        if outcome.duplicate:
-            stats.observe_duplicate()
-    return stats
+
+def _remove_unclaimed(bht_root: str, taken: set[str]) -> None:
+    """Delete the BHT files under ``bht_root`` that this run did not write,
+    so the tree holds what the harvest tables hold; all.bht stays for -b."""
+    for directory, _, filenames in os.walk(bht_root):
+        relative = os.path.relpath(directory, bht_root)
+        for name in filenames:
+            if (
+                name.endswith(".bht")
+                and name != "all.bht"
+                and os.path.join(relative, name) not in taken
+            ):
+                os.remove(os.path.join(directory, name))
 
 
 def stage_concatenate(config: Config) -> int:

@@ -1,53 +1,41 @@
 """Run statistics: record counts, publication types, name statuses."""
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from typing import Iterable, NamedTuple
 
 from .matching import NameStatus
 
-__all__ = ["RunStatistics"]
+__all__ = ["RecordOutcome", "RunStatistics"]
 
 
-@dataclass
+class RecordOutcome(NamedTuple):
+    """What one harvested record adds to the run statistics."""
+
+    deleted: bool
+    publication: tuple[str, str] | None = None  # (type, language); None: unparsable
+    statuses: tuple[NameStatus, ...] = ()
+    duplicate: bool = False
+
+
 class RunStatistics:
-    """Counters describing one harvest run."""
+    """Counters describing one harvest run, one outcome per identifier."""
 
-    records_with_metadata: int = 0
-    deleted_records: int = 0
-    parse_errors: int = 0
-    duplicates_found: int = 0
-    publication_types: dict[str, int] = field(default_factory=dict)
-    languages: dict[str, int] = field(default_factory=dict)
-    name_statuses: dict[str, int] = field(default_factory=dict)
-
-    def observe_record(self, deleted: bool) -> None:
-        if deleted:
-            self.deleted_records += 1
-        else:
-            self.records_with_metadata += 1
-
-    def observe_parse_error(self) -> None:
-        self.parse_errors += 1
-
-    def observe_publication(self, publication_type: str, language: str) -> None:
-        key = publication_type or "unknown"
-        self.publication_types[key] = self.publication_types.get(key, 0) + 1
-        self.languages[language] = self.languages.get(language, 0) + 1
-
-    def observe_status(self, status: NameStatus | str) -> None:
-        key = status.value if isinstance(status, NameStatus) else str(status)
-        self.name_statuses[key] = self.name_statuses.get(key, 0) + 1
-
-    def observe_duplicate(self) -> None:
-        self.duplicates_found += 1
-
-    def total_authors(self) -> int:
-        return sum(self.name_statuses.values())
+    def __init__(self, outcomes: Iterable[RecordOutcome]) -> None:
+        outcomes = list(outcomes)
+        parsed = [o.publication for o in outcomes if o.publication is not None]
+        self.deleted_records = sum(o.deleted for o in outcomes)
+        self.records_with_metadata = len(outcomes) - self.deleted_records
+        self.parse_errors = self.records_with_metadata - len(parsed)
+        self.duplicates_found = sum(o.duplicate for o in outcomes)
+        self.publication_types = Counter(kind or "unknown" for kind, _ in parsed)
+        self.languages = Counter(language for _, language in parsed)
+        self.name_statuses = Counter(
+            status.value for o in outcomes for status in o.statuses
+        )
 
     def status_percentages(self) -> dict[str, float]:
-        total = self.total_authors()
-        if total == 0:
-            return {}
+        total = self.name_statuses.total()
         return {
             key: round(100.0 * count / total, 1)
             for key, count in self.name_statuses.items()
@@ -92,4 +80,3 @@ class RunStatistics:
             for key, count in sorted(self.name_statuses.items()):
                 lines.append(f"    {key:<28} {count:>6}  {percentages[key]:.1f}%")
         return "\n".join(lines)
-

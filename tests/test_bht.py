@@ -190,19 +190,22 @@ def test_claim_spf_path_never_shares_a_file():
             identifier, [], [], publication_type="Journal Article", volume="5"
         )
 
-    owners: dict[str, str] = {}
+    taken: set[str] = set()
     claims = [
-        claim_spf_path(publication(identifier), owners)
+        claim_spf_path(publication(identifier), taken)
         for identifier in ("oai:mock:1", "oai:other:1", "oai:mock:1", "OAI:Other:1")
     ]
     directory = Path("journal-article", "volume-5")
     assert [Path(claim) for claim in claims] == [
         directory / "1.bht",
         directory / "oai-other-1.bht",
-        directory / "1.bht",
+        directory / "oai-mock-1.bht",
         directory / "oai-other-1-2.bht",
     ]
-    assert owners[claims[3]] == "OAI:Other:1"
+    assert taken == set(claims)
+    # A freed path is the first candidate again.
+    taken.discard(claims[0])
+    assert claim_spf_path(publication("oai:mock:1"), taken) == claims[0]
 
 
 def test_concatenate(tmp_path):
@@ -214,6 +217,7 @@ def test_concatenate(tmp_path):
     other = tmp_path / "c"
     other.mkdir()
     (other / "x.txt").write_text("not a bht file\n")
+    (other / "all.bht").write_text("left from an earlier run\n")
 
     written = concatenate(str(tmp_path))
     assert written == 1

@@ -11,7 +11,7 @@ from jpbib.matching import NameStatus
 from jpbib.oai import OAI_NS, get_record, parse_junii2
 from jpbib.oai_mock import junii2_payload
 from jpbib.pipeline import run
-from jpbib.stats import RunStatistics
+from jpbib.stats import RecordOutcome, RunStatistics
 from jpbib.store import SqliteStore, StoreError
 
 from mockrepo import GOLDEN_ID, build_provider
@@ -97,34 +97,45 @@ def test_store_path_resolution(tmp_path):
 
 
 def test_record_statistics_counts():
-    stats = RunStatistics()
-    for deleted in (False, False, True, False, False):
-        stats.observe_record(deleted)
+    outcomes = [
+        RecordOutcome(False, ("Journal Article", "ja")),
+        RecordOutcome(False),
+        RecordOutcome(True),
+        RecordOutcome(False, ("", "en")),
+        RecordOutcome(False, ("Journal Article", "ja")),
+    ]
+    stats = RunStatistics(outcomes)
     assert stats.records_with_metadata == 4
     assert stats.deleted_records == 1
+    assert stats.parse_errors == 1
+    assert stats.publication_types == {"Journal Article": 2, "unknown": 1}
+    assert stats.languages == {"ja": 2, "en": 1}
 
 
 def test_record_statistics_percentages():
-    stats = RunStatistics()
-    for status in (NameStatus.OK, NameStatus.OK, NameStatus.OK, NameStatus.ABBREVIATED):
-        stats.observe_status(status)
+    ok, abbreviated = NameStatus.OK, NameStatus.ABBREVIATED
+    stats = RunStatistics(
+        [
+            RecordOutcome(False, ("Article", "ja"), (ok, ok)),
+            RecordOutcome(False, ("Article", "ja"), (ok, abbreviated)),
+        ]
+    )
     assert stats.status_percentages() == {"ok": 75.0, "abbreviated": 25.0}
     assert sum(stats.status_percentages().values()) == pytest.approx(100.0)
 
 
 def test_record_statistics_empty():
-    stats = RunStatistics()
-    assert stats.total_authors() == 0
+    stats = RunStatistics([RecordOutcome(True), RecordOutcome(False, ("Article", "ja"))])
+    assert stats.name_statuses == {}
     assert stats.status_percentages() == {}
     assert json.loads(stats.to_json())["name_status_percentages"] == {}
+    assert json.loads(RunStatistics([]).to_json())["records_with_metadata"] == 0
 
 
 def test_statistics_report_and_json():
-    stats = RunStatistics()
-    stats.observe_record(False)
-    stats.observe_publication("Journal Article", "ja")
-    stats.observe_status(NameStatus.OK)
-    stats.observe_duplicate()
+    stats = RunStatistics(
+        [RecordOutcome(False, ("Journal Article", "ja"), (NameStatus.OK,), True)]
+    )
     report = stats.format_report()
     assert "records with metadata   1" in report
     assert "Journal Article" in report
@@ -401,6 +412,78 @@ def test_run_all_stages(tmp_path, capsys):
     assert produced == golden
 
 
+# Captured before the statistics were counted from per-record outcomes;
+# the report and statistics.json must keep these bytes.
+MOCK_REPORT = """\
+harvest statistics
+  records with metadata   245
+  deleted records         5
+  unparsable records      1
+  duplicates found        1
+  publication types:
+    Article                      50
+    Conference Paper             49
+    Departmental Bulletin Paper  49
+    Journal Article              46
+    Technical Report             50
+  languages:
+    en                           2
+    ja                           242
+  name statuses:
+    bad data quality in source        1  0.3%
+    no kanji matching found           1  0.3%
+    not found in name dictionary      3  0.8%
+    ok                              356  98.1%
+    possible name anomaly             1  0.3%
+    undefined                         1  0.3%
+wrote 18 all.bht files
+"""
+MOCK_STATISTICS_JSON = """\
+{
+  "deleted_records": 5,
+  "duplicates_found": 1,
+  "languages": {
+    "en": 2,
+    "ja": 242
+  },
+  "name_status_percentages": {
+    "bad data quality in source": 0.3,
+    "no kanji matching found": 0.3,
+    "not found in name dictionary": 0.8,
+    "ok": 98.1,
+    "possible name anomaly": 0.3,
+    "undefined": 0.3
+  },
+  "name_statuses": {
+    "bad data quality in source": 1,
+    "no kanji matching found": 1,
+    "not found in name dictionary": 3,
+    "ok": 356,
+    "possible name anomaly": 1,
+    "undefined": 1
+  },
+  "parse_errors": 1,
+  "publication_types": {
+    "Article": 50,
+    "Conference Paper": 49,
+    "Departmental Bulletin Paper": 49,
+    "Journal Article": 46,
+    "Technical Report": 50
+  },
+  "records_with_metadata": 245
+}
+"""
+
+
+def test_run_all_statistics_bytes(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    provider = build_provider()
+    assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
+    assert capsys.readouterr().out == MOCK_REPORT
+    statistics = (tmp_path / "log" / "statistics.json").read_bytes()
+    assert statistics == MOCK_STATISTICS_JSON.encode()
+
+
 def test_run_all_extension_elements_in_files(tmp_path, capsys):
     from mockrepo import DEDUP_ID, NO_LATIN_ID
 
@@ -572,3 +655,28 @@ def test_run_colliding_file_names_keep_both(tmp_path, capsys):
     ]
     assert "Mock Title" in files["journal-article/volume-5/1.bht"]
     assert "Other Title" in files["journal-article/volume-5/oai-other-1.bht"]
+
+
+def test_rerun_harvest_leaves_only_this_runs_files(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    first = one_page_fetch(
+        ("oai:mock:1", article("First Title", "5", ["Jane Doe"])),
+        ("oai:mock:2", article("Second Title", "5", ["John Roe"])),
+        ("oai:mock:3", article("Third Title", "6", ["Jane Doe"])),
+    )
+    assert run(["--config", str(config), "--all"], fetch=first) == 0
+    second = one_page_fetch(
+        ("oai:mock:1", article("First Title", "5", ["Jane Doe"])),
+        ("oai:mock:2", None),
+        ("oai:mock:3", None),
+    )
+    assert run(["--config", str(config), "-h", "-b"], fetch=second) == 0
+    capsys.readouterr()
+
+    assert harvested_row_counts(config) == [1, 1, 1]
+    root = tmp_path / "bht"
+    files = written_bht(root)
+    assert list(files) == ["journal-article/volume-5/1.bht"]
+    volume_5 = root / "journal-article" / "volume-5"
+    assert (volume_5 / "all.bht").read_text() == files["journal-article/volume-5/1.bht"]
+    assert not list((root / "journal-article" / "volume-6").glob("*.bht"))
