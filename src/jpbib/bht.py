@@ -26,6 +26,7 @@ __all__ = [
     "concatenate",
     "date_label",
     "escape_non_ascii",
+    "remove_unclaimed",
     "render_spf",
     "spf_relative_path",
 ]
@@ -244,26 +245,49 @@ def claim_spf_path(publication: HarvestedPublication, taken: set[str]) -> str:
             return candidate
 
 
+def _is_part(name: str) -> bool:
+    """A single-publication file: any BHT file but the concatenation."""
+    return name.endswith(".bht") and name != "all.bht"
+
+
+def _remove_if_empty(directory: str, root: str) -> None:
+    if directory != root and not os.listdir(directory):
+        os.rmdir(directory)
+
+
+def remove_unclaimed(root: str, taken: set[str]) -> None:
+    """Delete the single-publication files under ``root`` whose relative
+    path is not in ``taken``, then every directory left empty but the root.
+
+    The tree then holds what the harvest tables hold; all.bht stays for
+    concatenation to rewrite or remove.
+    """
+    for directory, _, filenames in os.walk(root, topdown=False):
+        relative = os.path.relpath(directory, root)
+        for name in filenames:
+            if _is_part(name) and os.path.join(relative, name) not in taken:
+                os.remove(os.path.join(directory, name))
+        _remove_if_empty(directory, root)
+
+
 def concatenate(root: str) -> int:
     """Write all.bht in every directory that holds single-publication files.
 
     Files concatenate in lexicographic filename order; an existing
     all.bht never feeds its own replacement, so reruns are idempotent.
-    An all.bht in a directory without other BHT files is removed.
-    Returns the number of all.bht files written.
+    An all.bht in a directory without other BHT files is removed, and so
+    is every directory left empty but the root.  Returns the number of
+    all.bht files written.
     """
     written = 0
-    for directory, _, filenames in os.walk(root):
-        parts = sorted(
-            name
-            for name in filenames
-            if name.endswith(".bht") and name != "all.bht"
-        )
+    for directory, _, filenames in os.walk(root, topdown=False):
+        parts = sorted(name for name in filenames if _is_part(name))
         target = os.path.join(directory, "all.bht")
         try:
             if not parts:
                 if "all.bht" in filenames:
                     os.remove(target)
+                _remove_if_empty(directory, root)
                 continue
             chunks = []
             for name in parts:

@@ -4,13 +4,18 @@ The corpus file declares Latin-1 and writes everything else as character
 entities, including named HTML entities defined by its DTD.  Those named
 entities are rewritten to numeric references on the byte level before the
 stream reaches the XML parser, which keeps only the current record's
-elements.  The parse result is held in memory whole: every publication,
-its key and title indexes, the coauthor adjacency and the edge list.
+elements.  The parse result is held in memory whole: the publication
+list and the edge list, which -d writes to the store.  ``CorpusStore``
+derives each index from the list on first use: the title index at the
+harvest's first ``find_publication``, the coauthor adjacency at its
+first ``common_coauthors`` (only with the coauthor display on), and
+``by_key`` only for callers outside the pipeline.
 """
 
 import logging
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from html.entities import name2codepoint
 from typing import BinaryIO, Iterable, Iterator, Sequence
 from xml.etree import ElementTree as ET
@@ -125,27 +130,34 @@ def coauthor_pairs(authors: Sequence[str]) -> Iterator[tuple[str, str]]:
 
 
 class CorpusStore:
-    """Publications plus the coauthor adjacency derived from them."""
+    """The corpus publications; each index is built from them on first use."""
 
-    def __init__(self) -> None:
-        self.publications: list[CorpusPublication] = []
-        self.by_key: dict[str, CorpusPublication] = {}
-        self.coauthors: dict[str, set[str]] = {}
-        self._by_title: dict[str, list[CorpusPublication]] = {}
+    def __init__(self, publications: Iterable[CorpusPublication]) -> None:
+        self.publications = list(publications)
 
-    def add(self, publication: CorpusPublication) -> None:
-        self.publications.append(publication)
-        self.by_key[publication.key] = publication
-        self._by_title.setdefault(
-            normalize_title(publication.title), []
-        ).append(publication)
-        for author_a, author_b in coauthor_pairs(publication.authors):
-            self.coauthors.setdefault(author_a, set()).add(author_b)
-            self.coauthors.setdefault(author_b, set()).add(author_a)
+    @cached_property
+    def by_key(self) -> dict[str, CorpusPublication]:
+        return {publication.key: publication for publication in self.publications}
 
-    def by_title(self, title: str) -> list[CorpusPublication]:
-        """Publications with the same normalised title; the list is shared."""
-        return self._by_title.get(normalize_title(title), [])
+    @cached_property
+    def titles(self) -> dict[str, list[CorpusPublication]]:
+        """Normalised title -> the publications with that title."""
+        titles: dict[str, list[CorpusPublication]] = {}
+        for publication in self.publications:
+            titles.setdefault(normalize_title(publication.title), []).append(
+                publication
+            )
+        return titles
+
+    @cached_property
+    def coauthors(self) -> dict[str, set[str]]:
+        """Author -> every author they share a publication with."""
+        coauthors: dict[str, set[str]] = {}
+        for publication in self.publications:
+            for author_a, author_b in coauthor_pairs(publication.authors):
+                coauthors.setdefault(author_a, set()).add(author_b)
+                coauthors.setdefault(author_b, set()).add(author_a)
+        return coauthors
 
 
 def normalize_title(title: str) -> str:
@@ -163,9 +175,8 @@ def parse_corpus(
     record types are skipped with a warning; surrogate ids follow
     document order, so repeated runs give identical output.
     """
-    store = CorpusStore()
+    publications: list[CorpusPublication] = []
     edges: list[CoauthorEdge] = []
-    next_id = 1
     for elem in _iter_elements(stream):
         tag = elem.tag
         if tag not in PUBLICATION_TYPES:
@@ -176,9 +187,10 @@ def parse_corpus(
             "".join(a.itertext()).strip() for a in elem.findall("author")
         )
         year_text = _text(elem, "year")
+        pid = len(publications) + 1
         publication = CorpusPublication(
-            id=next_id,
-            key=elem.get("key", f"generated/{next_id}"),
+            id=pid,
+            key=elem.get("key", f"generated/{pid}"),
             authors=authors,
             title=_text(elem, "title") or "",
             year=int(year_text) if year_text and year_text.isdigit() else None,
@@ -186,13 +198,12 @@ def parse_corpus(
             pages=_text(elem, "pages"),
             volume=_text(elem, "volume"),
         )
-        store.add(publication)
+        publications.append(publication)
         edges.extend(
-            CoauthorEdge(author_a, author_b, publication.id)
+            CoauthorEdge(author_a, author_b, pid)
             for author_a, author_b in coauthor_pairs(authors)
         )
-        next_id += 1
-    return store, edges
+    return CorpusStore(publications), edges
 
 
 def find_publication(
@@ -203,7 +214,7 @@ def find_publication(
 ) -> str | None:
     """Key of a stored publication with the same title and one shared author."""
     cfg = cfg or MatchConfig()
-    for publication in store.by_title(title):
+    for publication in store.titles.get(normalize_title(title), ()):
         for stored_author in publication.authors:
             if any(names_match(stored_author, a, cfg) for a in authors):
                 return publication.key

@@ -151,7 +151,6 @@ def parse_entry_line(
     surface = match.group("surface")
     reading = match.group("reading")
 
-    seen: set[tuple[str, str, frozenset[NameType]]] = set()
     for sense in body.split("/"):
         sense = sense.strip()
         if not sense:
@@ -162,12 +161,7 @@ def parse_entry_line(
             warnings.append(ParseWarning(line_number, kind, raw))
         if parsed is None:
             continue
-        latin, types = parsed
-        key = (surface, latin, types)
-        if key in seen:
-            continue
-        seen.add(key)
-        records.append(NameRecord(surface, reading, latin, types))
+        records.append(NameRecord(surface, reading, *parsed))
     return records, warnings
 
 

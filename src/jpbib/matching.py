@@ -362,7 +362,7 @@ def resolve_author(
     latin_text = None
     if latin_raw and latin_raw.strip():
         try:
-            latin_text = normalize_latin(latin_raw).text
+            latin_text = normalize_latin(latin_raw)
         except EmptyNameError:
             latin_text = None  # nothing usable survives normalization
 

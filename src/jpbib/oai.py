@@ -97,7 +97,6 @@ class OaiRecord:
     """One protocol record; deleted records never carry a payload."""
 
     identifier: str
-    datestamp: str
     deleted: bool = False
     payload: ET.Element | None = None
 
@@ -170,14 +169,13 @@ def _parse_response(data: bytes, verb: str) -> ET.Element:
 def _parse_record(elem: ET.Element) -> OaiRecord:
     header = elem.find(f"{{{OAI_NS}}}header")
     identifier = header.findtext(f"{{{OAI_NS}}}identifier", "").strip()
-    datestamp = header.findtext(f"{{{OAI_NS}}}datestamp", "").strip()
     deleted = header.get("status") == "deleted"
     payload = None
     if not deleted:
         metadata = elem.find(f"{{{OAI_NS}}}metadata")
         if metadata is not None and len(metadata):
             payload = metadata[0]
-    return OaiRecord(identifier, datestamp, deleted, payload)
+    return OaiRecord(identifier, deleted, payload)
 
 
 def list_records(

@@ -15,7 +15,7 @@ import sqlite3
 import sys
 import xml.etree.ElementTree as ET
 
-from .bht import build_entry, claim_spf_path, concatenate, render_spf
+from .bht import build_entry, claim_spf_path, concatenate, remove_unclaimed, render_spf
 from .config import Config, ConfigError, parse_config
 from .dblp import common_coauthors, find_publication, parse_corpus
 from .enamdict import load_enamdict
@@ -183,22 +183,8 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
             handle.write(render_spf(entry))
         written[publication.identifier] = relative
     store.flush()
-    _remove_unclaimed(bht_root, taken)
+    remove_unclaimed(bht_root, taken)
     return RunStatistics(outcomes.values())
-
-
-def _remove_unclaimed(bht_root: str, taken: set[str]) -> None:
-    """Delete the BHT files under ``bht_root`` that this run did not write,
-    so the tree holds what the harvest tables hold; all.bht stays for -b."""
-    for directory, _, filenames in os.walk(bht_root):
-        relative = os.path.relpath(directory, bht_root)
-        for name in filenames:
-            if (
-                name.endswith(".bht")
-                and name != "all.bht"
-                and os.path.join(relative, name) not in taken
-            ):
-                os.remove(os.path.join(directory, name))
 
 
 def stage_concatenate(config: Config) -> int:

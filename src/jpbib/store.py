@@ -186,24 +186,13 @@ class SqliteStore:
         )
 
     def load_corpus(self) -> CorpusStore:
-        store = CorpusStore()
-        for row in self.connection.execute(
-            f"SELECT id, key, authors, title, year, journal, pages, volume "
-            f"FROM {self.dblp} ORDER BY id"
-        ):
-            store.add(
-                CorpusPublication(
-                    id=row[0],
-                    key=row[1],
-                    authors=tuple(json.loads(row[2])),
-                    title=row[3],
-                    year=row[4],
-                    journal=row[5],
-                    pages=row[6],
-                    volume=row[7],
-                )
+        return CorpusStore(
+            CorpusPublication(pid, key, tuple(json.loads(authors)), *rest)
+            for pid, key, authors, *rest in self.connection.execute(
+                f"SELECT id, key, authors, title, year, journal, pages, volume "
+                f"FROM {self.dblp} ORDER BY id"
             )
-        return store
+        )
 
     def has_corpus(self) -> bool:
         if not self._has_table(self.dblp):

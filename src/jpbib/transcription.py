@@ -49,8 +49,8 @@ class NormalizedLatin:
     """A cleaned Latin name plus the vowel positions known to be long.
 
     ``lengthening_positions`` are indices into ``text`` of vowels whose
-    length marker (macron, circumflex or trailing h) was removed; those
-    sites must not be offered undoubled when variants are generated.
+    length marker (a trailing h) was removed; those sites must not be
+    offered undoubled when variants are generated.
     """
 
     text: str
@@ -114,12 +114,6 @@ def to_hepburn(name: str) -> str:
     return "".join(out)
 
 
-_LONG_VOWELS = {
-    "ā": "a", "ī": "i", "ū": "u", "ē": "e", "ō": "o",
-    "Ā": "A", "Ī": "I", "Ū": "U", "Ē": "E", "Ō": "O",
-    "â": "a", "î": "i", "û": "u", "ê": "e", "ô": "o",
-    "Â": "A", "Î": "I", "Û": "U", "Ê": "E", "Ô": "O",
-}
 _CHAR_MAP = {
     # curly quotes and modifier letters standing in for the apostrophe
     "\u2019": "'", "\u2018": "'", "\u02bc": "'",
@@ -131,52 +125,23 @@ _CHAR_MAP = {
 }
 
 
-def normalize_latin(raw: str) -> NormalizedLatin:
+def normalize_latin(raw: str) -> str:
     """Map a raw Latin name onto plain ASCII.
 
-    Fullwidth Latin becomes basic Latin, long-vowel marks (macron or
-    circumflex) become the plain vowel with the position recorded, other
-    diacritics are stripped, whitespace is trimmed and collapsed.  Case
+    Fullwidth Latin becomes basic Latin, diacritics (long-vowel marks
+    included) are stripped, whitespace is trimmed and collapsed.  Case
     is preserved.  Raises EmptyNameError when nothing is left.
     """
-    chars: list[tuple[str, bool]] = []  # (ascii char, lengthened vowel?)
-    for ch in unicodedata.normalize("NFC", raw):
-        if ch in _LONG_VOWELS:
-            chars.append((_LONG_VOWELS[ch], True))
-            continue
-        ch = _CHAR_MAP.get(ch, ch)
-        code = ord(ch)
-        if 0xFF01 <= code <= 0xFF5E:  # fullwidth ASCII block
-            ch = chr(code - 0xFEE0)
-            code = ord(ch)
-        if code < 128:
-            if ch.isspace():
-                ch = " "
-            chars.append((ch, False))
-            continue
-        # Other accented Latin: decompose and keep the ASCII base letter.
-        for part in unicodedata.normalize("NFKD", ch):
-            if ord(part) < 128 and not unicodedata.combining(part):
-                chars.append((part, False))
-
-    text_parts: list[str] = []
-    positions: list[int] = []
-    pending_space = False
-    for ch, lengthened in chars:
-        if ch == " ":
-            if text_parts:
-                pending_space = True
-            continue
-        if pending_space:
-            text_parts.append(" ")
-            pending_space = False
-        if lengthened:
-            positions.append(len(text_parts))
-        text_parts.append(ch)
-    text = "".join(text_parts)
+    mapped = "".join(
+        _CHAR_MAP.get(ch, ch) for ch in unicodedata.normalize("NFC", raw)
+    )
+    # Compatibility decomposition turns fullwidth Latin into basic Latin
+    # and splits an accented letter into its base letter and marks.
+    text = unicodedata.normalize("NFKD", mapped).encode("ascii", "ignore").decode()
+    text = " ".join(text.split())
     if not text:
         raise EmptyNameError(f"name is empty after normalization: {raw!r}")
-    return NormalizedLatin(text, positions)
+    return text
 
 
 _VOWELS = "aeiou"

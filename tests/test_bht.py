@@ -1,6 +1,7 @@
 """BHT rendering: escaping, the golden file, and concatenation."""
 
 import html
+import os
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from jpbib.bht import (
     concatenate,
     date_label,
     escape_non_ascii,
+    remove_unclaimed,
     render_spf,
     spf_relative_path,
 )
@@ -224,6 +226,13 @@ def test_concatenate(tmp_path):
     combined = (nested / "all.bht").read_text()
     assert combined == "one\ntwo\nthree\n"
     assert not (other / "all.bht").exists()
+    assert (other / "x.txt").exists()
+    # A directory left empty goes too, up to but not including the root.
+    emptied = tmp_path / "e" / "f"
+    emptied.mkdir(parents=True)
+    (emptied / "all.bht").write_text("left from an earlier run\n")
+    assert concatenate(str(tmp_path)) == 1
+    assert not (tmp_path / "e").exists()
 
 
 def test_concatenate_idempotent(tmp_path):
@@ -239,3 +248,19 @@ def test_concatenate_idempotent(tmp_path):
 
 def test_concatenate_empty_tree(tmp_path):
     assert concatenate(str(tmp_path)) == 0
+    (tmp_path / "all.bht").write_text("left from an earlier run\n")
+    assert concatenate(str(tmp_path)) == 0
+    assert tmp_path.is_dir() and not any(tmp_path.iterdir())
+
+
+def test_remove_unclaimed(tmp_path):
+    for volume in ("v1", "v2", "v3"):
+        (tmp_path / "t" / volume).mkdir(parents=True)
+        (tmp_path / "t" / volume / "1.bht").write_text("one\n")
+    (tmp_path / "t" / "v3" / "all.bht").write_text("one\n")
+    remove_unclaimed(str(tmp_path), {os.path.join("t", "v1", "1.bht")})
+    left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    assert left == ["t", "t/v1", "t/v1/1.bht", "t/v3", "t/v3/all.bht"]
+    (tmp_path / "t" / "v3" / "all.bht").unlink()
+    remove_unclaimed(str(tmp_path), set())
+    assert tmp_path.is_dir() and not any(tmp_path.iterdir())

@@ -17,10 +17,28 @@ from jpbib.similarity import MatchConfig
 FIXTURE = Path(__file__).parent / "fixtures" / "corpus_fixture.xml"
 
 
-@pytest.fixture(scope="module")
-def corpus():
+def fresh_corpus():
     with open(FIXTURE, "rb") as handle:
         return parse_corpus(handle)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return fresh_corpus()
+
+
+INDEXES = {"by_key", "titles", "coauthors"}
+
+
+def test_parse_builds_no_index():
+    store, _ = fresh_corpus()
+    assert not INDEXES & set(vars(store))
+
+
+def test_find_publication_builds_only_the_title_index():
+    store, _ = fresh_corpus()
+    assert find_publication("Further Normalization", ["E. F. Codd"], store) is None
+    assert INDEXES & set(vars(store)) == {"titles"}
 
 
 def test_codd_record_fields(corpus):

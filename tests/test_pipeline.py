@@ -193,6 +193,8 @@ def test_store_corpus_roundtrip(store):
     assert store.has_corpus()
     loaded = store.load_corpus()
     assert loaded.publications == corpus.publications
+    assert loaded.titles == corpus.titles
+    assert loaded.by_key == corpus.by_key
     assert loaded.coauthors == corpus.coauthors
     rows = store.connection.execute(
         f"SELECT author_a, author_b, publication_id FROM {store.edges} ORDER BY id"
@@ -504,18 +506,42 @@ def test_run_all_extension_elements_in_files(tmp_path, capsys):
     assert ">undefined</status>" in no_latin
 
 
-def test_run_common_coauthors_toggle_off(tmp_path, capsys):
-    config = tmp_path / "config.ini"
+def coauthor_display_off(tmp_path: Path) -> Path:
+    config = make_config_file(tmp_path)
     config.write_text(
-        make_config_file(tmp_path).read_text().replace(
+        config.read_text().replace(
             "showcommoncoauthors=true", "showcommoncoauthors=false"
         )
     )
+    return config
+
+
+def test_run_common_coauthors_toggle_off(tmp_path, capsys):
+    config = coauthor_display_off(tmp_path)
     provider = build_provider()
     assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
     capsys.readouterr()
     for path in (tmp_path / "bht").rglob("*.bht"):
         assert "<commoncoauthors>" not in path.read_text()
+
+
+def test_run_without_coauthor_display_builds_no_adjacency(
+    tmp_path, capsys, monkeypatch
+):
+    loaded = []
+    load_corpus = SqliteStore.load_corpus
+
+    def spy(self):
+        loaded.append(load_corpus(self))
+        return loaded[-1]
+
+    monkeypatch.setattr(SqliteStore, "load_corpus", spy)
+    config = coauthor_display_off(tmp_path)
+    provider = build_provider()
+    assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
+    capsys.readouterr()
+    [corpus] = loaded
+    assert {"by_key", "titles", "coauthors"} & set(vars(corpus)) == {"titles"}
 
 
 def test_run_stages_separately(tmp_path, capsys):
@@ -679,4 +705,4 @@ def test_rerun_harvest_leaves_only_this_runs_files(tmp_path, capsys):
     assert list(files) == ["journal-article/volume-5/1.bht"]
     volume_5 = root / "journal-article" / "volume-5"
     assert (volume_5 / "all.bht").read_text() == files["journal-article/volume-5/1.bht"]
-    assert not list((root / "journal-article" / "volume-6").glob("*.bht"))
+    assert not (root / "journal-article" / "volume-6").exists()
