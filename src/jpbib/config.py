@@ -1,7 +1,9 @@
 """INI configuration for the pipeline.
 
-Sections and keys follow the tool's config.ini layout; missing keys take
-the documented defaults, unknown keys are reported but harmless.
+Sections and keys follow the tool's config.ini layout, reduced to the keys
+jpbib reads; missing keys take the documented defaults, unknown sections
+and keys (the layout's database credentials and table names among them)
+are reported but harmless.
 Relative paths are resolved against the directory of the config file so
 runs behave the same from any working directory.
 """
@@ -25,20 +27,8 @@ class Config:
     # [db]: location of the embedded tabular store
     db_url: str = ""
     db_name: str = "jpbib"
-    db_user: str = ""
-    db_password: str = ""
     # [japnamesdb]
-    japnames_table: str = "japnames"
     use_unclassified_names: bool = False
-    # [dblpdb]
-    dblp_table: str = "dblp"
-    authors_count_table: str = "dblpauthors"
-    # [oaidb]
-    publication_table: str = "oai_publications"
-    authors_table: str = "oai_authors"
-    titles_table: str = "oai_titles"
-    contributors_table: str = "oai_contributors"
-    descriptions_table: str = "oai_descriptions"
     # [enamdict]
     enamdict_file: str = "./enamdict"
     # [harvester]
@@ -76,24 +66,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
     "db": {
         "url": ("db_url", str),
         "db": ("db_name", str),
-        "user": ("db_user", str),
-        "password": ("db_password", str),
     },
-    "japnamesdb": {
-        "table": ("japnames_table", str),
-        "useunclassifiednames": ("use_unclassified_names", bool),
-    },
-    "dblpdb": {
-        "dblptable": ("dblp_table", str),
-        "authorscounttable": ("authors_count_table", str),
-    },
-    "oaidb": {
-        "publicationtable": ("publication_table", str),
-        "authorstable": ("authors_table", str),
-        "titlestable": ("titles_table", str),
-        "contributorstable": ("contributors_table", str),
-        "descriptionstable": ("descriptions_table", str),
-    },
+    "japnamesdb": {"useunclassifiednames": ("use_unclassified_names", bool)},
     "enamdict": {"file": ("enamdict_file", str)},
     "harvester": {
         "filespath": ("files_path", str),
@@ -113,22 +87,10 @@ _SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
     "log": {"path": ("log_path", str)},
 }
 
-_BOOLEAN_VALUES = {
-    "true": True,
-    "yes": True,
-    "on": True,
-    "1": True,
-    "false": False,
-    "no": False,
-    "off": False,
-    "0": False,
-}
-
-
 def _convert(section: str, key: str, value: str, target: type):
     try:
         if target is bool:
-            return _BOOLEAN_VALUES[value.strip().lower()]
+            return configparser.ConfigParser.BOOLEAN_STATES[value.strip().lower()]
         return target(value.strip())
     except (KeyError, ValueError):
         raise ConfigError(
@@ -166,4 +128,6 @@ def parse_config(path: str) -> Config:
         )
     if not 0.0 <= config.match_threshold <= 1.0:
         raise ConfigError("bhtexport.matchthreshold: must lie within [0, 1]")
+    if config.lev_threshold < 0:
+        raise ConfigError("bhtexport.levthreshold: must be non-negative")
     return config

@@ -273,10 +273,8 @@ def match_latin_kanji(
         status = _categorize_hint(latin.given, latin.family, dictionary)
         return AuthorResolution(latin, None, status=status)
 
+    splits = _accepted_splits(latin, kanji, dictionary, given_abbrev, family_abbrev)
     if abbreviated:
-        splits = _accepted_splits(
-            latin, kanji, dictionary, given_abbrev, family_abbrev
-        )
         if len(splits) == 1:
             return AuthorResolution(
                 latin, splits[0], status=NameStatus.POSSIBLE_NAME_ANOMALY
@@ -284,8 +282,6 @@ def match_latin_kanji(
         return AuthorResolution(
             latin, kanji_unsplit, status=NameStatus.ABBREVIATED
         )
-
-    splits = _accepted_splits(latin, kanji, dictionary, False, False)
     if splits:
         return AuthorResolution(latin, splits[0], status=NameStatus.OK)
     return AuthorResolution(

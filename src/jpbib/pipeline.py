@@ -23,7 +23,7 @@ from .matching import NameDictionary, resolve_author
 from .oai import TransportError, harvest, http_fetch
 from .similarity import MatchConfig
 from .stats import RecordOutcome, RunStatistics
-from .store import SqliteStore, StoreError
+from .store import SqliteStore
 
 __all__ = ["PrerequisiteError", "main", "run"]
 
@@ -261,7 +261,7 @@ def run(argv=None, *, fetch=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TransportError, StoreError, sqlite3.Error) as exc:
+    except (TransportError, sqlite3.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ET.ParseError as exc:

@@ -1,14 +1,16 @@
 """Embedded tabular persistence for dictionary, corpus and harvest data.
 
-A single SQLite file holds every relation; table names come from the
-configuration.  Each bulk load is one transaction, so a load that fails
-partway leaves its table empty rather than truncated.  A harvested
-identifier that arrives again replaces its earlier rows.
+A single SQLite file holds every relation under fixed table names:
+``japnames`` for the dictionary, ``dblp`` and ``dblpauthors`` for the
+corpus, and ``oai_publications``, ``oai_authors``, ``oai_titles``,
+``oai_contributors`` and ``oai_descriptions`` for the harvest.  Each
+bulk load is one transaction, so a load that fails partway leaves its
+table empty rather than truncated.  A harvested identifier that arrives
+again replaces its earlier rows.
 """
 
 import json
 import os
-import re
 import sqlite3
 from typing import Iterable
 
@@ -18,37 +20,25 @@ from .enamdict import NameRecord, NameType
 from .matching import AuthorResolution
 from .oai import HarvestedPublication
 
-__all__ = ["SqliteStore", "StoreError"]
-
-_IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-class StoreError(RuntimeError):
-    pass
-
-
-def _table(name: str) -> str:
-    if not _IDENTIFIER_RE.match(name):
-        raise StoreError(f"invalid table name {name!r}")
-    return name
+__all__ = ["SqliteStore"]
 
 
 class SqliteStore:
     """All pipeline relations in one embedded database file."""
 
+    names = "japnames"
+    dblp = "dblp"
+    edges = "dblpauthors"
+    publications = "oai_publications"
+    authors = "oai_authors"
+    titles = "oai_titles"
+    contributors = "oai_contributors"
+    descriptions = "oai_descriptions"
+
     def __init__(self, config: Config):
-        self.config = config
         path = config.store_path
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         self.connection = sqlite3.connect(path)
-        self.names = _table(config.japnames_table)
-        self.dblp = _table(config.dblp_table)
-        self.edges = _table(config.authors_count_table)
-        self.publications = _table(config.publication_table)
-        self.authors = _table(config.authors_table)
-        self.titles = _table(config.titles_table)
-        self.contributors = _table(config.contributors_table)
-        self.descriptions = _table(config.descriptions_table)
 
     def close(self) -> None:
         self.connection.close()
@@ -59,11 +49,16 @@ class SqliteStore:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _has_table(self, name: str) -> bool:
-        row = self.connection.execute(
-            "SELECT 1 FROM sqlite_master WHERE type='table' AND name=?", (name,)
+    def _has_rows(self, table: str) -> bool:
+        """Whether ``table`` exists and holds at least one row."""
+        exists = self.connection.execute(
+            "SELECT 1 FROM sqlite_master WHERE type='table' AND name=?", (table,)
         ).fetchone()
-        return row is not None
+        return (
+            exists is not None
+            and self.connection.execute(f"SELECT 1 FROM {table} LIMIT 1").fetchone()
+            is not None
+        )
 
     def _bulk_insert(self, sql: str, rows: Iterable[tuple]) -> int:
         # One transaction: an error partway rolls back every row.
@@ -83,8 +78,6 @@ class SqliteStore:
                 latin TEXT NOT NULL,
                 types TEXT NOT NULL
             );
-            CREATE INDEX idx_{self.names}_latin ON {self.names}(latin);
-            CREATE INDEX idx_{self.names}_surface ON {self.names}(surface);
             """
         )
 
@@ -118,12 +111,7 @@ class SqliteStore:
         ]
 
     def has_names(self) -> bool:
-        if not self._has_table(self.names):
-            return False
-        return (
-            self.connection.execute(f"SELECT COUNT(*) FROM {self.names}").fetchone()[0]
-            > 0
-        )
+        return self._has_rows(self.names)
 
     # -- corpus ---------------------------------------------------------------
 
@@ -195,12 +183,7 @@ class SqliteStore:
         )
 
     def has_corpus(self) -> bool:
-        if not self._has_table(self.dblp):
-            return False
-        return (
-            self.connection.execute(f"SELECT COUNT(*) FROM {self.dblp}").fetchone()[0]
-            > 0
-        )
+        return self._has_rows(self.dblp)
 
     # -- harvested publications -------------------------------------------
 

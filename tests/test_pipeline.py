@@ -12,7 +12,7 @@ from jpbib.oai import OAI_NS, get_record, parse_junii2
 from jpbib.oai_mock import junii2_payload
 from jpbib.pipeline import run
 from jpbib.stats import RecordOutcome, RunStatistics
-from jpbib.store import SqliteStore, StoreError
+from jpbib.store import SqliteStore
 
 from mockrepo import GOLDEN_ID, build_provider
 
@@ -22,24 +22,29 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # -- configuration -----------------------------------------------------------
 
 
-def test_parse_config_example():
-    config = parse_config(str(FIXTURES / "config_example.ini"))
+def test_parse_config_example(caplog):
+    with caplog.at_level(logging.WARNING, logger="jpbib.config"):
+        config = parse_config(str(FIXTURES / "config_example.ini"))
     assert config.min_id == 1
     assert config.max_id == 100000
     assert config.use_list_records is True
     assert config.db_url == "myserver"
     assert config.db_name == "mydbname"
-    assert config.japnames_table == "japnames"
     assert config.use_unclassified_names is False
-    assert config.dblp_table == "dblp"
-    assert config.authors_count_table == "dblpauthors"
-    assert config.publication_table == "oai_publications"
     assert config.enamdict_file == "./enamdict"
     assert config.files_path == "./files-harvester"
     assert config.dblp_xml_file == "/dblp/dblp.xml"
     assert config.bht_path == "./bht"
     assert config.show_common_coauthors is True
     assert config.log_path == "./log"
+    # The layout's credentials and table names are read as unknown entries.
+    assert caplog.messages == [
+        "unknown config key db.user",
+        "unknown config key db.password",
+        "unknown config key japnamesdb.table",
+        "unknown config section [dblpdb]",
+        "unknown config section [oaidb]",
+    ]
 
 
 def test_parse_config_defaults(tmp_path):
@@ -313,12 +318,6 @@ def stored_rows(store, identifier):
     }
 
 
-def test_store_rejects_bad_table_name(tmp_path):
-    config = Config(base_dir=str(tmp_path), japnames_table="bad name!")
-    with pytest.raises(StoreError):
-        SqliteStore(config)
-
-
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -374,6 +373,17 @@ def test_run_bad_config(tmp_path):
     assert run(["--config", str(tmp_path / "missing.ini"), "-e"]) == 2
 
 
+def test_run_rejects_negative_levthreshold_before_any_stage(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    config.write_text(
+        config.read_text().replace("[bhtexport]\n", "[bhtexport]\nlevthreshold=-1\n")
+    )
+    provider = build_provider()
+    assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 2
+    assert "bhtexport.levthreshold" in capsys.readouterr().err
+    assert not (tmp_path / "store.sqlite3").exists()
+
+
 def test_run_all_stages(tmp_path, capsys):
     config = make_config_file(tmp_path)
     provider = build_provider()
@@ -412,6 +422,38 @@ def test_run_all_stages(tmp_path, capsys):
         path for path in bht_files if path.name == f"{GOLDEN_ID}.bht"
     ).read_bytes()
     assert produced == golden
+
+
+def test_run_all_ignores_retired_table_keys(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    config.write_text(
+        config.read_text()
+        + "[japnamesdb]\ntable=people\n"
+        "[dblpdb]\ndblptable=corpus\n"
+        "[oaidb]\npublicationtable=records\n"
+    )
+    provider = build_provider()
+    assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
+    capsys.readouterr()
+    with SqliteStore(parse_config(str(config))) as opened:
+        schema = set(
+            opened.connection.execute("SELECT type, name FROM sqlite_master")
+        )
+    tables = {
+        "japnames",
+        "dblp",
+        "dblpauthors",
+        "oai_publications",
+        "oai_authors",
+        "oai_titles",
+        "oai_contributors",
+        "oai_descriptions",
+    }
+    # The only indexes are SQLite's own for the two UNIQUE columns.
+    indexes = {"sqlite_autoindex_dblp_1", "sqlite_autoindex_oai_publications_1"}
+    assert schema == {("table", name) for name in tables} | {
+        ("index", name) for name in indexes
+    }
 
 
 # Captured before the statistics were counted from per-record outcomes;
