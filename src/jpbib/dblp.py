@@ -7,9 +7,23 @@ stream reaches the XML parser, which keeps only the current record's
 elements.  The parse result is held in memory whole: the publication
 list and the edge list, which -d writes to the store.  ``CorpusStore``
 derives each index from the list on first use: the title index at the
-harvest's first ``find_publication``, the coauthor adjacency at its
-first ``common_coauthors`` (only with the coauthor display on), and
-``by_key`` only for callers outside the pipeline.
+harvest's first ``find_publication``, the coauthor adjacency and its
+token vocabulary at its first ``common_coauthors`` (only with the
+coauthor display on), and ``by_key`` only for callers outside the
+pipeline.
+
+``common_coauthors`` does not compare an author with every adjacency
+name.  With a match threshold above 0, a name can match only if it
+shares a token within the edit budget with the author, or if neither
+has a token; with a threshold of 0 every name matches every author, so
+the result is empty.  The vocabulary maps each casefolded token to the
+names that contain it, so those names are found by dictionary lookups:
+the token itself, and with the default budget of 2 every deletion,
+substitution and insertion of one character, drawn from the
+vocabulary's alphabet (Norvig, "How to Write a Spelling Corrector").
+A budget of 3 or more scans the vocabulary's tokens with
+``levenshtein`` instead.  ``names_match`` still decides every
+candidate, so the result is the one a scan of every name gives.
 """
 
 import logging
@@ -20,12 +34,13 @@ from html.entities import name2codepoint
 from typing import BinaryIO, Iterable, Iterator, Sequence
 from xml.etree import ElementTree as ET
 
-from .similarity import MatchConfig, names_match
+from .similarity import MatchConfig, levenshtein, names_match
 
 __all__ = [
     "CoauthorEdge",
     "CorpusPublication",
     "CorpusStore",
+    "TokenVocabulary",
     "common_coauthors",
     "find_publication",
     "parse_corpus",
@@ -159,6 +174,62 @@ class CorpusStore:
                 coauthors.setdefault(author_b, set()).add(author_a)
         return coauthors
 
+    @cached_property
+    def coauthor_tokens(self) -> "TokenVocabulary":
+        """The token vocabulary of the adjacency's names."""
+        return TokenVocabulary(self.coauthors)
+
+
+class TokenVocabulary:
+    """Casefolded name token -> the names that contain it.
+
+    Names are split into tokens as ``names_match`` splits them.  Names
+    without a token are filed under "", which ``str.split`` never yields.
+    """
+
+    def __init__(self, names: Iterable[str]) -> None:
+        found: dict[str, list[str]] = {}
+        for name in names:
+            for token in set(name.casefold().split()) or {""}:
+                found.setdefault(token, []).append(name)
+        self.names = {token: tuple(listed) for token, listed in found.items()}
+        # A token one edit away from a query uses only these characters.
+        self.alphabet = frozenset("".join(self.names))
+
+    def near(self, token: str, lev_threshold: int) -> list[str]:
+        """Vocabulary tokens within edit distance < ``lev_threshold``."""
+        if lev_threshold >= 3:
+            return [
+                other
+                for other in self.names
+                if other and levenshtein(token, other, lev_threshold) < lev_threshold
+            ]
+        variants = {token} if lev_threshold else set()
+        if lev_threshold == 2:
+            for i in range(len(token) + 1):
+                head, tail = token[:i], token[i:]
+                variants.update(head + c + tail for c in self.alphabet)
+                if tail:
+                    variants.add(head + tail[1:])
+                    variants.update(head + c + tail[1:] for c in self.alphabet)
+        return [variant for variant in variants if variant and variant in self.names]
+
+    def candidates(self, name: str, lev_threshold: int) -> set[str]:
+        """The names that share a token within the edit budget with ``name``.
+
+        A name without a token gets the names without a token.  Under a
+        match threshold above 0, no other name can match ``name``.
+        """
+        tokens = set(name.casefold().split())
+        if not tokens:
+            return set(self.names.get("", ()))
+        return {
+            candidate
+            for token in tokens
+            for near in self.near(token, lev_threshold)
+            for candidate in self.names[near]
+        }
+
 
 def normalize_title(title: str) -> str:
     """Whitespace-collapsed, casefolded title without trailing periods."""
@@ -229,15 +300,19 @@ def common_coauthors(
     """Corpus authors that at least two of the given authors worked with.
 
     All name comparison is fuzzy; authors that are themselves among the
-    inputs are excluded.  Result is sorted lexicographically.
+    inputs are excluded.  Result is sorted lexicographically.  Each
+    author is compared only with the vocabulary's candidates for it.
     """
     cfg = cfg or MatchConfig()
+    if cfg.match_threshold == 0:
+        # Every name matches every input author, so every name is excluded.
+        return []
     counts: dict[str, int] = {}
     for author in dict.fromkeys(authors):
         neighbourhood: set[str] = set()
-        for name, coauthors in store.coauthors.items():
+        for name in store.coauthor_tokens.candidates(author, cfg.lev_threshold):
             if names_match(author, name, cfg):
-                neighbourhood |= coauthors
+                neighbourhood |= store.coauthors[name]
         for neighbour in neighbourhood:
             counts[neighbour] = counts.get(neighbour, 0) + 1
     return sorted(

@@ -346,7 +346,8 @@ def harvest(
 ) -> Iterator[tuple[OaiRecord, HarvestedPublication | None]]:
     """Stream every record of a provider exactly once.
 
-    ``mode`` is either "list" (follow resumption tokens to exhaustion) or
+    ``mode`` is either "list" (follow resumption tokens to exhaustion; a
+    token the provider sends twice raises ``OaiProtocolError``) or
     an (min, max) id range fetched record by record; range ids are built
     as ``id_prefix`` plus the integer and unknown ids are skipped.  Each
     payload is parsed as junii2; deleted or malformed records yield None
@@ -358,12 +359,19 @@ def harvest(
 
     if mode == "list":
         token: str | None = None
+        seen: set[str] = set()
         while True:
             records, token = list_records(endpoint, prefix, token, fetch=fetch)
+            # A token that comes back would repeat its pages forever.
+            if token in seen:
+                raise OaiProtocolError(
+                    "badResumptionToken", f"token {token!r} came back"
+                )
             for record in records:
                 yield record, _parse_payload(record)
             if not token:
                 break
+            seen.add(token)
     else:
         lower, upper = mode
         if lower > upper:

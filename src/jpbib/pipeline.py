@@ -20,7 +20,7 @@ from .config import Config, ConfigError, parse_config
 from .dblp import common_coauthors, find_publication, parse_corpus
 from .enamdict import load_enamdict
 from .matching import NameDictionary, resolve_author
-from .oai import TransportError, harvest, http_fetch
+from .oai import OaiProtocolError, TransportError, harvest, http_fetch
 from .similarity import MatchConfig
 from .stats import RecordOutcome, RunStatistics
 from .store import SqliteStore
@@ -263,6 +263,9 @@ def run(argv=None, *, fetch=None) -> int:
         return EXIT_CONFIG
     except (TransportError, sqlite3.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except OaiProtocolError as exc:
+        print(f"oai error: {exc.code}: {exc.message}", file=sys.stderr)
         return EXIT_ERROR
     except ET.ParseError as exc:
         print(f"xml parse error: {exc}", file=sys.stderr)

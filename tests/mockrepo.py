@@ -184,3 +184,19 @@ def build_records() -> list[MockRecord]:
 
 def build_provider(page_size: int = 100) -> MockDataProvider:
     return MockDataProvider(build_records(), page_size=page_size)
+
+
+def repeating_first_page(provider: MockDataProvider, limit: int = 10):
+    """A fetch that answers every request with the provider's first
+    ListRecords page, resumption token included.  It raises after
+    ``limit`` calls, so a harvest that never stops fails instead."""
+    first = provider.fetch("http://mock/oai?verb=ListRecords&metadataPrefix=junii2")
+    calls = []
+
+    def fetch(url: str) -> bytes:
+        calls.append(url)
+        if len(calls) > limit:
+            raise RuntimeError(f"still fetching after {limit} pages")
+        return first
+
+    return fetch

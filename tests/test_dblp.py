@@ -5,14 +5,20 @@ import logging
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jpbib import dblp
 from jpbib.dblp import (
     CoauthorEdge,
+    CorpusPublication,
+    CorpusStore,
+    TokenVocabulary,
     common_coauthors,
     find_publication,
     parse_corpus,
 )
-from jpbib.similarity import MatchConfig
+from jpbib.similarity import MatchConfig, levenshtein, names_match
 
 FIXTURE = Path(__file__).parent / "fixtures" / "corpus_fixture.xml"
 
@@ -27,7 +33,7 @@ def corpus():
     return fresh_corpus()
 
 
-INDEXES = {"by_key", "titles", "coauthors"}
+INDEXES = {"by_key", "titles", "coauthors", "coauthor_tokens"}
 
 
 def test_parse_builds_no_index():
@@ -200,6 +206,88 @@ def test_common_coauthors_single_input(corpus):
 def test_common_coauthors_no_shared_third_party(corpus):
     store, _ = corpus
     assert common_coauthors(["E. F. Codd", "Markus Tresch"], store) == []
+
+
+def test_common_coauthors_builds_the_adjacency_and_its_vocabulary():
+    store, _ = fresh_corpus()
+    common_coauthors(["Shinsuke Mori", "Graham Neubig"], store)
+    assert INDEXES & set(vars(store)) == {"coauthors", "coauthor_tokens"}
+
+
+def store_of(author_lists) -> CorpusStore:
+    return CorpusStore(
+        CorpusPublication(id=n, key=f"k/{n}", authors=tuple(authors), title="")
+        for n, authors in enumerate(author_lists, start=1)
+    )
+
+
+def scan_common_coauthors(authors, store, cfg):
+    """The reference: compare each author with every adjacency name."""
+    counts: dict[str, int] = {}
+    for author in dict.fromkeys(authors):
+        neighbourhood: set[str] = set()
+        for name, coauthors in store.coauthors.items():
+            if names_match(author, name, cfg):
+                neighbourhood |= coauthors
+        for neighbour in neighbourhood:
+            counts[neighbour] = counts.get(neighbour, 0) + 1
+    return sorted(
+        name
+        for name, count in counts.items()
+        if count >= 2 and not any(names_match(name, a, cfg) for a in authors)
+    )
+
+
+# Few letters, so that many tokens are one or two edits apart; "ß" and "İ"
+# grow under casefold, and whitespace gives empty and blank names.
+names = st.text(alphabet="abßİS \t", max_size=9)
+configs = st.builds(
+    MatchConfig,
+    lev_threshold=st.integers(0, 3),
+    match_threshold=st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(names, min_size=1, max_size=4), max_size=8),
+    st.lists(names, max_size=4),
+    configs,
+)
+def test_common_coauthors_equals_the_scan(author_lists, authors, cfg):
+    store = store_of(author_lists)
+    assert common_coauthors(authors, store, cfg) == scan_common_coauthors(
+        authors, store, cfg
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(names, max_size=12), names, st.integers(0, 3))
+def test_near_tokens_are_the_tokens_within_the_edit_budget(corpus_names, name, lev):
+    vocabulary = TokenVocabulary(corpus_names)
+    for token in set(name.casefold().split()):
+        assert sorted(vocabulary.near(token, lev)) == sorted(
+            other
+            for other in vocabulary.names
+            if other and levenshtein(token, other) < lev
+        )
+
+
+def test_common_coauthors_compares_only_candidates(monkeypatch):
+    # Tokens of doubled letters: two of them differ in at least two places.
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    far = ["".join(2 * letters[n // 26**i % 26] for i in range(2)) for n in range(400)]
+    store = store_of(zip(far, far[1:]))
+    calls = []
+
+    def counting(a, b, cfg):
+        calls.append((a, b))
+        return names_match(a, b, cfg)
+
+    monkeypatch.setattr(dblp, "names_match", counting)
+    assert common_coauthors([far[10], far[12]], store) == [far[11]]
+    assert len(store.coauthors) == len(far)
+    assert len(calls) < len(far) // 10
 
 
 def test_malformed_xml_raises_positioned_error():

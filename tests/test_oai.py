@@ -22,7 +22,14 @@ from jpbib.oai import (
 )
 from jpbib.oai_mock import MockDataProvider, MockRecord, junii2_payload
 
-from mockrepo import ALL_IDS, DELETED_IDS, GOLDEN_ID, MALFORMED_ID, build_provider
+from mockrepo import (
+    ALL_IDS,
+    DELETED_IDS,
+    GOLDEN_ID,
+    MALFORMED_ID,
+    build_provider,
+    repeating_first_page,
+)
 
 ENDPOINT = "http://example.org/oai?action=repository_oaipmh"
 
@@ -327,6 +334,17 @@ def test_harvest_malformed_record_continues(provider):
     assert results[provider.identifier(MALFORMED_ID)] is None
     parsed = [p for p in results.values() if p is not None]
     assert len(parsed) == 244  # 250 - 5 deleted - 1 malformed
+
+
+def test_harvest_repeated_resumption_token_fails(provider):
+    harvested = []
+    with pytest.raises(OaiProtocolError) as info:
+        for record, _ in harvest(
+            ENDPOINT, "junii2", "list", fetch=repeating_first_page(provider)
+        ):
+            harvested.append(record.identifier)
+    assert info.value.code == "badResumptionToken"
+    assert len(harvested) == len(set(harvested)) == provider.page_size
 
 
 def test_harvest_invalid_range(provider):

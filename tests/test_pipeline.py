@@ -14,7 +14,7 @@ from jpbib.pipeline import run
 from jpbib.stats import RecordOutcome, RunStatistics
 from jpbib.store import SqliteStore
 
-from mockrepo import GOLDEN_ID, build_provider
+from mockrepo import GOLDEN_ID, build_provider, repeating_first_page
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -583,7 +583,8 @@ def test_run_without_coauthor_display_builds_no_adjacency(
     assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
     capsys.readouterr()
     [corpus] = loaded
-    assert {"by_key", "titles", "coauthors"} & set(vars(corpus)) == {"titles"}
+    indexes = {"by_key", "titles", "coauthors", "coauthor_tokens"}
+    assert indexes & set(vars(corpus)) == {"titles"}
 
 
 def test_run_stages_separately(tmp_path, capsys):
@@ -602,6 +603,23 @@ def test_harvest_requires_endpoint_without_injected_fetch(tmp_path, capsys):
     status = run(["--config", str(config), "--harvest"])
     assert status == 2
     assert "endpoint" in capsys.readouterr().err
+
+
+def test_run_oai_error_exits_with_error_status(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    body = (
+        f'<OAI-PMH xmlns="{OAI_NS}">'
+        '<error code="badArgument">illegal argument</error></OAI-PMH>'
+    ).encode()
+    assert run(["--config", str(config), "--all"], fetch=lambda url: body) == 1
+    assert "oai error: badArgument: illegal argument" in capsys.readouterr().err
+
+
+def test_run_repeated_resumption_token_exits_with_error_status(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    fetch = repeating_first_page(build_provider())
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 1
+    assert "oai error: badResumptionToken" in capsys.readouterr().err
 
 
 def one_page_fetch(*records: tuple[str, str | None]):
