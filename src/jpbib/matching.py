@@ -43,6 +43,7 @@ FAMILY_TYPES = frozenset({NameType.SURNAME, NameType.UNCLASSIFIED})
 GIVEN_TYPES = frozenset(
     {NameType.GIVEN, NameType.FEMALE_GIVEN, NameType.MALE_GIVEN, NameType.UNCLASSIFIED}
 )
+_NO_TYPES: frozenset[NameType] = frozenset()
 
 
 class NameStatus(enum.Enum):
@@ -92,11 +93,19 @@ class NameDictionary:
     surface has.  Latin lookups are case-insensitive and succeed for both
     spellings of apostrophe-bearing names; readings keep dictionary
     order, which defines the candidate ordering downstream.
+
+    ``probe`` expands a Latin name part into its transcription variants
+    once and memoizes, per lowercased part, the variants the dictionary
+    holds and their types.  The memo lives as long as the dictionary,
+    which the harvest builds once per run.  Variants that are no key of
+    the type index are not kept: every reading's lowercase form is such
+    a key, so no other variant can ever match a reading.
     """
 
     def __init__(self, records):
         self._types: dict[str, frozenset[NameType]] = {}
         self._readings: dict[tuple[str, frozenset[NameType]], list[str]] = {}
+        self._probes: dict[str, tuple[tuple[str, ...], frozenset[NameType]]] = {}
         for record in records:
             latin = record.latin.lower()
             for key in {latin, latin.replace("'", "")}:
@@ -116,6 +125,20 @@ class NameDictionary:
     def latin_types(self, latin: str) -> frozenset[NameType]:
         """Union of types over all records stored under a Latin form."""
         return self._types.get(latin.lower(), frozenset())
+
+    def probe(self, part: str) -> tuple[tuple[str, ...], frozenset[NameType]]:
+        """The lowercase variants of a Latin name part that the dictionary
+        holds, and the union of their types; case is ignored."""
+        key = part.lower()
+        probed = self._probes.get(key)
+        if probed is None:
+            forms = tuple(form for form in _probe_forms(key) if form in self._types)
+            if len(forms) <= 1:
+                types = self._types[forms[0]] if forms else _NO_TYPES
+            else:
+                types = frozenset().union(*(self._types[form] for form in forms))
+            probed = self._probes[key] = (forms, types)
+        return probed
 
 
 _ABBREV_TOKEN_RE = re.compile(r"^[A-Za-z]\.?$")
@@ -145,13 +168,15 @@ def latin_lookup_variants(name: str) -> list[str]:
 
 
 def _probe_forms(name: str) -> set[str]:
+    # Lowercase first: the Hepburn table knows lowercase and capitalized
+    # spellings only, and no other step depends on case.
+    name = name.lower()
     try:
-        variants = latin_lookup_variants(name)
+        return set(latin_lookup_variants(name))
     except VariantExplosionError:
         # Past the cap only the unmodified and fully doubled spellings.
         base = strip_length_h(to_hepburn(name)).text
-        variants = [name, base, fully_doubled(base)]
-    return {v.lower() for v in variants}
+        return {name, base, fully_doubled(base)}
 
 
 def split_latin_full_name(
@@ -194,10 +219,7 @@ def split_latin_full_name(
 
 
 def _token_types(token: str, dictionary: NameDictionary) -> frozenset[NameType]:
-    found: set[NameType] = set()
-    for form in _probe_forms(token):
-        found |= dictionary.latin_types(form)
-    return frozenset(found)
+    return dictionary.probe(token)[1]
 
 
 def _split_tokens(
@@ -235,7 +257,9 @@ def _categorize_hint(
     return NameStatus.NOT_FOUND_IN_DICTIONARY
 
 
-def _part_hit(readings: list[str], forms: set[str] | None, initial: str) -> bool:
+def _part_hit(
+    readings: list[str], forms: tuple[str, ...] | None, initial: str
+) -> bool:
     # A reading fits a Latin name part when it is one of the part's probe
     # forms or, for an abbreviated part (no forms), starts with its initial.
     if forms is None:
@@ -298,8 +322,8 @@ def _accepted_splits(
 ) -> list[PersonName]:
     if not latin.given or not latin.family or len(kanji) < 2:
         return []
-    family_forms = None if family_abbrev else _probe_forms(latin.family)
-    given_forms = None if given_abbrev else _probe_forms(latin.given)
+    family_forms = None if family_abbrev else dictionary.probe(latin.family)[0]
+    given_forms = None if given_abbrev else dictionary.probe(latin.given)[0]
     family_initial = latin.family[0].lower()
     given_initial = latin.given[0].lower()
     splits: list[PersonName] = []

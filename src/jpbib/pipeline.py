@@ -119,6 +119,12 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     dictionary = NameDictionary(store.load_name_records())
     corpus = store.load_corpus()
     match_config = MatchConfig(config.lev_threshold, config.match_threshold)
+    if config.show_common_coauthors and config.match_threshold == 0:
+        # Every corpus name then matches the input authors themselves,
+        # and common_coauthors leaves those out.
+        log.warning(
+            "bhtexport.matchthreshold=0: the common-coauthor display will be empty"
+        )
     store.create_harvest_tables()
 
     mode = "list" if config.use_list_records else (config.min_id, config.max_id)

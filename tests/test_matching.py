@@ -11,6 +11,7 @@ from jpbib.matching import (
     NameDictionary,
     NameStatus,
     PersonName,
+    _probe_forms,
     detect_abbreviated,
     kanji_name_candidates,
     latin_lookup_variants,
@@ -341,8 +342,6 @@ def test_resolution_invariants_over_mock_corpus(name_dictionary):
 
 
 def test_probe_forms_past_the_cap():
-    from jpbib.matching import _probe_forms
-
     # Ten expandable vowel sites: only the input and the fully doubled
     # spelling are probed.
     assert _probe_forms("Aoyamakasamatanaka") == {
@@ -418,3 +417,118 @@ def test_dictionary_indexes_against_brute_force(records, probe):
                 ):
                     expected.append(record.latin)
             assert dictionary.surface_readings(surface, kind) == expected
+
+
+@pytest.mark.parametrize(
+    "latin, kanji",
+    [
+        ("Sinsuke TUBOI", "坪井信介"),
+        ("SINSUKE TUBOI", "坪井信介"),
+        ("TUBOI, Sinsuke", "坪井信介"),
+        ("TAKESI Nakamura", "中村武志"),
+    ],
+)
+def test_resolve_author_all_caps_kunrei(name_dictionary, latin, kanji):
+    # Kunrei spellings convert whatever their case, as "Sinsuke Tuboi" does.
+    assert resolve_author(latin, kanji, name_dictionary).status is NameStatus.OK
+
+
+def test_each_part_is_expanded_once_per_dictionary(name_records, monkeypatch):
+    expanded = []
+
+    def counting(name):
+        expanded.append(name)
+        return latin_lookup_variants(name)
+
+    monkeypatch.setattr("jpbib.matching.latin_lookup_variants", counting)
+    dictionary = NameDictionary(name_records)
+    for _ in range(10):
+        resolution = resolve_author("Shinsuke Mori", "森信介", dictionary)
+        assert resolution.status is NameStatus.OK
+    assert sorted(expanded) == ["mori", "shinsuke"]
+    # No cache outlives its dictionary: a new one expands the parts again.
+    resolve_author("Shinsuke Mori", "森信介", NameDictionary(name_records))
+    assert sorted(expanded) == ["mori", "mori", "shinsuke", "shinsuke"]
+
+
+# Kunrei and Hepburn syllables, length marks, separators and m/n sites;
+# ten syllables can pass VOWEL_SITE_CAP.
+_syllables = st.sampled_from(
+    ["a", "i", "e", "o", "ka", "si", "tu", "hu", "zi", "sya", "tyo", "ou", "oh",
+     "n", "mba", "'", "-", "aiueo"]
+)
+
+
+@st.composite
+def _mixed_case_parts(draw):
+    text = "".join(draw(st.lists(_syllables, min_size=1, max_size=10)))
+    upper = draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+    return "".join(ch.upper() if up else ch for ch, up in zip(text, upper))
+
+
+@st.composite
+def _probe_scenarios(draw):
+    # Name parts, and records whose Latin forms are often probe forms of
+    # those parts, in any case, with or without an inserted apostrophe.
+    parts = draw(st.lists(_mixed_case_parts(), min_size=1, max_size=3))
+    pool = sorted(set().union(*(_probe_forms(part) for part in parts)))
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            latin = draw(st.sampled_from(pool))
+            if draw(st.booleans()):
+                latin = latin.upper()
+            if len(latin) > 1 and draw(st.booleans()):
+                cut = draw(st.integers(1, len(latin) - 1))
+                latin = latin[:cut] + "'" + latin[cut:]
+        else:
+            latin = draw(_mixed_case_parts())
+        records.append(
+            NameRecord(
+                draw(st.sampled_from(["森", "田", "森田", "信介"])),
+                None,
+                latin,
+                draw(st.frozensets(st.sampled_from(list(NameType)), min_size=1)),
+            )
+        )
+    return parts, records
+
+
+@settings(max_examples=200, deadline=None)
+@given(_probe_scenarios())
+def test_probe_memo_against_brute_force(scenario):
+    parts, records = scenario
+    dictionary = NameDictionary(records)
+    for part in parts + [part.swapcase() for part in parts]:
+        forms = _probe_forms(part.lower())  # probing ignores case
+        known: set[str] = set()
+        types: frozenset[NameType] = frozenset()
+        for record in records:
+            latin = record.latin.lower()
+            hits = {latin, latin.replace("'", "")} & forms
+            if hits:
+                known |= hits
+                types |= record.types
+        probed_forms, probed_types = dictionary.probe(part)
+        assert sorted(probed_forms) == sorted(known)
+        assert probed_types == types
+
+
+@settings(max_examples=100, deadline=None)
+@given(_probe_scenarios(), st.data())
+def test_shared_dictionary_resolves_like_a_fresh_one(scenario, data):
+    parts, records = scenario
+    names = st.sampled_from(parts)
+    latin = st.one_of(
+        st.none(),
+        names,
+        st.builds(lambda a, b: f"{a} {b}", names, names),
+        st.builds(lambda a, b: f"{a}, {b}", names, names),
+    )
+    kanji = st.lists(st.sampled_from(["森", "田", "信介"]), max_size=3).map("".join)
+    authors = data.draw(st.lists(st.tuples(latin, kanji), min_size=1, max_size=4))
+    sequence = data.draw(st.permutations(authors * 3))
+    shared = NameDictionary(records)
+    assert [resolve_author(a, k, shared) for a, k in sequence] == [
+        resolve_author(a, k, NameDictionary(records)) for a, k in sequence
+    ]

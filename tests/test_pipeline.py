@@ -766,3 +766,24 @@ def test_rerun_harvest_leaves_only_this_runs_files(tmp_path, capsys):
     volume_5 = root / "journal-article" / "volume-5"
     assert (volume_5 / "all.bht").read_text() == files["journal-article/volume-5/1.bht"]
     assert not (root / "journal-article" / "volume-6").exists()
+
+
+@pytest.mark.parametrize("display, warnings", [(True, 1), (False, 0)])
+def test_run_warns_that_match_threshold_zero_empties_the_coauthor_display(
+    tmp_path, capsys, display, warnings
+):
+    config = make_config_file(tmp_path) if display else coauthor_display_off(tmp_path)
+    config.write_text(
+        config.read_text().replace("[bhtexport]\n", "[bhtexport]\nmatchthreshold=0\n")
+    )
+    provider = build_provider()
+    assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
+    capsys.readouterr()
+    [log_file] = (tmp_path / "log").glob("run-*.log")
+    lines = [
+        line for line in log_file.read_text().splitlines() if "matchthreshold" in line
+    ]
+    assert len(lines) == warnings
+    for line in lines:
+        assert " WARNING " in line
+        assert "common-coauthor display will be empty" in line
