@@ -5,12 +5,18 @@ entities, including named HTML entities defined by its DTD.  Those named
 entities are rewritten to numeric references on the byte level before the
 stream reaches the XML parser, which keeps only the current record's
 elements.  The parse result is held in memory whole: the publication
-list and the edge list, which -d writes to the store.  ``CorpusStore``
-derives each index from the list on first use: the title index at the
-harvest's first ``find_publication``, the coauthor adjacency and its
-token vocabulary at its first ``common_coauthors`` (only with the
-coauthor display on), and ``by_key`` only for callers outside the
-pipeline.
+list and the edge list, which -d writes to the store.
+
+``find_publication`` reads the publications of a title through
+``publications_titled``.  The harvest passes the ``SqliteStore``, which
+answers from its ``dblp_title`` index, so -h keeps no copy of the
+publication list for it.  ``CorpusStore`` answers from a title dict
+instead.  It derives each index from the list on first use: the title
+dict at its first ``find_publication``, the coauthor adjacency and its
+token vocabulary at its first ``common_coauthors``, and ``by_key``.
+The harvest loads a ``CorpusStore`` only with the coauthor display on,
+for the adjacency; the title dict and ``by_key`` serve callers outside
+the pipeline.
 
 ``common_coauthors`` does not compare an author with every adjacency
 name.  With a match threshold above 0, a name can match only if it
@@ -31,7 +37,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from html.entities import name2codepoint
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Protocol, Sequence
 from xml.etree import ElementTree as ET
 
 from .similarity import MatchConfig, levenshtein, names_match
@@ -40,6 +46,7 @@ __all__ = [
     "CoauthorEdge",
     "CorpusPublication",
     "CorpusStore",
+    "TitleLookup",
     "TokenVocabulary",
     "common_coauthors",
     "find_publication",
@@ -164,6 +171,11 @@ class CorpusStore:
             )
         return titles
 
+    def publications_titled(self, title: str) -> list[tuple[str, tuple[str, ...]]]:
+        """(key, authors) of each publication with the normalised title
+        ``title``, in id order."""
+        return [(p.key, p.authors) for p in self.titles.get(title, ())]
+
     @cached_property
     def coauthors(self) -> dict[str, set[str]]:
         """Author -> every author they share a publication with."""
@@ -264,7 +276,7 @@ def parse_corpus(
             key=elem.get("key", f"generated/{pid}"),
             authors=authors,
             title=_text(elem, "title") or "",
-            year=int(year_text) if year_text and year_text.isdigit() else None,
+            year=int(year_text) if year_text and year_text.isdecimal() else None,
             journal=_text(elem, "journal"),
             pages=_text(elem, "pages"),
             volume=_text(elem, "volume"),
@@ -277,18 +289,27 @@ def parse_corpus(
     return CorpusStore(publications), edges
 
 
+class TitleLookup(Protocol):
+    """A corpus that lists the publications of a normalised title:
+    ``CorpusStore`` from its title index, ``SqliteStore`` by a query."""
+
+    def publications_titled(self, title: str) -> Iterable[tuple[str, Sequence[str]]]:
+        ...
+
+
 def find_publication(
     title: str,
     authors: list[str],
-    store: CorpusStore,
+    store: TitleLookup,
     cfg: MatchConfig | None = None,
 ) -> str | None:
-    """Key of a stored publication with the same title and one shared author."""
+    """Key of a stored publication with the same title and one shared
+    author; the first such publication in id order."""
     cfg = cfg or MatchConfig()
-    for publication in store.titles.get(normalize_title(title), ()):
-        for stored_author in publication.authors:
+    for key, stored_authors in store.publications_titled(normalize_title(title)):
+        for stored_author in stored_authors:
             if any(names_match(stored_author, a, cfg) for a in authors):
-                return publication.key
+                return key
     return None
 
 

@@ -122,10 +122,6 @@ class NameDictionary:
         FAMILY_TYPES or GIVEN_TYPES; the list is shared, do not change it."""
         return self._readings.get((surface, kind), [])
 
-    def latin_types(self, latin: str) -> frozenset[NameType]:
-        """Union of types over all records stored under a Latin form."""
-        return self._types.get(latin.lower(), frozenset())
-
     def probe(self, part: str) -> tuple[tuple[str, ...], frozenset[NameType]]:
         """The lowercase variants of a Latin name part that the dictionary
         holds, and the union of their types; case is ignored."""

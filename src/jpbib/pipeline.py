@@ -96,6 +96,7 @@ def stage_parse_dblp(config: Config, store: SqliteStore) -> None:
     store.create_corpus_tables()
     publications = store.add_corpus_publications(corpus.publications)
     edge_count = store.add_coauthor_edges(edges)
+    store.create_title_index()
     log.info("stored %d publications and %d coauthor pairs", publications, edge_count)
 
 
@@ -117,7 +118,11 @@ def stage_enamdict(config: Config, store: SqliteStore) -> None:
 
 def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     dictionary = NameDictionary(store.load_name_records())
-    corpus = store.load_corpus()
+    # Title lookups query the store; a store written before the title
+    # index existed gets it here.  Only the coauthor display reads the
+    # corpus in Python, for its adjacency.
+    store.create_title_index()
+    corpus = store.load_corpus() if config.show_common_coauthors else None
     match_config = MatchConfig(config.lev_threshold, config.match_threshold)
     if config.show_common_coauthors and config.match_threshold == 0:
         # Every corpus name then matches the input authors themselves,
@@ -164,7 +169,7 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
 
         dblp_key = None
         for title, _ in publication.titles:
-            dblp_key = find_publication(title, latin_names, corpus, match_config)
+            dblp_key = find_publication(title, latin_names, store, match_config)
             if dblp_key:
                 break
         outcomes[record.identifier] = RecordOutcome(
@@ -175,7 +180,7 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
         )
 
         shared: list[str] = []
-        if config.show_common_coauthors and latin_names:
+        if corpus is not None and latin_names:
             shared = common_coauthors(latin_names, corpus, match_config)
 
         relative = claim_spf_path(publication, taken)

@@ -7,20 +7,41 @@ corpus, and ``oai_publications``, ``oai_authors``, ``oai_titles``,
 bulk load is one transaction, so a load that fails partway leaves its
 table empty rather than truncated.  A harvested identifier that arrives
 again replaces its earlier rows.
+
+Each connection registers the SQL function ``jpbib_title``, which is
+``dblp.normalize_title``.  The index ``dblp_title`` on
+``dblp(jpbib_title(title))`` answers the harvest's title lookups; -d
+creates it after its bulk insert, and -h creates it in a store
+written before the index existed.  A connection that has not registered the
+function, such as the ``sqlite3`` shell, can still read ``dblp``, but
+its ``INSERT`` into ``dblp`` and its ``PRAGMA integrity_check`` fail
+with "unknown function: jpbib_title()".  Expression indexes need
+SQLite 3.9.0 or later.
 """
 
 import json
 import os
 import sqlite3
+from itertools import combinations
 from typing import Iterable
 
 from .config import Config
-from .dblp import CoauthorEdge, CorpusPublication, CorpusStore
+from .dblp import CoauthorEdge, CorpusPublication, CorpusStore, normalize_title
 from .enamdict import NameRecord, NameType
 from .matching import AuthorResolution
 from .oai import HarvestedPublication
 
 __all__ = ["SqliteStore"]
+
+
+# The stored code string of every set of name types, codes in NameType
+# order, and back: one dict hit per row instead of an enum scan.
+_TYPE_CODES = {
+    frozenset(types): "".join(t.value for t in types)
+    for size in range(len(NameType) + 1)
+    for types in combinations(NameType, size)
+}
+_CODE_TYPES = {codes: types for types, codes in _TYPE_CODES.items()}
 
 
 class SqliteStore:
@@ -34,11 +55,15 @@ class SqliteStore:
     titles = "oai_titles"
     contributors = "oai_contributors"
     descriptions = "oai_descriptions"
+    title_index = "dblp_title"
 
     def __init__(self, config: Config):
         path = config.store_path
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         self.connection = sqlite3.connect(path)
+        self.connection.create_function(
+            "jpbib_title", 1, normalize_title, deterministic=True
+        )
 
     def close(self) -> None:
         self.connection.close()
@@ -89,12 +114,7 @@ class SqliteStore:
         return self._bulk_insert(
             sql,
             (
-                (
-                    r.surface,
-                    r.reading,
-                    r.latin,
-                    "".join(t.value for t in NameType if t in r.types),
-                )
+                (r.surface, r.reading, r.latin, _TYPE_CODES[r.types])
                 for r in records
             ),
         )
@@ -104,9 +124,7 @@ class SqliteStore:
             f"SELECT surface, reading, latin, types FROM {self.names} ORDER BY id"
         ).fetchall()
         return [
-            NameRecord(
-                surface, reading, latin, frozenset(NameType(c) for c in types)
-            )
+            NameRecord(surface, reading, latin, _CODE_TYPES[types])
             for surface, reading, latin, types in rows
         ]
 
@@ -172,6 +190,26 @@ class SqliteStore:
         return self._bulk_insert(
             sql, ((e.author_a, e.author_b, e.publication_id) for e in rows)
         )
+
+    def create_title_index(self) -> None:
+        """Index ``dblp`` by normalised title, unless it already is."""
+        with self.connection:
+            self.connection.execute(
+                f"CREATE INDEX IF NOT EXISTS {self.title_index} "
+                f"ON {self.dblp} (jpbib_title(title))"
+            )
+
+    def publications_titled(self, title: str) -> list[tuple[str, tuple[str, ...]]]:
+        """(key, authors) of each publication with the normalised title
+        ``title``, in id order, as ``CorpusStore.publications_titled``."""
+        return [
+            (key, tuple(json.loads(authors)))
+            for key, authors in self.connection.execute(
+                f"SELECT key, authors FROM {self.dblp} "
+                "WHERE jpbib_title(title) = ? ORDER BY id",
+                (title,),
+            )
+        ]
 
     def load_corpus(self) -> CorpusStore:
         return CorpusStore(

@@ -127,6 +127,19 @@ def test_entity_split_across_chunks(corpus):
         assert edges == corpus[1]
 
 
+def test_year_must_be_decimal():
+    # "&sup2;" is a digit but no decimal, so int() would reject it.
+    xml = (
+        b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
+        b'<article key="y/1"><title>One</title><year>&sup2;</year></article>\n'
+        b'<article key="y/2"><title>Two</title><year>&#65298;&#65296;&#65296;&#65297;'
+        b"</year></article>\n"
+        b"</dblp>\n"
+    )
+    store, _ = parse_corpus(io.BytesIO(xml))
+    assert [p.year for p in store.publications] == [None, 2001]
+
+
 def test_unknown_record_type_warns(caplog):
     xml = (
         b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'

@@ -105,13 +105,13 @@ def test_latin_lookup_variants_deduplicated():
 
 def test_dictionary_lookup_succeeds_for_both_apostrophe_spellings(name_dictionary):
     male = frozenset({NameType.MALE_GIVEN})
-    assert name_dictionary.latin_types("Shin'ichi") == male
-    assert name_dictionary.latin_types("Shinichi") == male
+    assert name_dictionary.probe("Shin'ichi")[1] == male
+    assert name_dictionary.probe("Shinichi") == (("shinichi",), male)
     # The reading keeps the dictionary spelling.
     assert name_dictionary.surface_readings("真一", GIVEN_TYPES) == ["Shin'ichi"]
     # Case-insensitive keys.
-    assert name_dictionary.latin_types("MORI") == name_dictionary.latin_types("mori")
-    assert name_dictionary.latin_types("mori")
+    assert name_dictionary.probe("MORI") == name_dictionary.probe("mori")
+    assert name_dictionary.probe("mori")[1]
 
 
 def test_dictionary_apostrophe_free_spelling_keeps_types():
@@ -124,9 +124,11 @@ def test_dictionary_apostrophe_free_spelling_keeps_types():
             NameRecord("森田", "もりだ", "Morida", surname),
         ]
     )
-    assert dictionary.latin_types("morida") == surname
-    assert dictionary.latin_types("Jun'ya") == given
-    assert dictionary.latin_types("junya") == given | surname
+    assert dictionary.probe("morida") == (("morida",), surname)
+    # "junya" holds the types of both records; "jun'ya" also probes "junya".
+    assert dictionary.probe("junya") == (("junya",), given | surname)
+    forms, types = dictionary.probe("Jun'ya")
+    assert sorted(forms) == ["jun'ya", "junya"] and types == given | surname
     assert dictionary.surface_readings("純也", GIVEN_TYPES) == ["Jun'ya"]
     assert dictionary.surface_readings("純也", FAMILY_TYPES) == []
 
@@ -397,15 +399,19 @@ def test_dictionary_indexes_against_brute_force(records, probe):
         for spelling in (record.latin, record.latin.replace("'", "").upper())
     ]
     for latin in probes:
+        # The type index holds each record under its lowercase spelling
+        # and that spelling without apostrophes; probe reads it for every
+        # spelling variant of the part.
+        forms = _probe_forms(latin)
         expected = frozenset().union(
             *(
                 record.types
                 for record in records
-                if latin.lower()
-                in (record.latin.lower(), record.latin.lower().replace("'", ""))
+                if forms
+                & {record.latin.lower(), record.latin.lower().replace("'", "")}
             )
         )
-        assert dictionary.latin_types(latin) == expected
+        assert dictionary.probe(latin)[1] == expected
     for surface in _surfaces:
         for kind in (FAMILY_TYPES, GIVEN_TYPES):
             expected = []

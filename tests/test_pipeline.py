@@ -5,6 +5,8 @@ import logging
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpbib.config import Config, ConfigError, parse_config
 from jpbib.matching import NameStatus
@@ -166,6 +168,30 @@ def test_store_names_roundtrip(store, name_records):
     assert store.load_name_records() == name_records
 
 
+def test_store_name_types_roundtrip_every_subset(store):
+    from itertools import combinations
+
+    from jpbib.enamdict import NameRecord, NameType
+
+    subsets = [
+        frozenset(chosen)
+        for size in range(len(NameType) + 1)
+        for chosen in combinations(NameType, size)
+    ]
+    assert len(subsets) == 32
+    records = [
+        NameRecord("森", None, f"Mori{i}", types) for i, types in enumerate(subsets)
+    ]
+    store.create_names_table()
+    store.add_name_records(records)
+    assert store.load_name_records() == records
+    # The stored codes follow NameType order, as before the code tables.
+    codes = store.connection.execute(f"SELECT types FROM {store.names} ORDER BY id")
+    assert [code for (code,) in codes] == [
+        "".join(t.value for t in NameType if t in types) for types in subsets
+    ]
+
+
 def test_store_load_that_fails_partway_keeps_no_rows(tmp_path):
     from jpbib.enamdict import NameRecord, NameType
 
@@ -205,6 +231,96 @@ def test_store_corpus_roundtrip(store):
         f"SELECT author_a, author_b, publication_id FROM {store.edges} ORDER BY id"
     )
     assert [CoauthorEdge(*row) for row in rows] == edges
+
+
+def stored_corpus(store, publications):
+    store.create_corpus_tables()
+    store.add_corpus_publications(publications)
+    store.create_title_index()
+
+
+def title_variants(title: str) -> list[str]:
+    """Spellings of ``title`` that normalise alike, and two that do not."""
+    return [
+        title,
+        title.upper(),
+        title.lower(),
+        "  " + title.replace(" ", " \t ") + "\n",
+        title.rstrip(".") + "..",
+        title.rstrip("."),
+        title + " extended",
+        title[: len(title) // 2],
+    ]
+
+
+def test_store_title_lookup_agrees_with_the_parsed_corpus(store):
+    from jpbib.dblp import find_publication, normalize_title, parse_corpus
+
+    with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
+        corpus, _ = parse_corpus(handle)
+    stored_corpus(store, corpus.publications)
+    hits = 0
+    for publication in corpus.publications:
+        others = [
+            author
+            for other in corpus.publications
+            for author in other.authors
+            if author not in publication.authors
+        ]
+        for title in title_variants(publication.title):
+            normalised = normalize_title(title)
+            expected = corpus.publications_titled(normalised)
+            assert store.publications_titled(normalised) == expected
+            for authors in (list(publication.authors), ["Somebody Else"], others, []):
+                key = find_publication(title, authors, store)
+                assert key == find_publication(title, authors, corpus)
+                hits += key is not None
+    assert hits >= 4 * len(corpus.publications)
+
+
+def test_store_title_lookup_uses_the_title_index(store):
+    from jpbib.dblp import CorpusPublication
+
+    stored_corpus(store, [CorpusPublication(1, "k/1", ("Ann",), "One.")])
+    statements = []
+    store.connection.set_trace_callback(statements.append)
+    assert store.publications_titled("one") == [("k/1", ("Ann",))]
+    store.connection.set_trace_callback(None)
+    [lookup] = statements
+    plan = store.connection.execute(f"EXPLAIN QUERY PLAN {lookup}").fetchall()
+    assert any(f"USING INDEX {store.title_index}" in row[-1] for row in plan)
+
+
+_corpus_titles = st.lists(
+    st.tuples(
+        st.sampled_from(["One", "one.", " ONE ", "Two", "two..", "Three"]),
+        st.lists(st.sampled_from(["Ann Lee", "Bo Chan", "Cy Ito"]), max_size=3),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _corpus_titles,
+    st.sampled_from(["one", "TWO.", "three", "four"]),
+    st.lists(st.sampled_from(["Ann Lee", "Bo Chan", "Cy Ito", "Di Ono"]), max_size=2),
+)
+def test_store_title_lookup_with_repeated_titles(
+    tmp_path_factory, entries, title, authors
+):
+    from jpbib.dblp import CorpusPublication, CorpusStore, find_publication
+
+    publications = [
+        CorpusPublication(pid, f"k/{pid}", tuple(names), text)
+        for pid, (text, names) in enumerate(entries, start=1)
+    ]
+    config = Config(base_dir=str(tmp_path_factory.getbasetemp()), db_name="titles")
+    with SqliteStore(config) as store:
+        stored_corpus(store, publications)
+        assert find_publication(title, authors, store) == find_publication(
+            title, authors, CorpusStore(publications)
+        )
 
 
 def test_store_harvested_roundtrip(store, name_dictionary):
@@ -449,8 +565,12 @@ def test_run_all_ignores_retired_table_keys(tmp_path, capsys):
         "oai_contributors",
         "oai_descriptions",
     }
-    # The only indexes are SQLite's own for the two UNIQUE columns.
-    indexes = {"sqlite_autoindex_dblp_1", "sqlite_autoindex_oai_publications_1"}
+    # SQLite's own indexes for the two UNIQUE columns, and the title index.
+    indexes = {
+        "sqlite_autoindex_dblp_1",
+        "sqlite_autoindex_oai_publications_1",
+        "dblp_title",
+    }
     assert schema == {("table", name) for name in tables} | {
         ("index", name) for name in indexes
     }
@@ -582,9 +702,29 @@ def test_run_without_coauthor_display_builds_no_adjacency(
     provider = build_provider()
     assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
     capsys.readouterr()
-    [corpus] = loaded
-    indexes = {"by_key", "titles", "coauthors", "coauthor_tokens"}
-    assert indexes & set(vars(corpus)) == {"titles"}
+    # Title lookups query the store: no corpus copy is loaded at all.
+    assert loaded == []
+
+
+def test_harvest_recreates_a_dropped_title_index(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    provider = build_provider()
+    assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
+    root = tmp_path / "bht"
+    before = {path: path.read_bytes() for path in sorted(root.rglob("*.bht"))}
+    assert any(b"<dblpkey>" in data for data in before.values())
+    index = ("index", SqliteStore.title_index)
+    with SqliteStore(parse_config(str(config))) as opened:
+        opened.connection.execute(f"DROP INDEX {opened.title_index}")
+        schema = set(opened.connection.execute("SELECT type, name FROM sqlite_master"))
+        assert index not in schema
+    assert run(["--config", str(config), "-h"], fetch=provider.fetch) == 0
+    capsys.readouterr()
+    with SqliteStore(parse_config(str(config))) as opened:
+        schema = set(opened.connection.execute("SELECT type, name FROM sqlite_master"))
+    assert index in schema
+    # The harvest rewrote every file, all.bht aside, with the same bytes.
+    assert {path: path.read_bytes() for path in sorted(root.rglob("*.bht"))} == before
 
 
 def test_run_stages_separately(tmp_path, capsys):
