@@ -8,15 +8,11 @@ elements.  The parse result is held in memory whole: the publication
 list and the edge list, which -d writes to the store.
 
 ``find_publication`` reads the publications of a title through
-``publications_titled``.  The harvest passes the ``SqliteStore``, which
-answers from its ``dblp_title`` index, so -h keeps no copy of the
-publication list for it.  ``CorpusStore`` answers from a title dict
-instead.  It derives each index from the list on first use: the title
-dict at its first ``find_publication``, the coauthor adjacency and its
-token vocabulary at its first ``common_coauthors``, and ``by_key``.
-The harvest loads a ``CorpusStore`` only with the coauthor display on,
-for the adjacency; the title dict and ``by_key`` serve callers outside
-the pipeline.
+``publications_titled``: ``SqliteStore`` answers from its ``dblp_title``
+index, ``CorpusStore`` by a scan of its list.  ``Coauthors`` is the one
+coauthor adjacency; -h builds it from the stored edge table, so it
+holds no copy of the corpus, and ``CorpusStore.coauthors`` builds it
+from the parsed publications.
 
 ``common_coauthors`` does not compare an author with every adjacency
 name.  With a match threshold above 0, a name can match only if it
@@ -44,6 +40,7 @@ from .similarity import MatchConfig, levenshtein, names_match
 
 __all__ = [
     "CoauthorEdge",
+    "Coauthors",
     "CorpusPublication",
     "CorpusStore",
     "TitleLookup",
@@ -161,35 +158,37 @@ class CorpusStore:
     def by_key(self) -> dict[str, CorpusPublication]:
         return {publication.key: publication for publication in self.publications}
 
-    @cached_property
-    def titles(self) -> dict[str, list[CorpusPublication]]:
-        """Normalised title -> the publications with that title."""
-        titles: dict[str, list[CorpusPublication]] = {}
-        for publication in self.publications:
-            titles.setdefault(normalize_title(publication.title), []).append(
-                publication
-            )
-        return titles
-
     def publications_titled(self, title: str) -> list[tuple[str, tuple[str, ...]]]:
         """(key, authors) of each publication with the normalised title
-        ``title``, in id order."""
-        return [(p.key, p.authors) for p in self.titles.get(title, ())]
+        ``title``, in id order, by the scan ``dblp_title`` is tested against."""
+        return [
+            (p.key, p.authors)
+            for p in self.publications
+            if normalize_title(p.title) == title
+        ]
 
     @cached_property
-    def coauthors(self) -> dict[str, set[str]]:
-        """Author -> every author they share a publication with."""
-        coauthors: dict[str, set[str]] = {}
-        for publication in self.publications:
-            for author_a, author_b in coauthor_pairs(publication.authors):
-                coauthors.setdefault(author_a, set()).add(author_b)
-                coauthors.setdefault(author_b, set()).add(author_a)
-        return coauthors
+    def coauthors(self) -> "Coauthors":
+        return Coauthors(
+            pair
+            for publication in self.publications
+            for pair in coauthor_pairs(publication.authors)
+        )
+
+
+class Coauthors(dict[str, set[str]]):
+    """Author -> every author they share a publication with, in pair order."""
+
+    def __init__(self, pairs: Iterable[tuple[str, str]]) -> None:
+        super().__init__()
+        for author_a, author_b in pairs:
+            self.setdefault(author_a, set()).add(author_b)
+            self.setdefault(author_b, set()).add(author_a)
 
     @cached_property
-    def coauthor_tokens(self) -> "TokenVocabulary":
+    def tokens(self) -> "TokenVocabulary":
         """The token vocabulary of the adjacency's names."""
-        return TokenVocabulary(self.coauthors)
+        return TokenVocabulary(self)
 
 
 class TokenVocabulary:
@@ -291,7 +290,7 @@ def parse_corpus(
 
 class TitleLookup(Protocol):
     """A corpus that lists the publications of a normalised title:
-    ``CorpusStore`` from its title index, ``SqliteStore`` by a query."""
+    ``CorpusStore`` by a scan, ``SqliteStore`` from its title index."""
 
     def publications_titled(self, title: str) -> Iterable[tuple[str, Sequence[str]]]:
         ...
@@ -315,7 +314,7 @@ def find_publication(
 
 def common_coauthors(
     authors: list[str],
-    store: CorpusStore,
+    coauthors: Coauthors,
     cfg: MatchConfig | None = None,
 ) -> list[str]:
     """Corpus authors that at least two of the given authors worked with.
@@ -331,9 +330,9 @@ def common_coauthors(
     counts: dict[str, int] = {}
     for author in dict.fromkeys(authors):
         neighbourhood: set[str] = set()
-        for name in store.coauthor_tokens.candidates(author, cfg.lev_threshold):
+        for name in coauthors.tokens.candidates(author, cfg.lev_threshold):
             if names_match(author, name, cfg):
-                neighbourhood |= store.coauthors[name]
+                neighbourhood |= coauthors[name]
         for neighbour in neighbourhood:
             counts[neighbour] = counts.get(neighbour, 0) + 1
     return sorted(

@@ -72,11 +72,8 @@ def filter_types(raw: str) -> frozenset[NameType]:
     """
     if _VALID_TYPES_RE.fullmatch(raw) is None:
         return frozenset()
-    found = set()
-    for token in _TYPE_TOKEN_RE.findall(raw):
-        if token in PERSON_TYPE_CODES:
-            found.add(PERSON_TYPE_CODES[token])
-    return frozenset(found)
+    tokens = _TYPE_TOKEN_RE.findall(raw)
+    return frozenset(PERSON_TYPE_CODES[t] for t in tokens if t in PERSON_TYPE_CODES)
 
 
 _HEAD_RE = re.compile(r"^(?P<surface>\S+)(?:\s+\[(?P<reading>[^\]]*)\])?\s*$")
@@ -182,10 +179,9 @@ def parse_file(
         warnings.extend(warns)
         for record in recs:
             key = (record.surface, record.latin, record.types)
-            if key in seen:
-                continue
-            seen.add(key)
-            records.append(record)
+            if key not in seen:
+                seen.add(key)
+                records.append(record)
     return records, warnings
 
 

@@ -351,8 +351,6 @@ def kanji_name_candidates(
     for i in range(1, len(kanji)):
         family_readings = dictionary.surface_readings(kanji[:i], FAMILY_TYPES)
         given_readings = dictionary.surface_readings(kanji[i:], GIVEN_TYPES)
-        if not family_readings or not given_readings:
-            continue
         for family in family_readings:
             for given in given_readings:
                 key = (given, family)

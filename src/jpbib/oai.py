@@ -225,8 +225,7 @@ def get_record(
 
 
 def _local_name(elem: ET.Element) -> str:
-    tag = elem.tag
-    return tag.rsplit("}", 1)[-1] if "}" in tag else tag
+    return elem.tag.rsplit("}", 1)[-1]
 
 
 _LANG_ATTR = "{http://www.w3.org/XML/1998/namespace}lang"
@@ -266,10 +265,7 @@ def _pair_creators(raw: list[str]) -> list[tuple[str | None, str | None]]:
             creators.append((latin, kanji))
             i += 2
         else:
-            if current_kanji:
-                creators.append((None, current))
-            else:
-                creators.append((current, None))
+            creators.append((None, current) if current_kanji else (current, None))
             i += 1
     return creators
 

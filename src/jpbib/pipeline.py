@@ -94,8 +94,10 @@ def stage_parse_dblp(config: Config, store: SqliteStore) -> None:
     with open(path, "rb") as handle:
         corpus, edges = parse_corpus(handle)
     store.create_corpus_tables()
-    publications = store.add_corpus_publications(corpus.publications)
+    # Edges first: -h reads the adjacency from them, and a failed edge
+    # load then leaves no dblp rows, so has_corpus() is False.
     edge_count = store.add_coauthor_edges(edges)
+    publications = store.add_corpus_publications(corpus.publications)
     store.create_title_index()
     log.info("stored %d publications and %d coauthor pairs", publications, edge_count)
 
@@ -119,10 +121,9 @@ def stage_enamdict(config: Config, store: SqliteStore) -> None:
 def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     dictionary = NameDictionary(store.load_name_records())
     # Title lookups query the store; a store written before the title
-    # index existed gets it here.  Only the coauthor display reads the
-    # corpus in Python, for its adjacency.
+    # index existed gets it here.  The adjacency comes from the edge table.
     store.create_title_index()
-    corpus = store.load_corpus() if config.show_common_coauthors else None
+    coauthors = store.load_coauthors() if config.show_common_coauthors else None
     match_config = MatchConfig(config.lev_threshold, config.match_threshold)
     if config.show_common_coauthors and config.match_threshold == 0:
         # Every corpus name then matches the input authors themselves,
@@ -141,59 +142,64 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     outcomes: dict[str, RecordOutcome] = {}
 
     log.info("harvesting %s (mode=%s)", config.endpoint or "<injected>", mode)
-    for record, publication in harvest(
-        config.endpoint,
-        "junii2",
-        mode,
-        fetch=fetch,
-        id_prefix=config.id_prefix,
-        save_dir=save_dir,
-    ):
-        # A repeated identifier replaces its earlier copy, rows and file
-        # included; a deleted or unparsable last copy leaves nothing.
-        earlier = written.pop(record.identifier, None)
-        if earlier:
-            store.remove_harvested(record.identifier)
-            taken.discard(earlier)
-        if record.deleted or publication is None:
-            outcomes[record.identifier] = RecordOutcome(record.deleted)
-            continue
+    # No row is committed before flush(), so a failure keeps no part file.
+    try:
+        for record, publication in harvest(
+            config.endpoint,
+            "junii2",
+            mode,
+            fetch=fetch,
+            id_prefix=config.id_prefix,
+            save_dir=save_dir,
+        ):
+            # A repeated identifier replaces its earlier copy, rows and file
+            # included; a deleted or unparsable last copy leaves nothing.
+            earlier = written.pop(record.identifier, None)
+            if earlier:
+                store.remove_harvested(record.identifier)
+                taken.discard(earlier)
+            if record.deleted or publication is None:
+                outcomes[record.identifier] = RecordOutcome(record.deleted)
+                continue
 
-        resolutions = [
-            resolve_author(latin, kanji, dictionary)
-            for latin, kanji in publication.creators
-        ]
-        latin_names = [
-            r.latin.display() for r in resolutions if r.latin and r.latin.display()
-        ]
+            resolutions = [
+                resolve_author(latin, kanji, dictionary)
+                for latin, kanji in publication.creators
+            ]
+            latin_names = [
+                r.latin.display() for r in resolutions if r.latin and r.latin.display()
+            ]
 
-        dblp_key = None
-        for title, _ in publication.titles:
-            dblp_key = find_publication(title, latin_names, store, match_config)
-            if dblp_key:
-                break
-        outcomes[record.identifier] = RecordOutcome(
-            False,
-            (publication.publication_type, publication.language),
-            tuple(resolution.status for resolution in resolutions),
-            bool(dblp_key),
-        )
+            dblp_key = None
+            for title, _ in publication.titles:
+                dblp_key = find_publication(title, latin_names, store, match_config)
+                if dblp_key:
+                    break
+            outcomes[record.identifier] = RecordOutcome(
+                False,
+                (publication.publication_type, publication.language),
+                tuple(resolution.status for resolution in resolutions),
+                bool(dblp_key),
+            )
 
-        shared: list[str] = []
-        if corpus is not None and latin_names:
-            shared = common_coauthors(latin_names, corpus, match_config)
+            shared: list[str] = []
+            if coauthors is not None and latin_names:
+                shared = common_coauthors(latin_names, coauthors, match_config)
 
-        relative = claim_spf_path(publication, taken)
-        target = os.path.join(bht_root, relative)
-        if os.path.commonpath([bht_root, os.path.abspath(target)]) != bht_root:
-            raise OSError(f"BHT path {target!r} leaves {bht_root!r}")
-        store.add_harvested(publication, resolutions, dblp_key)
-        entry = build_entry(publication, resolutions, shared, dblp_key)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        with open(target, "w", encoding="ascii", newline="") as handle:
-            handle.write(render_spf(entry))
-        written[publication.identifier] = relative
-    store.flush()
+            relative = claim_spf_path(publication, taken)
+            target = os.path.join(bht_root, relative)
+            if os.path.commonpath([bht_root, os.path.abspath(target)]) != bht_root:
+                raise OSError(f"BHT path {target!r} leaves {bht_root!r}")
+            store.add_harvested(publication, resolutions, dblp_key)
+            entry = build_entry(publication, resolutions, shared, dblp_key)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            with open(target, "w", encoding="ascii", newline="") as handle:
+                handle.write(render_spf(entry))
+            written[publication.identifier] = relative
+        store.flush()
+    except BaseException:
+        remove_unclaimed(bht_root, set())
+        raise
     remove_unclaimed(bht_root, taken)
     return RunStatistics(outcomes.values())
 

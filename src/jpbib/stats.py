@@ -47,12 +47,10 @@ class RunStatistics:
             "deleted_records": self.deleted_records,
             "parse_errors": self.parse_errors,
             "duplicates_found": self.duplicates_found,
-            "publication_types": dict(sorted(self.publication_types.items())),
-            "languages": dict(sorted(self.languages.items())),
-            "name_statuses": dict(sorted(self.name_statuses.items())),
-            "name_status_percentages": dict(
-                sorted(self.status_percentages().items())
-            ),
+            "publication_types": dict(self.publication_types),
+            "languages": dict(self.languages),
+            "name_statuses": dict(self.name_statuses),
+            "name_status_percentages": self.status_percentages(),
         }
 
     def to_json(self) -> str:

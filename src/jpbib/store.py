@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .config import Config
-from .dblp import CoauthorEdge, CorpusPublication, CorpusStore, normalize_title
+from .dblp import CoauthorEdge, Coauthors, CorpusPublication, CorpusStore, normalize_title
 from .enamdict import NameRecord, NameType
 from .matching import AuthorResolution
 from .oai import HarvestedPublication
@@ -134,8 +134,7 @@ class SqliteStore:
     # -- corpus ---------------------------------------------------------------
 
     def create_corpus_tables(self) -> None:
-        # The edge table is an output of -d for queries outside jpbib; the
-        # harvest derives the adjacency from the publication rows instead.
+        # -h reads the coauthor adjacency from the edge table alone.
         self.connection.executescript(
             f"""
             DROP TABLE IF EXISTS {self.dblp};
@@ -211,6 +210,13 @@ class SqliteStore:
             )
         ]
 
+    def load_coauthors(self) -> Coauthors:
+        """The edge table's adjacency, filled in edge (parse) order."""
+        sql = f"SELECT author_a, author_b FROM {self.edges} ORDER BY id"
+        return Coauthors(self.connection.execute(sql))
+
+    # No stage calls this.  Tests and perfbench/tracing.py still read it,
+    # so it goes only in a later change to the benchmark.
     def load_corpus(self) -> CorpusStore:
         return CorpusStore(
             CorpusPublication(pid, key, tuple(json.loads(authors)), *rest)

@@ -66,7 +66,7 @@ def golden_entry(name_dictionary):
     with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
         store, _ = parse_corpus(handle)
     shared = common_coauthors(
-        [r.latin.display() for r in resolutions if r.latin], store
+        [r.latin.display() for r in resolutions if r.latin], store.coauthors
     )
     return build_entry(publication, resolutions, shared)
 

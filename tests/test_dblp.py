@@ -33,7 +33,7 @@ def corpus():
     return fresh_corpus()
 
 
-INDEXES = {"by_key", "titles", "coauthors", "coauthor_tokens"}
+INDEXES = {"by_key", "coauthors"}
 
 
 def test_parse_builds_no_index():
@@ -41,10 +41,11 @@ def test_parse_builds_no_index():
     assert not INDEXES & set(vars(store))
 
 
-def test_find_publication_builds_only_the_title_index():
+def test_find_publication_builds_no_index():
+    # A parsed corpus answers title lookups by a scan of its list.
     store, _ = fresh_corpus()
     assert find_publication("Further Normalization", ["E. F. Codd"], store) is None
-    assert INDEXES & set(vars(store)) == {"titles"}
+    assert not INDEXES & set(vars(store))
 
 
 def test_codd_record_fields(corpus):
@@ -206,25 +207,26 @@ def test_common_coauthors(corpus):
     store, _ = corpus
     cfg = MatchConfig()
     result = common_coauthors(
-        ["Shinsuke Mori", "Graham Neubig", "Yuuta Tsuboi"], store, cfg
+        ["Shinsuke Mori", "Graham Neubig", "Yuuta Tsuboi"], store.coauthors, cfg
     )
     assert result == ["Masato Mimura"]
 
 
 def test_common_coauthors_single_input(corpus):
     store, _ = corpus
-    assert common_coauthors(["Shinsuke Mori"], store) == []
+    assert common_coauthors(["Shinsuke Mori"], store.coauthors) == []
 
 
 def test_common_coauthors_no_shared_third_party(corpus):
     store, _ = corpus
-    assert common_coauthors(["E. F. Codd", "Markus Tresch"], store) == []
+    assert common_coauthors(["E. F. Codd", "Markus Tresch"], store.coauthors) == []
 
 
 def test_common_coauthors_builds_the_adjacency_and_its_vocabulary():
     store, _ = fresh_corpus()
-    common_coauthors(["Shinsuke Mori", "Graham Neubig"], store)
-    assert INDEXES & set(vars(store)) == {"coauthors", "coauthor_tokens"}
+    common_coauthors(["Shinsuke Mori", "Graham Neubig"], store.coauthors)
+    assert INDEXES & set(vars(store)) == {"coauthors"}
+    assert set(vars(store.coauthors)) == {"tokens"}
 
 
 def store_of(author_lists) -> CorpusStore:
@@ -269,7 +271,7 @@ configs = st.builds(
 )
 def test_common_coauthors_equals_the_scan(author_lists, authors, cfg):
     store = store_of(author_lists)
-    assert common_coauthors(authors, store, cfg) == scan_common_coauthors(
+    assert common_coauthors(authors, store.coauthors, cfg) == scan_common_coauthors(
         authors, store, cfg
     )
 
@@ -298,7 +300,7 @@ def test_common_coauthors_compares_only_candidates(monkeypatch):
         return names_match(a, b, cfg)
 
     monkeypatch.setattr(dblp, "names_match", counting)
-    assert common_coauthors([far[10], far[12]], store) == [far[11]]
+    assert common_coauthors([far[10], far[12]], store.coauthors) == [far[11]]
     assert len(store.coauthors) == len(far)
     assert len(calls) < len(far) // 10
 

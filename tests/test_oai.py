@@ -108,6 +108,17 @@ def test_bad_resumption_token(provider):
     assert info.value.code == "badResumptionToken"
 
 
+def test_superscript_resumption_token_is_bad(provider):
+    # "²" is a digit but not a decimal, so int() would reject it.
+    with pytest.raises(OaiProtocolError) as info:
+        list_records(ENDPOINT, "junii2", "²", fetch=provider.fetch)
+    assert info.value.code == "badResumptionToken"
+
+
+def test_get_record_with_superscript_number_does_not_exist(provider):
+    assert get_record(ENDPOINT, "junii2", "oai:mock:²", fetch=provider.fetch) is None
+
+
 def test_unknown_prefix(provider):
     with pytest.raises(OaiProtocolError) as info:
         list_records(ENDPOINT, "nope", fetch=provider.fetch)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from jpbib.config import Config, ConfigError, parse_config
 from jpbib.matching import NameStatus
-from jpbib.oai import OAI_NS, get_record, parse_junii2
+from jpbib.oai import OAI_NS, TransportError, get_record, parse_junii2
 from jpbib.oai_mock import junii2_payload
 from jpbib.pipeline import run
 from jpbib.stats import RecordOutcome, RunStatistics
@@ -224,13 +224,68 @@ def test_store_corpus_roundtrip(store):
     assert store.has_corpus()
     loaded = store.load_corpus()
     assert loaded.publications == corpus.publications
-    assert loaded.titles == corpus.titles
     assert loaded.by_key == corpus.by_key
     assert loaded.coauthors == corpus.coauthors
     rows = store.connection.execute(
         f"SELECT author_a, author_b, publication_id FROM {store.edges} ORDER BY id"
     )
     assert [CoauthorEdge(*row) for row in rows] == edges
+
+
+def test_parse_dblp_whose_edge_load_fails_leaves_no_corpus(
+    tmp_path, capsys, monkeypatch
+):
+    import sqlite3
+
+    config = make_config_file(tmp_path)
+    assert run(["--config", str(config), "-d", "-e"]) == 0
+    add_coauthor_edges = SqliteStore.add_coauthor_edges
+
+    def failing(self, rows):
+        def partway():
+            yield from list(rows)[:3]
+            raise sqlite3.OperationalError("disk I/O error")
+
+        return add_coauthor_edges(self, partway())
+
+    monkeypatch.setattr(SqliteStore, "add_coauthor_edges", failing)
+    assert run(["--config", str(config), "-d"]) == 1
+    with SqliteStore(parse_config(str(config))) as opened:
+        assert not opened.has_corpus()
+        assert opened.load_coauthors() == {}
+    assert run(["--config", str(config), "-h"], fetch=build_provider().fetch) == 3
+    capsys.readouterr()
+
+
+# Few letters, so that names repeat within and across publications;
+# blank names strip to "".
+_corpus_authors = st.lists(
+    st.lists(st.text(alphabet="abAB ", max_size=4), max_size=4), max_size=8
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpus_authors, st.lists(st.text(alphabet="abAB ", max_size=4), max_size=3))
+def test_store_coauthors_equal_the_parsed_corpus(tmp_path_factory, entries, authors):
+    from jpbib.dblp import common_coauthors, parse_corpus
+
+    xml = "".join(
+        f'<article key="k/{n}">'
+        + "".join(f"<author>{name}</author>" for name in names)
+        + "<title>T</title></article>"
+        for n, names in enumerate(entries)
+    )
+    corpus, edges = parse_corpus([f"<dblp>{xml}</dblp>".encode()])
+    parsed = corpus.coauthors
+    config = Config(base_dir=str(tmp_path_factory.getbasetemp()), db_name="edges")
+    with SqliteStore(config) as store:
+        store.create_corpus_tables()
+        store.add_coauthor_edges(edges)
+        loaded = store.load_coauthors()
+    assert loaded == parsed
+    assert list(loaded) == list(parsed)
+    assert list(loaded.tokens.names.items()) == list(parsed.tokens.names.items())
+    assert common_coauthors(authors, loaded) == common_coauthors(authors, parsed)
 
 
 def stored_corpus(store, publications):
@@ -690,20 +745,35 @@ def test_run_common_coauthors_toggle_off(tmp_path, capsys):
 def test_run_without_coauthor_display_builds_no_adjacency(
     tmp_path, capsys, monkeypatch
 ):
-    loaded = []
-    load_corpus = SqliteStore.load_corpus
+    # -h holds no copy of the corpus: title lookups query the store, and
+    # only the coauthor display reads the adjacency, from the edge table.
+    from jpbib.dblp import CorpusPublication
 
-    def spy(self):
-        loaded.append(load_corpus(self))
-        return loaded[-1]
+    calls = []
 
-    monkeypatch.setattr(SqliteStore, "load_corpus", spy)
-    config = coauthor_display_off(tmp_path)
-    provider = build_provider()
-    assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
+    def spy(name, original):
+        def recorded(self, *args, **kwargs):
+            calls.append((display, name))
+            return original(self, *args, **kwargs)
+
+        return recorded
+
+    for display in (False, True):
+        directory = tmp_path / str(display)
+        directory.mkdir()
+        config = (make_config_file if display else coauthor_display_off)(directory)
+        assert run(["--config", str(config), "-d", "-e"]) == 0
+        with monkeypatch.context() as patch:
+            for owner, name in (
+                (SqliteStore, "load_corpus"),
+                (SqliteStore, "load_coauthors"),
+                (CorpusPublication, "__init__"),
+            ):
+                patch.setattr(owner, name, spy(name, getattr(owner, name)))
+            fetch = build_provider().fetch
+            assert run(["--config", str(config), "-h", "-b"], fetch=fetch) == 0
     capsys.readouterr()
-    # Title lookups query the store: no corpus copy is loaded at all.
-    assert loaded == []
+    assert calls == [(True, "load_coauthors")]
 
 
 def test_harvest_recreates_a_dropped_title_index(tmp_path, capsys):
@@ -906,6 +976,28 @@ def test_rerun_harvest_leaves_only_this_runs_files(tmp_path, capsys):
     volume_5 = root / "journal-article" / "volume-5"
     assert (volume_5 / "all.bht").read_text() == files["journal-article/volume-5/1.bht"]
     assert not (root / "journal-article" / "volume-6").exists()
+
+
+def test_failed_harvest_leaves_no_file_without_a_row(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    provider = build_provider()
+    assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
+    root = tmp_path / "bht"
+    assert written_bht(root)
+    requests = []
+
+    def failing(url):
+        requests.append(url)
+        if len(requests) > 1:
+            raise TransportError(url, 1, status=404)
+        return provider.fetch(url)
+
+    assert run(["--config", str(config), "-h"], fetch=failing) == 1
+    assert written_bht(root) == {}
+    assert harvested_row_counts(config) == [0, 0, 0]
+    assert run(["--config", str(config), "-b"]) == 0
+    assert list(root.rglob("*.bht")) == []
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("display, warnings", [(True, 1), (False, 0)])
