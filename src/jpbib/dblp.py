@@ -3,9 +3,10 @@
 The corpus file declares Latin-1 and writes everything else as character
 entities, including named HTML entities defined by its DTD.  Those named
 entities are rewritten to numeric references on the byte level before the
-stream reaches the XML parser, which keeps only the current record's
-elements.  The parse result is held in memory whole: the publication
-list and the edge list, which -d writes to the store.
+stream reaches the XML parser.  ``iter_corpus`` drives pyexpat with
+element and text handlers and keeps only the current record's fields,
+so it yields publications one by one in constant memory; -d inserts
+them into the store as they come.  ``parse_corpus`` collects them.
 
 ``find_publication`` reads the publications of a title through
 ``publications_titled``: ``SqliteStore`` answers from its ``dblp_title``
@@ -31,10 +32,11 @@ candidate, so the result is the one a scan of every name gives.
 import logging
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from html.entities import name2codepoint
-from typing import BinaryIO, Iterable, Iterator, Protocol, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 from xml.etree import ElementTree as ET
+from xml.parsers import expat
 
 from .similarity import MatchConfig, levenshtein, names_match
 
@@ -45,8 +47,10 @@ __all__ = [
     "CorpusStore",
     "TitleLookup",
     "TokenVocabulary",
+    "coauthor_edges",
     "common_coauthors",
     "find_publication",
+    "iter_corpus",
     "parse_corpus",
 ]
 
@@ -63,6 +67,9 @@ PUBLICATION_TYPES = {
 }
 # Known non-publication record types silently skipped.
 NON_PUBLICATION_TYPES = {"www", "person", "data"}
+# Record children kept besides the authors; the first of each tag counts.
+_FIELDS = {"title", "year", "journal", "pages", "volume"}
+BLOCK_SIZE = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,9 @@ class CorpusPublication:
     volume: str | None = None
 
 
-@dataclass(frozen=True)
-class CoauthorEdge:
+class CoauthorEdge(NamedTuple):
+    """A tuple, so that it is an edge table row as it stands."""
+
     author_a: str
     author_b: str
     publication_id: int
@@ -103,41 +111,116 @@ def _rewrite_named_entities(chunk: bytes) -> bytes:
     return _NAMED_ENTITY_RE.sub(replace, chunk)
 
 
-def _iter_elements(stream: BinaryIO | Iterable[bytes]) -> Iterator[ET.Element]:
-    """Yield completed depth-1 elements, keeping the tree pruned."""
-    parser = ET.XMLPullParser(events=("start", "end"))
-    root = None
-    depth = 0
+def _entity_safe(blocks: Iterable[bytes]) -> Iterator[bytes]:
+    """``blocks`` with their named entities rewritten; the unrewritten rest
+    of a cut-off entity is yielded last."""
     tail = b""
-    for chunk in stream:
-        chunk = tail + chunk
-        # A named entity cut off at the chunk end is rewritten only once
-        # its closing ";" has arrived with the next chunk.
-        cut = chunk.rfind(b"&")
-        if cut != -1 and _ENTITY_HEAD_RE.fullmatch(chunk, cut):
-            chunk, tail = chunk[:cut], chunk[cut:]
+    for block in blocks:
+        block = tail + block
+        # A named entity cut off at the block end is rewritten only once
+        # its closing ";" has arrived with the next block.
+        cut = block.rfind(b"&")
+        if cut != -1 and _ENTITY_HEAD_RE.fullmatch(block, cut):
+            block, tail = block[:cut], block[cut:]
         else:
             tail = b""
-        parser.feed(_rewrite_named_entities(chunk))
-        for event, elem in parser.read_events():
-            if event == "start":
-                if root is None:
-                    root = elem
-                depth += 1
-            else:
-                depth -= 1
-                if depth == 1:
-                    yield elem
-                    root.clear()
-    parser.feed(tail)
-    parser.close()
+        yield _rewrite_named_entities(block)
+    yield tail
 
 
-def _text(elem: ET.Element, tag: str) -> str | None:
-    child = elem.find(tag)
-    if child is None:
-        return None
-    return "".join(child.itertext()).strip() or None
+def iter_corpus(
+    stream: BinaryIO | Iterable[bytes], block_size: int = BLOCK_SIZE
+) -> Iterator[CorpusPublication]:
+    """Yield the publications of a corpus XML byte stream in document order.
+
+    A file is read in blocks of ``block_size`` bytes; any other iterable
+    is read chunk by chunk.  Only the current record's fields are kept.
+    Each record of a publication type gives one publication; other
+    record types are skipped, unknown ones with a warning.  A field is the
+    first direct child of its tag, with the text of nested markup joined
+    and stripped; surrogate ids follow document order, so repeated runs
+    give identical output.  Malformed XML raises a positioned
+    ``ET.ParseError``.
+    """
+    parser = expat.ParserCreate(None, "}")
+    parser.buffer_text = True
+    # Text since the last child of a record began: the child's own text
+    # and that of its nested markup, as ``itertext`` joins it.
+    text: list[str] = []
+    done: list[CorpusPublication] = []
+    depth = pid = 0
+    record: dict[str, str] | None = None
+    # The children of a skipped record fill these too; the next
+    # publication clears them before its own children arrive.
+    authors: list[str] = []
+    fields: dict[str, str | None] = {}
+
+    def start(tag: str, attributes: dict[str, str]) -> None:
+        nonlocal depth, record
+        depth += 1
+        if depth == 3:
+            text.clear()
+        elif depth == 2:
+            record = None
+            if tag in PUBLICATION_TYPES:
+                record = attributes
+                authors.clear()
+                fields.clear()
+            elif tag not in NON_PUBLICATION_TYPES:
+                log.warning("skipping unknown record type <%s>", tag)
+
+    def end(tag: str) -> None:
+        nonlocal depth, pid
+        depth -= 1
+        if depth == 2:
+            if tag == "author":
+                authors.append("".join(text).strip())
+            elif tag in _FIELDS and tag not in fields:
+                fields[tag] = "".join(text).strip() or None
+        elif depth == 1 and record is not None:
+            pid += 1
+            year = fields.get("year")
+            done.append(
+                CorpusPublication(
+                    id=pid,
+                    key=record.get("key", f"generated/{pid}"),
+                    authors=tuple(authors),
+                    title=fields.get("title") or "",
+                    year=int(year) if year and year.isdecimal() else None,
+                    journal=fields.get("journal"),
+                    pages=fields.get("pages"),
+                    volume=fields.get("volume"),
+                )
+            )
+
+    def skipped(name: str, is_parameter_entity: bool) -> None:
+        # An undeclared entity under an external DTD, which expat would drop.
+        error = expat.error(
+            f"undefined entity &{name};: line {parser.ErrorLineNumber}, "
+            f"column {parser.ErrorColumnNumber}"
+        )
+        error.code = 11  # XML_ERROR_UNDEFINED_ENTITY
+        error.lineno, error.offset = parser.ErrorLineNumber, parser.ErrorColumnNumber
+        raise error
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = text.append
+    parser.SkippedEntityHandler = skipped
+    if hasattr(stream, "read"):
+        stream = iter(partial(stream.read, block_size), b"")
+    try:
+        for block in _entity_safe(stream):
+            parser.Parse(block, False)
+            yield from done
+            done.clear()
+        parser.Parse(b"", True)
+    except expat.ExpatError as error:
+        parse_error = ET.ParseError(str(error))
+        parse_error.code = error.code
+        parse_error.position = error.lineno, error.offset
+        raise parse_error from None
+    yield from done
 
 
 def coauthor_pairs(authors: Sequence[str]) -> Iterator[tuple[str, str]]:
@@ -146,6 +229,13 @@ def coauthor_pairs(authors: Sequence[str]) -> Iterator[tuple[str, str]]:
         for author_b in authors[i + 1 :]:
             if author_a != author_b:
                 yield author_a, author_b
+
+
+def coauthor_edges(publications: Iterable[CorpusPublication]) -> Iterator[CoauthorEdge]:
+    """The coauthor pairs of each publication, in publication order."""
+    for publication in publications:
+        for author_a, author_b in coauthor_pairs(publication.authors):
+            yield CoauthorEdge(author_a, author_b, publication.id)
 
 
 class CorpusStore:
@@ -252,40 +342,11 @@ def parse_corpus(
 ) -> tuple[CorpusStore, list[CoauthorEdge]]:
     """Parse a corpus XML byte stream into a store and coauthor edges.
 
-    One publication per known record type; every publication with n >= 2
-    authors contributes all n(n-1)/2 unordered author pairs.  Unknown
-    record types are skipped with a warning; surrogate ids follow
-    document order, so repeated runs give identical output.
+    The publications are those of ``iter_corpus``; every publication with
+    n >= 2 authors contributes all n(n-1)/2 unordered author pairs.
     """
-    publications: list[CorpusPublication] = []
-    edges: list[CoauthorEdge] = []
-    for elem in _iter_elements(stream):
-        tag = elem.tag
-        if tag not in PUBLICATION_TYPES:
-            if tag not in NON_PUBLICATION_TYPES:
-                log.warning("skipping unknown record type <%s>", tag)
-            continue
-        authors = tuple(
-            "".join(a.itertext()).strip() for a in elem.findall("author")
-        )
-        year_text = _text(elem, "year")
-        pid = len(publications) + 1
-        publication = CorpusPublication(
-            id=pid,
-            key=elem.get("key", f"generated/{pid}"),
-            authors=authors,
-            title=_text(elem, "title") or "",
-            year=int(year_text) if year_text and year_text.isdecimal() else None,
-            journal=_text(elem, "journal"),
-            pages=_text(elem, "pages"),
-            volume=_text(elem, "volume"),
-        )
-        publications.append(publication)
-        edges.extend(
-            CoauthorEdge(author_a, author_b, pid)
-            for author_a, author_b in coauthor_pairs(authors)
-        )
-    return CorpusStore(publications), edges
+    publications = list(iter_corpus(stream))
+    return CorpusStore(publications), list(coauthor_edges(publications))
 
 
 class TitleLookup(Protocol):

@@ -17,7 +17,7 @@ import xml.etree.ElementTree as ET
 
 from .bht import build_entry, claim_spf_path, concatenate, remove_unclaimed, render_spf
 from .config import Config, ConfigError, parse_config
-from .dblp import common_coauthors, find_publication, parse_corpus
+from .dblp import common_coauthors, find_publication, iter_corpus
 from .enamdict import load_enamdict
 from .matching import NameDictionary, resolve_author
 from .oai import OaiProtocolError, TransportError, harvest, http_fetch
@@ -92,12 +92,10 @@ def stage_parse_dblp(config: Config, store: SqliteStore) -> None:
     path = config.resolve(config.dblp_xml_file)
     log.info("parsing corpus file %s", path)
     with open(path, "rb") as handle:
-        corpus, edges = parse_corpus(handle)
-    store.create_corpus_tables()
-    # Edges first: -h reads the adjacency from them, and a failed edge
-    # load then leaves no dblp rows, so has_corpus() is False.
-    edge_count = store.add_coauthor_edges(edges)
-    publications = store.add_corpus_publications(corpus.publications)
+        store.create_corpus_tables()
+        # Rows are inserted as the parser yields them; a parse or insert
+        # error commits neither table, so has_corpus() is then False.
+        publications, edge_count = store.add_corpus(iter_corpus(handle))
     store.create_title_index()
     log.info("stored %d publications and %d coauthor pairs", publications, edge_count)
 

@@ -5,8 +5,9 @@ A single SQLite file holds every relation under fixed table names:
 corpus, and ``oai_publications``, ``oai_authors``, ``oai_titles``,
 ``oai_contributors`` and ``oai_descriptions`` for the harvest.  Each
 bulk load is one transaction, so a load that fails partway leaves its
-table empty rather than truncated.  A harvested identifier that arrives
-again replaces its earlier rows.
+table empty rather than truncated; ``add_corpus`` loads both corpus
+tables in one.  A harvested identifier that arrives again replaces its
+earlier rows.
 
 Each connection registers the SQL function ``jpbib_title``, which is
 ``dblp.normalize_title``.  The index ``dblp_title`` on
@@ -22,11 +23,18 @@ SQLite 3.9.0 or later.
 import json
 import os
 import sqlite3
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable
 
 from .config import Config
-from .dblp import CoauthorEdge, Coauthors, CorpusPublication, CorpusStore, normalize_title
+from .dblp import (
+    CoauthorEdge,
+    Coauthors,
+    CorpusPublication,
+    CorpusStore,
+    coauthor_edges,
+    normalize_title,
+)
 from .enamdict import NameRecord, NameType
 from .matching import AuthorResolution
 from .oai import HarvestedPublication
@@ -42,6 +50,9 @@ _TYPE_CODES = {
     for types in combinations(NameType, size)
 }
 _CODE_TYPES = {codes: types for types, codes in _TYPE_CODES.items()}
+# json.dumps(authors, ensure_ascii=False) for -d, without a new encoder
+# per call.
+_to_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class SqliteStore:
@@ -56,6 +67,7 @@ class SqliteStore:
     contributors = "oai_contributors"
     descriptions = "oai_descriptions"
     title_index = "dblp_title"
+    corpus_batch = 100  # publications per add_corpus insert
 
     def __init__(self, config: Config):
         path = config.store_path
@@ -64,6 +76,7 @@ class SqliteStore:
         self.connection.create_function(
             "jpbib_title", 1, normalize_title, deterministic=True
         )
+        self._loading_corpus = False
 
     def close(self) -> None:
         self.connection.close()
@@ -86,7 +99,10 @@ class SqliteStore:
         )
 
     def _bulk_insert(self, sql: str, rows: Iterable[tuple]) -> int:
-        # One transaction: an error partway rolls back every row.
+        # One transaction: an error partway rolls back every row.  Within
+        # add_corpus the rows join its transaction, which commits them.
+        if self._loading_corpus:
+            return self.connection.executemany(sql, rows).rowcount
         with self.connection:
             return self.connection.executemany(sql, rows).rowcount
 
@@ -170,7 +186,7 @@ class SqliteStore:
                 (
                     p.id,
                     p.key,
-                    json.dumps(list(p.authors), ensure_ascii=False),
+                    _to_json(p.authors),
                     p.title,
                     p.year,
                     p.journal,
@@ -186,9 +202,26 @@ class SqliteStore:
             f"INSERT INTO {self.edges} (author_a, author_b, publication_id) "
             "VALUES (?, ?, ?)"
         )
-        return self._bulk_insert(
-            sql, ((e.author_a, e.author_b, e.publication_id) for e in rows)
-        )
+        return self._bulk_insert(sql, rows)
+
+    def add_corpus(self, publications: Iterable[CorpusPublication]) -> tuple[int, int]:
+        """Insert publications and their coauthor edges as they arrive.
+
+        Both tables load in one transaction, so a parse or an insert that
+        fails partway commits neither; only ``corpus_batch`` publications
+        are held at a time.  Returns the publication and edge counts.
+        """
+        publications = iter(publications)
+        stored = edges = 0
+        self._loading_corpus = True
+        try:
+            with self.connection:
+                while batch := list(islice(publications, self.corpus_batch)):
+                    stored += self.add_corpus_publications(batch)
+                    edges += self.add_coauthor_edges(coauthor_edges(batch))
+        finally:
+            self._loading_corpus = False
+        return stored, edges
 
     def create_title_index(self) -> None:
         """Index ``dblp`` by normalised title, unless it already is."""

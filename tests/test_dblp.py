@@ -2,7 +2,9 @@
 
 import io
 import logging
+import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -339,3 +341,146 @@ def test_fuzzy_title_normalization(corpus):
         store,
     )
     assert key == "journals/mock/TanakaSuzuki11"
+
+
+# -- the streaming parser against an ElementTree reference ---------------------
+
+
+def reference_corpus(data: bytes) -> tuple[list[CorpusPublication], list[str]]:
+    """The publications of a whole corpus document by ``ET.fromstring``,
+    after the entity rewrite, and the unknown record types it skips."""
+    root = ET.fromstring(dblp._rewrite_named_entities(data))
+    publications: list[CorpusPublication] = []
+    unknown = []
+    for record in root:
+        if record.tag not in dblp.PUBLICATION_TYPES:
+            if record.tag not in dblp.NON_PUBLICATION_TYPES:
+                unknown.append(record.tag)
+            continue
+
+        def text(tag):
+            child = record.find(tag)
+            if child is None:
+                return None
+            return "".join(child.itertext()).strip() or None
+
+        year = text("year")
+        pid = len(publications) + 1
+        publications.append(
+            CorpusPublication(
+                id=pid,
+                key=record.get("key", f"generated/{pid}"),
+                authors=tuple(
+                    "".join(author.itertext()).strip()
+                    for author in record.findall("author")
+                ),
+                title=text("title") or "",
+                year=int(year) if year and year.isdecimal() else None,
+                journal=text("journal"),
+                pages=text("pages"),
+                volume=text("volume"),
+            )
+        )
+    return publications, unknown
+
+
+def test_iter_corpus_equals_the_reference_on_the_fixture(corpus):
+    data = FIXTURE.read_bytes()
+    publications, _ = reference_corpus(data)
+    assert list(dblp.iter_corpus(io.BytesIO(data))) == publications
+    assert corpus[0].publications == publications
+
+
+def test_iter_corpus_yields_before_the_stream_ends():
+    def chunks():
+        yield b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
+        yield b'<article key="a/1"><author>Ann</author><title>One</title></article>\n'
+        yield b'<article key="a/2"><author>Bo</author><title>Two</title></article>\n'
+        raise AssertionError("read past the first record")
+
+    first = next(dblp.iter_corpus(chunks()))
+    assert (first.id, first.key, first.authors) == (1, "a/1", ("Ann",))
+
+
+def test_undeclared_entity_under_an_external_dtd_raises_positioned_error():
+    # With an external DTD expat would drop the reference; ElementTree raises.
+    xml = (
+        b'<?xml version="1.0"?>\n<!DOCTYPE dblp SYSTEM "dblp.dtd">\n<dblp>\n'
+        b'<article key="x"><title>a &odd_name; b</title></article>\n</dblp>\n'
+    )
+    with pytest.raises(ET.ParseError) as reference:
+        reference_corpus(xml)
+    with pytest.raises(ET.ParseError) as info:
+        list(dblp.iter_corpus(io.BytesIO(xml)))
+    assert info.value.position == reference.value.position == (4, 26)
+    assert str(info.value) == str(reference.value)
+
+
+# Latin-1 text, escaped; named entities known, unknown and built in, and
+# numeric references beyond Latin-1 (fullwidth digits).
+_plain = st.text(alphabet="ab Z09é\n\t&<>", max_size=5).map(
+    lambda text: text.replace("&", "&amp;").replace("<", "&lt;")
+)
+_reference = st.sampled_from(
+    ["&auml;", "&sup2;", "&eacute;", "&amp;", "&lt;", "&#65298;", "&#233;", "&bogus;"]
+)
+_inline = st.lists(st.one_of(_plain, _reference), max_size=3).map("".join)
+_markup = st.builds(
+    "<{0}>{1}</{0}>{2}".format, st.sampled_from(["i", "sub", "sup"]), _inline, _inline
+)
+_nested = st.builds("<sub>{0}{1}</sub>{2}".format, _inline, _markup, _inline)
+_content = st.one_of(
+    st.lists(st.one_of(_plain, _reference, _markup, _nested), max_size=4).map("".join),
+    st.sampled_from(
+        ["2001", " 1999 ", "&sup2;", "&#65298;&#65296;&#65296;&#65297;", "", "  "]
+    ),
+)
+_child = st.builds(
+    "<{0}>{1}</{0}>{2}".format,
+    st.sampled_from(
+        ["author", "author", "title", "year", "journal", "pages", "volume", "ee"]
+    ),
+    _content,
+    st.sampled_from(["", "\n", " tail "]),
+)
+_record = st.builds(
+    "<{0}{1}>{2}</{0}>\n".format,
+    st.sampled_from(sorted(dblp.PUBLICATION_TYPES) + ["www", "person", "gadget"]),
+    st.one_of(
+        st.just(""), st.text(alphabet="ab/1", max_size=4).map(' key="{}"'.format)
+    ),
+    st.lists(_child, max_size=7).map("".join),
+)
+_document = st.lists(_record, max_size=6).map(
+    lambda records: (
+        '<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
+        + "".join(records)
+        + "</dblp>\n"
+    ).encode("latin-1")
+)
+
+
+def logged_warnings(function, *args):
+    """``function(*args)`` and the warnings the dblp module logged meanwhile."""
+    messages = []
+
+    def warning(message, *values):
+        messages.append(message % values)
+
+    with patch.object(dblp.log, "warning", warning):
+        return function(*args), messages
+
+
+@settings(max_examples=200, deadline=None)
+@given(_document, st.integers(1, 40), st.booleans())
+def test_iter_corpus_equals_the_reference(data, block_size, from_file):
+    (publications, unknown), entity_warnings = logged_warnings(reference_corpus, data)
+    if from_file:
+        stream = io.BytesIO(data)
+    else:
+        stream = [data[i : i + block_size] for i in range(0, len(data), block_size)]
+    parsed, warnings = logged_warnings(list, dblp.iter_corpus(stream, block_size))
+    assert parsed == publications
+    skipped = [f"skipping unknown record type <{tag}>" for tag in unknown]
+    assert [message for message in warnings if "record type" in message] == skipped
+    assert sorted(warnings) == sorted(entity_warnings + skipped)

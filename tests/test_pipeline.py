@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jpbib import dblp
 from jpbib.config import Config, ConfigError, parse_config
 from jpbib.matching import NameStatus
 from jpbib.oai import OAI_NS, TransportError, get_record, parse_junii2
@@ -250,6 +251,47 @@ def test_parse_dblp_whose_edge_load_fails_leaves_no_corpus(
 
     monkeypatch.setattr(SqliteStore, "add_coauthor_edges", failing)
     assert run(["--config", str(config), "-d"]) == 1
+    with SqliteStore(parse_config(str(config))) as opened:
+        assert not opened.has_corpus()
+        assert opened.load_coauthors() == {}
+    assert run(["--config", str(config), "-h"], fetch=build_provider().fetch) == 3
+    capsys.readouterr()
+
+
+def test_parse_dblp_of_a_corpus_that_breaks_late_keeps_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    # Well formed for more records than one parser block or insert batch
+    # holds, so rows are inserted before the parser reaches the error.
+    records = 2000
+    corpus = tmp_path / "late.xml"
+    corpus.write_bytes(
+        b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
+        + b"".join(
+            b'<article key="late/%d"><author>Ann %d</author><author>Bo %d</author>'
+            b"<title>Late &auml; %d</title></article>\n" % (n, n, n, n)
+            for n in range(records)
+        )
+        + b"<article><title>Broken</article>\n</dblp>\n"
+    )
+    assert corpus.stat().st_size > 2 * dblp.BLOCK_SIZE
+    assert records > 2 * SqliteStore.corpus_batch
+    config = make_config_file(tmp_path)
+    config.write_text(
+        config.read_text().replace(str(FIXTURES / "corpus_fixture.xml"), str(corpus))
+    )
+    assert run(["--config", str(config), "-e"]) == 0
+    inserted = []
+    add_corpus_publications = SqliteStore.add_corpus_publications
+
+    def counting(self, rows):
+        inserted.append(add_corpus_publications(self, rows))
+        return inserted[-1]
+
+    monkeypatch.setattr(SqliteStore, "add_corpus_publications", counting)
+    assert run(["--config", str(config), "-d"]) == 1
+    assert "xml parse error: mismatched tag" in capsys.readouterr().err
+    assert sum(inserted) >= SqliteStore.corpus_batch
     with SqliteStore(parse_config(str(config))) as opened:
         assert not opened.has_corpus()
         assert opened.load_coauthors() == {}
