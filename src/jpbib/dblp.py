@@ -128,12 +128,10 @@ def _entity_safe(blocks: Iterable[bytes]) -> Iterator[bytes]:
     yield tail
 
 
-def iter_corpus(
-    stream: BinaryIO | Iterable[bytes], block_size: int = BLOCK_SIZE
-) -> Iterator[CorpusPublication]:
+def iter_corpus(stream: BinaryIO | Iterable[bytes]) -> Iterator[CorpusPublication]:
     """Yield the publications of a corpus XML byte stream in document order.
 
-    A file is read in blocks of ``block_size`` bytes; any other iterable
+    A file is read in blocks of ``BLOCK_SIZE`` bytes; any other iterable
     is read chunk by chunk.  Only the current record's fields are kept.
     Each record of a publication type gives one publication; other
     record types are skipped, unknown ones with a warning.  A field is the
@@ -208,7 +206,7 @@ def iter_corpus(
     parser.CharacterDataHandler = text.append
     parser.SkippedEntityHandler = skipped
     if hasattr(stream, "read"):
-        stream = iter(partial(stream.read, block_size), b"")
+        stream = iter(partial(stream.read, BLOCK_SIZE), b"")
     try:
         for block in _entity_safe(stream):
             parser.Parse(block, False)

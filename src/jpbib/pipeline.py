@@ -92,9 +92,10 @@ def stage_parse_dblp(config: Config, store: SqliteStore) -> None:
     path = config.resolve(config.dblp_xml_file)
     log.info("parsing corpus file %s", path)
     with open(path, "rb") as handle:
+        # The previous corpus is dropped before the parse starts.  Rows are
+        # inserted as the parser yields them; a parse or insert error
+        # commits neither table, so has_corpus() is then False.
         store.create_corpus_tables()
-        # Rows are inserted as the parser yields them; a parse or insert
-        # error commits neither table, so has_corpus() is then False.
         publications, edge_count = store.add_corpus(iter_corpus(handle))
     store.create_title_index()
     log.info("stored %d publications and %d coauthor pairs", publications, edge_count)

@@ -53,6 +53,10 @@ _CODE_TYPES = {codes: types for types, codes in _TYPE_CODES.items()}
 # json.dumps(authors, ensure_ascii=False) for -d, without a new encoder
 # per call.
 _to_json = json.JSONEncoder(ensure_ascii=False).encode
+# Publications per add_corpus insert.  On the ingest-scale benchmark 10
+# and 1000 gave the same setup time within run-to-run spread, and 10 a
+# 0.2 MiB higher peak (CHANGES.md).
+CORPUS_BATCH = 100
 
 
 class SqliteStore:
@@ -67,7 +71,6 @@ class SqliteStore:
     contributors = "oai_contributors"
     descriptions = "oai_descriptions"
     title_index = "dblp_title"
-    corpus_batch = 100  # publications per add_corpus insert
 
     def __init__(self, config: Config):
         path = config.store_path
@@ -76,7 +79,6 @@ class SqliteStore:
         self.connection.create_function(
             "jpbib_title", 1, normalize_title, deterministic=True
         )
-        self._loading_corpus = False
 
     def close(self) -> None:
         self.connection.close()
@@ -99,9 +101,9 @@ class SqliteStore:
         )
 
     def _bulk_insert(self, sql: str, rows: Iterable[tuple]) -> int:
-        # One transaction: an error partway rolls back every row.  Within
-        # add_corpus the rows join its transaction, which commits them.
-        if self._loading_corpus:
+        # One transaction: an error partway rolls back every row.  Rows
+        # inserted within an open transaction (add_corpus) join it.
+        if self.connection.in_transaction:
             return self.connection.executemany(sql, rows).rowcount
         with self.connection:
             return self.connection.executemany(sql, rows).rowcount
@@ -208,19 +210,16 @@ class SqliteStore:
         """Insert publications and their coauthor edges as they arrive.
 
         Both tables load in one transaction, so a parse or an insert that
-        fails partway commits neither; only ``corpus_batch`` publications
+        fails partway commits neither; only ``CORPUS_BATCH`` publications
         are held at a time.  Returns the publication and edge counts.
         """
         publications = iter(publications)
         stored = edges = 0
-        self._loading_corpus = True
-        try:
-            with self.connection:
-                while batch := list(islice(publications, self.corpus_batch)):
-                    stored += self.add_corpus_publications(batch)
-                    edges += self.add_coauthor_edges(coauthor_edges(batch))
-        finally:
-            self._loading_corpus = False
+        with self.connection:  # commits, or rolls back on an error
+            self.connection.execute("BEGIN")
+            while batch := list(islice(publications, CORPUS_BATCH)):
+                stored += self.add_corpus_publications(batch)
+                edges += self.add_coauthor_edges(coauthor_edges(batch))
         return stored, edges
 
     def create_title_index(self) -> None:

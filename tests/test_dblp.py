@@ -479,7 +479,8 @@ def test_iter_corpus_equals_the_reference(data, block_size, from_file):
         stream = io.BytesIO(data)
     else:
         stream = [data[i : i + block_size] for i in range(0, len(data), block_size)]
-    parsed, warnings = logged_warnings(list, dblp.iter_corpus(stream, block_size))
+    with patch.object(dblp, "BLOCK_SIZE", block_size):
+        parsed, warnings = logged_warnings(list, dblp.iter_corpus(stream))
     assert parsed == publications
     skipped = [f"skipping unknown record type <{tag}>" for tag in unknown]
     assert [message for message in warnings if "record type" in message] == skipped

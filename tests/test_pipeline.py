@@ -15,7 +15,7 @@ from jpbib.oai import OAI_NS, TransportError, get_record, parse_junii2
 from jpbib.oai_mock import junii2_payload
 from jpbib.pipeline import run
 from jpbib.stats import RecordOutcome, RunStatistics
-from jpbib.store import SqliteStore
+from jpbib.store import CORPUS_BATCH, SqliteStore
 
 from mockrepo import GOLDEN_ID, build_provider, repeating_first_page
 
@@ -258,7 +258,7 @@ def test_parse_dblp_whose_edge_load_fails_leaves_no_corpus(
     capsys.readouterr()
 
 
-def test_parse_dblp_of_a_corpus_that_breaks_late_keeps_nothing(
+def test_parse_dblp_of_a_corpus_that_breaks_late_leaves_no_corpus(
     tmp_path, capsys, monkeypatch
 ):
     # Well formed for more records than one parser block or insert batch
@@ -275,12 +275,15 @@ def test_parse_dblp_of_a_corpus_that_breaks_late_keeps_nothing(
         + b"<article><title>Broken</article>\n</dblp>\n"
     )
     assert corpus.stat().st_size > 2 * dblp.BLOCK_SIZE
-    assert records > 2 * SqliteStore.corpus_batch
+    assert records > 2 * CORPUS_BATCH
     config = make_config_file(tmp_path)
+    # The corpus of an earlier -d is dropped before the new file is read.
+    assert run(["--config", str(config), "-d", "-e"]) == 0
+    with SqliteStore(parse_config(str(config))) as opened:
+        assert opened.has_corpus()
     config.write_text(
         config.read_text().replace(str(FIXTURES / "corpus_fixture.xml"), str(corpus))
     )
-    assert run(["--config", str(config), "-e"]) == 0
     inserted = []
     add_corpus_publications = SqliteStore.add_corpus_publications
 
@@ -291,7 +294,7 @@ def test_parse_dblp_of_a_corpus_that_breaks_late_keeps_nothing(
     monkeypatch.setattr(SqliteStore, "add_corpus_publications", counting)
     assert run(["--config", str(config), "-d"]) == 1
     assert "xml parse error: mismatched tag" in capsys.readouterr().err
-    assert sum(inserted) >= SqliteStore.corpus_batch
+    assert sum(inserted) >= CORPUS_BATCH
     with SqliteStore(parse_config(str(config))) as opened:
         assert not opened.has_corpus()
         assert opened.load_coauthors() == {}
