@@ -15,6 +15,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
+from typing import Container
 
 from .matching import AuthorResolution
 from .oai import HarvestedPublication
@@ -226,8 +227,9 @@ def spf_relative_path(publication: HarvestedPublication) -> str:
     return os.path.join(type_slug, f"volume-{volume}", f"{stem}.bht")
 
 
-def claim_spf_path(publication: HarvestedPublication, taken: set[str]) -> str:
-    """The first relative path not in ``taken``, which it is added to.
+def claim_spf_path(publication: HarvestedPublication, claimed: dict[str, str]) -> str:
+    """The first relative path not in ``claimed``, which it then maps to
+    the publication's identifier.
 
     ``spf_relative_path`` comes first; a publication whose path is taken
     is named after its whole slugged identifier, with a "-2", "-3", ...
@@ -240,8 +242,8 @@ def claim_spf_path(publication: HarvestedPublication, taken: set[str]) -> str:
         (os.path.join(directory, f"{stem}-{n}.bht") for n in itertools.count(2)),
     )
     for candidate in candidates:
-        if candidate not in taken:
-            taken.add(candidate)
+        if candidate not in claimed:
+            claimed[candidate] = publication.identifier
             return candidate
 
 
@@ -255,7 +257,7 @@ def _remove_if_empty(directory: str, root: str) -> None:
         os.rmdir(directory)
 
 
-def remove_unclaimed(root: str, taken: set[str]) -> None:
+def remove_unclaimed(root: str, taken: Container[str]) -> None:
     """Delete the single-publication files under ``root`` whose relative
     path is not in ``taken``, then every directory left empty but the root.
 

@@ -168,7 +168,9 @@ def _parse_response(data: bytes, verb: str) -> ET.Element:
 
 def _parse_record(elem: ET.Element) -> OaiRecord:
     header = elem.find(f"{{{OAI_NS}}}header")
-    identifier = header.findtext(f"{{{OAI_NS}}}identifier", "").strip()
+    identifier = elem.findtext(f"{{{OAI_NS}}}header/{{{OAI_NS}}}identifier", "").strip()
+    if not identifier:
+        raise OaiProtocolError("badVerb", "record lacks a header identifier")
     deleted = header.get("status") == "deleted"
     payload = None
     if not deleted:

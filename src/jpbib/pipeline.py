@@ -92,12 +92,7 @@ def stage_parse_dblp(config: Config, store: SqliteStore) -> None:
     path = config.resolve(config.dblp_xml_file)
     log.info("parsing corpus file %s", path)
     with open(path, "rb") as handle:
-        # The previous corpus is dropped before the parse starts.  Rows are
-        # inserted as the parser yields them; a parse or insert error
-        # commits neither table, so has_corpus() is then False.
-        store.create_corpus_tables()
-        publications, edge_count = store.add_corpus(iter_corpus(handle))
-    store.create_title_index()
+        publications, edge_count = store.replace_corpus(iter_corpus(handle))
     log.info("stored %d publications and %d coauthor pairs", publications, edge_count)
 
 
@@ -112,8 +107,7 @@ def stage_enamdict(config: Config, store: SqliteStore) -> None:
             warning.kind,
             warning.raw,
         )
-    store.create_names_table()
-    count = store.add_name_records(records)
+    count = store.replace_names(records)
     log.info("stored %d name records (%d warnings)", count, len(warnings))
 
 
@@ -135,8 +129,8 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     mode = "list" if config.use_list_records else (config.min_id, config.max_id)
     save_dir = config.resolve(config.files_path) if config.files_path else None
     bht_root = os.path.abspath(config.resolve(config.bht_path))
-    taken: set[str] = set()  # relative BHT paths written in this run
-    written: dict[str, str] = {}  # identifier -> relative BHT path
+    # Relative path of each BHT file written in this run -> its identifier.
+    claimed: dict[str, str] = {}
     # The statistics count each identifier once, by its last copy.
     outcomes: dict[str, RecordOutcome] = {}
 
@@ -153,10 +147,10 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
         ):
             # A repeated identifier replaces its earlier copy, rows and file
             # included; a deleted or unparsable last copy leaves nothing.
-            earlier = written.pop(record.identifier, None)
-            if earlier:
+            if record.identifier in outcomes:
                 store.remove_harvested(record.identifier)
-                taken.discard(earlier)
+                earlier = (p for p, i in claimed.items() if i == record.identifier)
+                claimed.pop(next(earlier, None), None)
             if record.deleted or publication is None:
                 outcomes[record.identifier] = RecordOutcome(record.deleted)
                 continue
@@ -185,7 +179,7 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
             if coauthors is not None and latin_names:
                 shared = common_coauthors(latin_names, coauthors, match_config)
 
-            relative = claim_spf_path(publication, taken)
+            relative = claim_spf_path(publication, claimed)
             target = os.path.join(bht_root, relative)
             if os.path.commonpath([bht_root, os.path.abspath(target)]) != bht_root:
                 raise OSError(f"BHT path {target!r} leaves {bht_root!r}")
@@ -194,12 +188,11 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
             os.makedirs(os.path.dirname(target), exist_ok=True)
             with open(target, "w", encoding="ascii", newline="") as handle:
                 handle.write(render_spf(entry))
-            written[publication.identifier] = relative
         store.flush()
     except BaseException:
         remove_unclaimed(bht_root, set())
         raise
-    remove_unclaimed(bht_root, taken)
+    remove_unclaimed(bht_root, claimed)
     return RunStatistics(outcomes.values())
 
 

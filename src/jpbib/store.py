@@ -3,28 +3,29 @@
 A single SQLite file holds every relation under fixed table names:
 ``japnames`` for the dictionary, ``dblp`` and ``dblpauthors`` for the
 corpus, and ``oai_publications``, ``oai_authors``, ``oai_titles``,
-``oai_contributors`` and ``oai_descriptions`` for the harvest.  Each
-bulk load is one transaction, so a load that fails partway leaves its
-table empty rather than truncated; ``add_corpus`` loads both corpus
-tables in one.  A harvested identifier that arrives again replaces its
-earlier rows.
+``oai_contributors`` and ``oai_descriptions`` for the harvest.
+``replace_names`` and ``replace_corpus`` each drop, recreate and fill
+their tables in one transaction, so a load that fails partway leaves
+the previous tables and their index as they were.  A harvested
+identifier that arrives again replaces its earlier rows.
 
 Each connection registers the SQL function ``jpbib_title``, which is
 ``dblp.normalize_title``.  The index ``dblp_title`` on
-``dblp(jpbib_title(title))`` answers the harvest's title lookups; -d
-creates it after its bulk insert, and -h creates it in a store
-written before the index existed.  A connection that has not registered the
-function, such as the ``sqlite3`` shell, can still read ``dblp``, but
-its ``INSERT`` into ``dblp`` and its ``PRAGMA integrity_check`` fail
-with "unknown function: jpbib_title()".  Expression indexes need
-SQLite 3.9.0 or later.
+``dblp(jpbib_title(title))`` answers the harvest's title lookups;
+``replace_corpus`` creates it after its inserts, and -h creates it in a
+store written before the index existed.  A connection that has not
+registered the function, such as the ``sqlite3`` shell, can still read
+``dblp``, but its ``INSERT`` into ``dblp`` and its ``PRAGMA
+integrity_check`` fail with "unknown function: jpbib_title()".
+Expression indexes need SQLite 3.9.0 or later.
 """
 
 import json
 import os
 import sqlite3
+from contextlib import contextmanager
 from itertools import combinations, islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .config import Config
 from .dblp import (
@@ -53,7 +54,7 @@ _CODE_TYPES = {codes: types for types, codes in _TYPE_CODES.items()}
 # json.dumps(authors, ensure_ascii=False) for -d, without a new encoder
 # per call.
 _to_json = json.JSONEncoder(ensure_ascii=False).encode
-# Publications per add_corpus insert.  On the ingest-scale benchmark 10
+# Publications per replace_corpus insert.  On the ingest-scale benchmark 10
 # and 1000 gave the same setup time within run-to-run spread, and 10 a
 # 0.2 MiB higher peak (CHANGES.md).
 CORPUS_BATCH = 100
@@ -71,6 +72,9 @@ class SqliteStore:
     contributors = "oai_contributors"
     descriptions = "oai_descriptions"
     title_index = "dblp_title"
+    _title_index_sql = (
+        f"CREATE INDEX IF NOT EXISTS {title_index} ON {dblp} (jpbib_title(title))"
+    )
 
     def __init__(self, config: Config):
         path = config.store_path
@@ -100,18 +104,22 @@ class SqliteStore:
             is not None
         )
 
-    def _bulk_insert(self, sql: str, rows: Iterable[tuple]) -> int:
-        # One transaction: an error partway rolls back every row.  Rows
-        # inserted within an open transaction (add_corpus) join it.
-        if self.connection.in_transaction:
-            return self.connection.executemany(sql, rows).rowcount
+    @contextmanager
+    def _replacing(self, schema: str) -> Iterator[None]:
+        """One transaction for ``schema`` (its tables' DROP and CREATE) and
+        the block's inserts.  It commits when the block ends and rolls back
+        on any exception, so a failed load leaves the previous tables and
+        indexes as they were, or no tables on a store that had none."""
         with self.connection:
-            return self.connection.executemany(sql, rows).rowcount
+            # The script's own BEGIN keeps its DROP and CREATE uncommitted.
+            self.connection.executescript("BEGIN;" + schema)
+            yield
 
     # -- dictionary names ---------------------------------------------------
 
-    def create_names_table(self) -> None:
-        self.connection.executescript(
+    def replace_names(self, records: Iterable[NameRecord]) -> int:
+        """Replace the dictionary table with ``records``; returns their count."""
+        with self._replacing(
             f"""
             DROP TABLE IF EXISTS {self.names};
             CREATE TABLE {self.names} (
@@ -122,20 +130,21 @@ class SqliteStore:
                 types TEXT NOT NULL
             );
             """
-        )
+        ):
+            return self.add_name_records(records)
 
     def add_name_records(self, records: Iterable[NameRecord]) -> int:
         sql = (
             f"INSERT INTO {self.names} (surface, reading, latin, types) "
             "VALUES (?, ?, ?, ?)"
         )
-        return self._bulk_insert(
+        return self.connection.executemany(
             sql,
             (
                 (r.surface, r.reading, r.latin, _TYPE_CODES[r.types])
                 for r in records
             ),
-        )
+        ).rowcount
 
     def load_name_records(self) -> list[NameRecord]:
         rows = self.connection.execute(
@@ -151,9 +160,16 @@ class SqliteStore:
 
     # -- corpus ---------------------------------------------------------------
 
-    def create_corpus_tables(self) -> None:
+    def replace_corpus(
+        self, publications: Iterable[CorpusPublication]
+    ) -> tuple[int, int]:
+        """Replace both corpus tables and the title index with ``publications``
+        and their coauthor edges, inserted ``CORPUS_BATCH`` publications at a
+        time as they arrive.  Returns the publication and edge counts."""
+        publications = iter(publications)
+        stored = edges = 0
         # -h reads the coauthor adjacency from the edge table alone.
-        self.connection.executescript(
+        with self._replacing(
             f"""
             DROP TABLE IF EXISTS {self.dblp};
             CREATE TABLE {self.dblp} (
@@ -174,7 +190,12 @@ class SqliteStore:
                 publication_id INTEGER NOT NULL
             );
             """
-        )
+        ):
+            while batch := list(islice(publications, CORPUS_BATCH)):
+                stored += self.add_corpus_publications(batch)
+                edges += self.add_coauthor_edges(coauthor_edges(batch))
+            self.connection.execute(self._title_index_sql)
+        return stored, edges
 
     def add_corpus_publications(self, rows: Iterable[CorpusPublication]) -> int:
         sql = (
@@ -182,7 +203,7 @@ class SqliteStore:
             "(id, key, authors, title, year, journal, pages, volume) "
             "VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
         )
-        return self._bulk_insert(
+        return self.connection.executemany(
             sql,
             (
                 (
@@ -197,38 +218,19 @@ class SqliteStore:
                 )
                 for p in rows
             ),
-        )
+        ).rowcount
 
     def add_coauthor_edges(self, rows: Iterable[CoauthorEdge]) -> int:
         sql = (
             f"INSERT INTO {self.edges} (author_a, author_b, publication_id) "
             "VALUES (?, ?, ?)"
         )
-        return self._bulk_insert(sql, rows)
-
-    def add_corpus(self, publications: Iterable[CorpusPublication]) -> tuple[int, int]:
-        """Insert publications and their coauthor edges as they arrive.
-
-        Both tables load in one transaction, so a parse or an insert that
-        fails partway commits neither; only ``CORPUS_BATCH`` publications
-        are held at a time.  Returns the publication and edge counts.
-        """
-        publications = iter(publications)
-        stored = edges = 0
-        with self.connection:  # commits, or rolls back on an error
-            self.connection.execute("BEGIN")
-            while batch := list(islice(publications, CORPUS_BATCH)):
-                stored += self.add_corpus_publications(batch)
-                edges += self.add_coauthor_edges(coauthor_edges(batch))
-        return stored, edges
+        return self.connection.executemany(sql, rows).rowcount
 
     def create_title_index(self) -> None:
         """Index ``dblp`` by normalised title, unless it already is."""
         with self.connection:
-            self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS {self.title_index} "
-                f"ON {self.dblp} (jpbib_title(title))"
-            )
+            self.connection.execute(self._title_index_sql)
 
     def publications_titled(self, title: str) -> list[tuple[str, tuple[str, ...]]]:
         """(key, authors) of each publication with the normalised title

@@ -192,10 +192,10 @@ def test_claim_spf_path_never_shares_a_file():
             identifier, [], [], publication_type="Journal Article", volume="5"
         )
 
-    taken: set[str] = set()
+    taken: dict[str, str] = {}
+    identifiers = ("oai:mock:1", "oai:other:1", "oai:mock:1", "OAI:Other:1")
     claims = [
-        claim_spf_path(publication(identifier), taken)
-        for identifier in ("oai:mock:1", "oai:other:1", "oai:mock:1", "OAI:Other:1")
+        claim_spf_path(publication(identifier), taken) for identifier in identifiers
     ]
     directory = Path("journal-article", "volume-5")
     assert [Path(claim) for claim in claims] == [
@@ -204,9 +204,9 @@ def test_claim_spf_path_never_shares_a_file():
         directory / "oai-mock-1.bht",
         directory / "oai-other-1-2.bht",
     ]
-    assert taken == set(claims)
+    assert taken == dict(zip(claims, identifiers))
     # A freed path is the first candidate again.
-    taken.discard(claims[0])
+    del taken[claims[0]]
     assert claim_spf_path(publication("oai:mock:1"), taken) == claims[0]
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from jpbib import oai
 from jpbib.oai import (
+    OAI_NS,
     RETRY_AFTER_CAP_S,
     MalformedRecordError,
     OaiProtocolError,
@@ -152,6 +153,32 @@ def test_get_record_not_found(provider):
         get_record(ENDPOINT, "junii2", provider.identifier(137), fetch=provider.fetch)
         is None
     )
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "",
+        "<header><datestamp>2012-10-19</datestamp></header>",
+        "<header><identifier> </identifier></header>",
+    ],
+    ids=["no-header", "no-identifier", "blank-identifier"],
+)
+def test_record_without_a_header_identifier_is_a_protocol_error(header):
+    record = f"<record>{header}<metadata><x/></metadata></record>"
+
+    def fetch(url):
+        [verb] = urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)["verb"]
+        return f'<OAI-PMH xmlns="{OAI_NS}"><{verb}>{record}</{verb}></OAI-PMH>'.encode()
+
+    for request in (
+        lambda: list_records(ENDPOINT, "junii2", fetch=fetch),
+        lambda: get_record(ENDPOINT, "junii2", "oai:mock:1", fetch=fetch),
+    ):
+        with pytest.raises(OaiProtocolError) as info:
+            request()
+        assert info.value.code == "badVerb"
+        assert info.value.message == "record lacks a header identifier"
 
 
 def test_transport_error_carries_attempts(sleeps):

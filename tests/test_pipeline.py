@@ -2,6 +2,7 @@
 
 import json
 import logging
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -163,8 +164,7 @@ def store(tmp_path):
 
 
 def test_store_names_roundtrip(store, name_records):
-    store.create_names_table()
-    assert store.add_name_records(name_records) == len(name_records)
+    assert store.replace_names(name_records) == len(name_records)
     assert store.has_names()
     assert store.load_name_records() == name_records
 
@@ -183,8 +183,7 @@ def test_store_name_types_roundtrip_every_subset(store):
     records = [
         NameRecord("森", None, f"Mori{i}", types) for i, types in enumerate(subsets)
     ]
-    store.create_names_table()
-    store.add_name_records(records)
+    store.replace_names(records)
     assert store.load_name_records() == records
     # The stored codes follow NameType order, as before the code tables.
     codes = store.connection.execute(f"SELECT types FROM {store.names} ORDER BY id")
@@ -193,7 +192,7 @@ def test_store_name_types_roundtrip_every_subset(store):
     ]
 
 
-def test_store_load_that_fails_partway_keeps_no_rows(tmp_path):
+def test_store_names_load_that_fails_partway_keeps_the_previous_names(tmp_path):
     from jpbib.enamdict import NameRecord, NameType
 
     def records():
@@ -201,17 +200,21 @@ def test_store_load_that_fails_partway_keeps_no_rows(tmp_path):
             yield NameRecord("森", None, f"Mori{i}", frozenset({NameType.SURNAME}))
         raise OSError("dictionary read failed")
 
+    previous = [NameRecord("森", "もり", "Mori", frozenset({NameType.SURNAME}))]
     config = Config(base_dir=str(tmp_path), db_name="store")
     with SqliteStore(config) as store:
-        store.create_names_table()
         with pytest.raises(OSError):
-            store.add_name_records(records())
+            store.replace_names(records())
     with SqliteStore(config) as reopened:
-        count = reopened.connection.execute(
-            f"SELECT COUNT(*) FROM {reopened.names}"
-        ).fetchone()[0]
-        assert count == 0
+        # A store that had no names still has none, nor a names table.
         assert not reopened.has_names()
+        schema = reopened.connection.execute("SELECT name FROM sqlite_master")
+        assert reopened.names not in {name for (name,) in schema}
+        reopened.replace_names(previous)
+        with pytest.raises(OSError):
+            reopened.replace_names(records())
+    with SqliteStore(config) as reopened:
+        assert reopened.load_name_records() == previous
 
 
 def test_store_corpus_roundtrip(store):
@@ -219,9 +222,8 @@ def test_store_corpus_roundtrip(store):
 
     with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
         corpus, edges = parse_corpus(handle)
-    store.create_corpus_tables()
-    store.add_corpus_publications(corpus.publications)
-    store.add_coauthor_edges(edges)
+    stored = store.replace_corpus(corpus.publications)
+    assert stored == (len(corpus.publications), len(edges))
     assert store.has_corpus()
     loaded = store.load_corpus()
     assert loaded.publications == corpus.publications
@@ -233,33 +235,79 @@ def test_store_corpus_roundtrip(store):
     assert [CoauthorEdge(*row) for row in rows] == edges
 
 
-def test_parse_dblp_whose_edge_load_fails_leaves_no_corpus(
-    tmp_path, capsys, monkeypatch
+def corpus_state(config: Path) -> tuple[list, list, list]:
+    """The corpus tables' schema entries, title index included, and both
+    tables' rows; all empty on a store without corpus tables."""
+    with SqliteStore(parse_config(str(config))) as opened:
+        schema = opened.connection.execute(
+            "SELECT type, name, sql FROM sqlite_master "
+            "WHERE tbl_name IN (?, ?) ORDER BY name",
+            (opened.dblp, opened.edges),
+        ).fetchall()
+        if not schema:
+            return [], [], []
+        return (
+            schema,
+            opened.connection.execute(f"SELECT * FROM {opened.dblp}").fetchall(),
+            opened.connection.execute(f"SELECT * FROM {opened.edges}").fetchall(),
+        )
+
+
+def check_failed_parse_dblp(config: Path, capsys, failing) -> str:
+    """A -d that fails within ``failing()`` leaves no corpus on a store that
+    had none, and keeps a previous corpus for -h; returns the stderr of the
+    second failed -d."""
+    assert run(["--config", str(config), "-e"]) == 0
+    with failing():
+        assert run(["--config", str(config), "-d"]) == 1
+    assert corpus_state(config) == ([], [], [])
+    assert run(["--config", str(config), "-h"], fetch=build_provider().fetch) == 3
+    assert "parse-dblp" in capsys.readouterr().err
+
+    assert run(["--config", str(config), "-d", "-h"], fetch=build_provider().fetch) == 0
+    statistics = config.parent / "log" / "statistics.json"
+    expected = statistics.read_bytes()
+    statistics.unlink()
+    before = corpus_state(config)
+    assert ("index", SqliteStore.title_index) in {row[:2] for row in before[0]}
+    assert before[1] and before[2]
+    capsys.readouterr()
+    with failing():
+        assert run(["--config", str(config), "-d"]) == 1
+    err = capsys.readouterr().err
+    assert corpus_state(config) == before
+    assert run(["--config", str(config), "-h"], fetch=build_provider().fetch) == 0
+    assert statistics.read_bytes() == expected
+    capsys.readouterr()
+    return err
+
+
+def test_parse_dblp_whose_edge_load_fails_keeps_the_previous_corpus(
+    tmp_path, capsys
 ):
     import sqlite3
 
-    config = make_config_file(tmp_path)
-    assert run(["--config", str(config), "-d", "-e"]) == 0
     add_coauthor_edges = SqliteStore.add_coauthor_edges
 
-    def failing(self, rows):
+    def failing_edges(self, rows):
         def partway():
             yield from list(rows)[:3]
             raise sqlite3.OperationalError("disk I/O error")
 
         return add_coauthor_edges(self, partway())
 
-    monkeypatch.setattr(SqliteStore, "add_coauthor_edges", failing)
-    assert run(["--config", str(config), "-d"]) == 1
-    with SqliteStore(parse_config(str(config))) as opened:
-        assert not opened.has_corpus()
-        assert opened.load_coauthors() == {}
-    assert run(["--config", str(config), "-h"], fetch=build_provider().fetch) == 3
-    capsys.readouterr()
+    @contextmanager
+    def failing():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SqliteStore, "add_coauthor_edges", failing_edges)
+            yield
+
+    err = check_failed_parse_dblp(make_config_file(tmp_path), capsys, failing)
+    assert "error: disk I/O error" in err
 
 
-def test_parse_dblp_of_a_corpus_that_breaks_late_leaves_no_corpus(
-    tmp_path, capsys, monkeypatch
+def test_parse_dblp_of_a_corpus_that_breaks_late_keeps_the_previous_corpus(
+    tmp_path, capsys
 ):
     # Well formed for more records than one parser block or insert batch
     # holds, so rows are inserted before the parser reaches the error.
@@ -277,29 +325,32 @@ def test_parse_dblp_of_a_corpus_that_breaks_late_leaves_no_corpus(
     assert corpus.stat().st_size > 2 * dblp.BLOCK_SIZE
     assert records > 2 * CORPUS_BATCH
     config = make_config_file(tmp_path)
-    # The corpus of an earlier -d is dropped before the new file is read.
-    assert run(["--config", str(config), "-d", "-e"]) == 0
-    with SqliteStore(parse_config(str(config))) as opened:
-        assert opened.has_corpus()
-    config.write_text(
-        config.read_text().replace(str(FIXTURES / "corpus_fixture.xml"), str(corpus))
-    )
-    inserted = []
+    good = config.read_text()
+    broken = good.replace(str(FIXTURES / "corpus_fixture.xml"), str(corpus))
+    inserted: list[list[int]] = []  # batch sizes of each failed -d
     add_corpus_publications = SqliteStore.add_corpus_publications
 
-    def counting(self, rows):
-        inserted.append(add_corpus_publications(self, rows))
-        return inserted[-1]
+    @contextmanager
+    def failing():
+        batches = []
+        inserted.append(batches)
 
-    monkeypatch.setattr(SqliteStore, "add_corpus_publications", counting)
-    assert run(["--config", str(config), "-d"]) == 1
-    assert "xml parse error: mismatched tag" in capsys.readouterr().err
-    assert sum(inserted) >= CORPUS_BATCH
-    with SqliteStore(parse_config(str(config))) as opened:
-        assert not opened.has_corpus()
-        assert opened.load_coauthors() == {}
-    assert run(["--config", str(config), "-h"], fetch=build_provider().fetch) == 3
-    capsys.readouterr()
+        def counting(self, rows):
+            batches.append(add_corpus_publications(self, rows))
+            return batches[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SqliteStore, "add_corpus_publications", counting)
+            config.write_text(broken)
+            try:
+                yield
+            finally:
+                config.write_text(good)
+
+    err = check_failed_parse_dblp(config, capsys, failing)
+    assert "xml parse error: mismatched tag" in err
+    assert len(inserted) == 2
+    assert all(sum(batches) >= CORPUS_BATCH for batches in inserted)
 
 
 # Few letters, so that names repeat within and across publications;
@@ -320,12 +371,11 @@ def test_store_coauthors_equal_the_parsed_corpus(tmp_path_factory, entries, auth
         + "<title>T</title></article>"
         for n, names in enumerate(entries)
     )
-    corpus, edges = parse_corpus([f"<dblp>{xml}</dblp>".encode()])
+    corpus, _ = parse_corpus([f"<dblp>{xml}</dblp>".encode()])
     parsed = corpus.coauthors
     config = Config(base_dir=str(tmp_path_factory.getbasetemp()), db_name="edges")
     with SqliteStore(config) as store:
-        store.create_corpus_tables()
-        store.add_coauthor_edges(edges)
+        store.replace_corpus(corpus.publications)
         loaded = store.load_coauthors()
     assert loaded == parsed
     assert list(loaded) == list(parsed)
@@ -334,9 +384,7 @@ def test_store_coauthors_equal_the_parsed_corpus(tmp_path_factory, entries, auth
 
 
 def stored_corpus(store, publications):
-    store.create_corpus_tables()
-    store.add_corpus_publications(publications)
-    store.create_title_index()
+    store.replace_corpus(publications)
 
 
 def title_variants(title: str) -> list[str]:
@@ -875,6 +923,31 @@ def test_run_repeated_resumption_token_exits_with_error_status(tmp_path, capsys)
     fetch = repeating_first_page(build_provider())
     assert run(["--config", str(config), "--all"], fetch=fetch) == 1
     assert "oai error: badResumptionToken" in capsys.readouterr().err
+
+
+def test_run_record_without_a_header_exits_with_error_status(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    provider = build_provider()
+    assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
+    root = tmp_path / "bht"
+    assert written_bht(root)
+    headerless = (
+        f'<OAI-PMH xmlns="{OAI_NS}"><ListRecords>'
+        "<record><metadata><x/></metadata></record></ListRecords></OAI-PMH>"
+    ).encode()
+    requests = []
+
+    def second_page_headerless(url):
+        requests.append(url)
+        return headerless if len(requests) > 1 else provider.fetch(url)
+
+    assert run(["--config", str(config), "-h"], fetch=second_page_headerless) == 1
+    err = capsys.readouterr().err
+    assert "oai error: badVerb: record lacks a header identifier" in err
+    assert len(requests) == 2
+    # The first page's files went with the rows that were not committed.
+    assert written_bht(root) == {}
+    assert harvested_row_counts(config) == [0, 0, 0]
 
 
 def one_page_fetch(*records: tuple[str, str | None]):
