@@ -11,6 +11,7 @@ runs behave the same from any working directory.
 import configparser
 import logging
 import os
+import urllib.parse
 from dataclasses import dataclass
 
 __all__ = ["Config", "ConfigError", "parse_config"]
@@ -98,6 +99,15 @@ def _convert(section: str, key: str, value: str, target: type):
         ) from None
 
 
+def _is_http_url(text: str) -> bool:
+    try:
+        url = urllib.parse.urlsplit(text)
+        url.port  # raises ValueError on a port that is no number in 0-65535
+    except ValueError:  # also on an unclosed "[" around an IPv6 host
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
+
+
 def parse_config(path: str) -> Config:
     """Read a config file; missing keys default, bad values fail loudly."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -130,4 +140,6 @@ def parse_config(path: str) -> Config:
         raise ConfigError("bhtexport.matchthreshold: must lie within [0, 1]")
     if config.lev_threshold < 0:
         raise ConfigError("bhtexport.levthreshold: must be non-negative")
+    if config.endpoint and not _is_http_url(config.endpoint):
+        raise ConfigError("harvester.endpoint: must be an http(s) URL with a host")
     return config

@@ -3,7 +3,8 @@
 The corpus file declares Latin-1 and writes everything else as character
 entities, including named HTML entities defined by its DTD.  Those named
 entities are rewritten to numeric references on the byte level before the
-stream reaches the XML parser.  ``iter_corpus`` drives pyexpat with
+stream reaches the XML parser.  The input is a binary file, read in
+blocks of ``BLOCK_SIZE`` bytes.  ``iter_corpus`` drives pyexpat with
 element and text handlers and keeps only the current record's fields,
 so it yields publications one by one in constant memory; -d inserts
 them into the store as they come.  ``parse_corpus`` collects them.
@@ -18,12 +19,13 @@ from the parsed publications.
 ``common_coauthors`` does not compare an author with every adjacency
 name.  With a match threshold above 0, a name can match only if it
 shares a token within the edit budget with the author, or if neither
-has a token; with a threshold of 0 every name matches every author, so
-the result is empty.  The vocabulary maps each casefolded token to the
-names that contain it, so those names are found by dictionary lookups:
-the token itself, and with the default budget of 2 every deletion,
-substitution and insertion of one character, drawn from the
-vocabulary's alphabet (Norvig, "How to Write a Spelling Corrector").
+has a token; with a threshold of 0 every name matches an input author,
+so the final exclusion of those leaves the result empty.  The vocabulary
+maps each casefolded token to the names that contain it, so those names
+are found by dictionary lookups: the token itself, and with the default
+budget of 2 every deletion, substitution and insertion of one character,
+drawn from the vocabulary's alphabet (Norvig, "How to Write a Spelling
+Corrector").
 A budget of 3 or more scans the vocabulary's tokens with
 ``levenshtein`` instead.  ``names_match`` still decides every
 candidate, so the result is the one a scan of every name gives.
@@ -128,11 +130,11 @@ def _entity_safe(blocks: Iterable[bytes]) -> Iterator[bytes]:
     yield tail
 
 
-def iter_corpus(stream: BinaryIO | Iterable[bytes]) -> Iterator[CorpusPublication]:
-    """Yield the publications of a corpus XML byte stream in document order.
+def iter_corpus(stream: BinaryIO) -> Iterator[CorpusPublication]:
+    """Yield the publications of a corpus XML file in document order.
 
-    A file is read in blocks of ``BLOCK_SIZE`` bytes; any other iterable
-    is read chunk by chunk.  Only the current record's fields are kept.
+    The file is read in blocks of ``BLOCK_SIZE`` bytes, and only the
+    current record's fields are kept.
     Each record of a publication type gives one publication; other
     record types are skipped, unknown ones with a warning.  A field is the
     first direct child of its tag, with the text of nested markup joined
@@ -205,10 +207,8 @@ def iter_corpus(stream: BinaryIO | Iterable[bytes]) -> Iterator[CorpusPublicatio
     parser.EndElementHandler = end
     parser.CharacterDataHandler = text.append
     parser.SkippedEntityHandler = skipped
-    if hasattr(stream, "read"):
-        stream = iter(partial(stream.read, BLOCK_SIZE), b"")
     try:
-        for block in _entity_safe(stream):
+        for block in _entity_safe(iter(partial(stream.read, BLOCK_SIZE), b"")):
             parser.Parse(block, False)
             yield from done
             done.clear()
@@ -335,10 +335,8 @@ def normalize_title(title: str) -> str:
     return " ".join(title.split()).casefold().rstrip(".")
 
 
-def parse_corpus(
-    stream: BinaryIO | Iterable[bytes],
-) -> tuple[CorpusStore, list[CoauthorEdge]]:
-    """Parse a corpus XML byte stream into a store and coauthor edges.
+def parse_corpus(stream: BinaryIO) -> tuple[CorpusStore, list[CoauthorEdge]]:
+    """Parse a corpus XML file into a store and coauthor edges.
 
     The publications are those of ``iter_corpus``; every publication with
     n >= 2 authors contributes all n(n-1)/2 unordered author pairs.
@@ -383,9 +381,6 @@ def common_coauthors(
     author is compared only with the vocabulary's candidates for it.
     """
     cfg = cfg or MatchConfig()
-    if cfg.match_threshold == 0:
-        # Every name matches every input author, so every name is excluded.
-        return []
     counts: dict[str, int] = {}
     for author in dict.fromkeys(authors):
         neighbourhood: set[str] = set()

@@ -1,10 +1,14 @@
 """OAI-PMH client: record listing, single-record retrieval, junii2 parsing.
 
 Transport is a plain callable ``fetch(url) -> bytes`` so tests and replay
-runs can serve canned XML; the default implementation does an HTTP GET.
-Every request goes through one retry site, ``_fetch_with_retries``: it
-retries network failures (no HTTP status), 429 and 5xx up to
-``RETRY_ATTEMPTS`` times, waiting an integer ``Retry-After`` (at most
+runs can serve canned XML; the default implementation does an HTTP GET,
+and a truncated response counts as a network failure.  Both verbs send
+each request through ``_request``: it builds the URL, fetches through
+the one retry site, ``_fetch_with_retries``, and returns the verb
+element, or None for the verb's "absent" error code (``noRecordsMatch``,
+``idDoesNotExist``); any other error raises ``OaiProtocolError``.  The
+retry site retries network failures (no HTTP status), 429 and 5xx up
+to ``RETRY_ATTEMPTS`` times, waiting an integer ``Retry-After`` (at most
 ``RETRY_AFTER_CAP_S``) or else an exponential backoff from
 ``RETRY_BACKOFF_S``; any other HTTP status fails at once.  Requests follow
 the protocol's two request shapes: the first ListRecords call carries the
@@ -20,6 +24,7 @@ codes; ``URI`` (or an http identifier) is the electronic edition;
 ``contributor`` and ``description`` are carried through verbatim.
 """
 
+import http.client
 import itertools
 import logging
 import time
@@ -63,14 +68,11 @@ class TransportError(RuntimeError):
         self,
         url: str,
         attempts: int,
-        cause: Exception | None = None,
         status: int | None = None,
         retry_after: str | None = None,
     ):
         super().__init__(f"fetch failed after {attempts} attempts: {url}")
-        self.url = url
         self.attempts = attempts
-        self.cause = cause
         self.status = status
         self.retry_after = retry_after
 
@@ -126,9 +128,10 @@ def http_fetch(url: str, timeout: float = 30.0) -> bytes:
             return response.read()
     except urllib.error.HTTPError as exc:
         retry_after = exc.headers.get("Retry-After") if exc.headers else None
-        raise TransportError(url, 1, exc, exc.code, retry_after) from exc
-    except OSError as exc:
-        raise TransportError(url, 1, exc) from exc
+        raise TransportError(url, 1, exc.code, retry_after) from exc
+    except (OSError, http.client.HTTPException) as exc:
+        # HTTPException covers a truncated body (IncompleteRead).
+        raise TransportError(url, 1) from exc
 
 
 def _fetch_with_retries(fetch: Fetch, url: str) -> bytes:
@@ -141,7 +144,7 @@ def _fetch_with_retries(fetch: Fetch, url: str) -> bytes:
                 status is None or status == 429 or status >= 500
             )
             if attempt == RETRY_ATTEMPTS or not retryable:
-                raise TransportError(url, attempt, exc, status) from exc
+                raise TransportError(url, attempt, status) from exc
             retry_after = (getattr(exc, "retry_after", None) or "").strip()
             time.sleep(
                 min(int(retry_after), RETRY_AFTER_CAP_S)
@@ -150,16 +153,21 @@ def _fetch_with_retries(fetch: Fetch, url: str) -> bytes:
             )
 
 
-def _build_url(endpoint: str, params: dict[str, str]) -> str:
+def _request(
+    fetch: Fetch, endpoint: str, params: dict[str, str], absent: str
+) -> ET.Element | None:
+    """The verb element of the response to ``params``, or None when the
+    provider answers with the error code ``absent``."""
     separator = "&" if "?" in endpoint else "?"
-    return endpoint + separator + urllib.parse.urlencode(params)
-
-
-def _parse_response(data: bytes, verb: str) -> ET.Element:
-    root = ET.fromstring(data)
+    url = endpoint + separator + urllib.parse.urlencode(params)
+    root = ET.fromstring(_fetch_with_retries(fetch, url))
     error = root.find(f"{{{OAI_NS}}}error")
     if error is not None:
-        raise OaiProtocolError(error.get("code", "unknown"), (error.text or "").strip())
+        code = error.get("code", "unknown")
+        if code == absent:
+            return None
+        raise OaiProtocolError(code, (error.text or "").strip())
+    verb = params["verb"]
     body = root.find(f"{{{OAI_NS}}}{verb}")
     if body is None:
         raise OaiProtocolError("badVerb", f"response lacks a {verb} element")
@@ -191,13 +199,9 @@ def list_records(
         params = {"verb": "ListRecords", "resumptionToken": token}
     else:
         params = {"verb": "ListRecords", "metadataPrefix": prefix}
-    url = _build_url(endpoint, params)
-    try:
-        body = _parse_response(_fetch_with_retries(fetch, url), "ListRecords")
-    except OaiProtocolError as exc:
-        if exc.code == "noRecordsMatch":
-            return [], None
-        raise
+    body = _request(fetch, endpoint, params, "noRecordsMatch")
+    if body is None:
+        return [], None
     records = [_parse_record(r) for r in body.findall(f"{{{OAI_NS}}}record")]
     token_elem = body.find(f"{{{OAI_NS}}}resumptionToken")
     next_token = None
@@ -210,20 +214,10 @@ def get_record(
     endpoint: str, prefix: str, identifier: str, *, fetch: Fetch = http_fetch
 ) -> OaiRecord | None:
     """A single record, or None when the provider reports idDoesNotExist."""
-    url = _build_url(
-        endpoint,
-        {"verb": "GetRecord", "metadataPrefix": prefix, "identifier": identifier},
-    )
-    try:
-        body = _parse_response(_fetch_with_retries(fetch, url), "GetRecord")
-    except OaiProtocolError as exc:
-        if exc.code == "idDoesNotExist":
-            return None
-        raise
-    record = body.find(f"{{{OAI_NS}}}record")
-    if record is None:
-        return None
-    return _parse_record(record)
+    params = {"verb": "GetRecord", "metadataPrefix": prefix, "identifier": identifier}
+    body = _request(fetch, endpoint, params, "idDoesNotExist")
+    record = None if body is None else body.find(f"{{{OAI_NS}}}record")
+    return None if record is None else _parse_record(record)
 
 
 def _local_name(elem: ET.Element) -> str:
@@ -272,14 +266,11 @@ def _pair_creators(raw: list[str]) -> list[tuple[str | None, str | None]]:
     return creators
 
 
-def parse_junii2(payload: ET.Element | str, identifier: str = "") -> HarvestedPublication:
+def parse_junii2(payload: ET.Element, identifier: str = "") -> HarvestedPublication:
     """Extract a HarvestedPublication from one junii2 metadata element.
 
     Raises MalformedRecordError when the payload carries no title at all.
     """
-    if isinstance(payload, str):
-        payload = ET.fromstring(payload)
-
     titles: list[tuple[str, str]] = []
     creators_raw: list[str] = []
     contributors: list[tuple[str, str]] = []

@@ -14,6 +14,7 @@ import os
 import sqlite3
 import sys
 import xml.etree.ElementTree as ET
+from typing import Container
 
 from .bht import build_entry, claim_spf_path, concatenate, remove_unclaimed, render_spf
 from .config import Config, ConfigError, parse_config
@@ -131,11 +132,13 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
     bht_root = os.path.abspath(config.resolve(config.bht_path))
     # Relative path of each BHT file written in this run -> its identifier.
     claimed: dict[str, str] = {}
+    # The claimed paths whose rows are committed: none before flush()
+    # returns, so a failure keeps no part file without a row.
+    committed: Container[str] = ()
     # The statistics count each identifier once, by its last copy.
     outcomes: dict[str, RecordOutcome] = {}
 
     log.info("harvesting %s (mode=%s)", config.endpoint or "<injected>", mode)
-    # No row is committed before flush(), so a failure keeps no part file.
     try:
         for record, publication in harvest(
             config.endpoint,
@@ -189,10 +192,9 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
             with open(target, "w", encoding="ascii", newline="") as handle:
                 handle.write(render_spf(entry))
         store.flush()
-    except BaseException:
-        remove_unclaimed(bht_root, set())
-        raise
-    remove_unclaimed(bht_root, claimed)
+        committed = claimed
+    finally:
+        remove_unclaimed(bht_root, committed)
     return RunStatistics(outcomes.values())
 
 

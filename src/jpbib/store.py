@@ -2,8 +2,10 @@
 
 A single SQLite file holds every relation under fixed table names:
 ``japnames`` for the dictionary, ``dblp`` and ``dblpauthors`` for the
-corpus, and ``oai_publications``, ``oai_authors``, ``oai_titles``,
-``oai_contributors`` and ``oai_descriptions`` for the harvest.
+corpus, and ``oai_publications``, ``oai_authors`` and the text tables
+``oai_titles``, ``oai_contributors`` and ``oai_descriptions`` for the
+harvest.  The text tables share one definition: a row is one text of a
+publication, its position and its language tag.
 ``replace_names`` and ``replace_corpus`` each drop, recreate and fill
 their tables in one transaction, so a load that fails partway leaves
 the previous tables and their index as they were.  A harvested
@@ -71,6 +73,8 @@ class SqliteStore:
     titles = "oai_titles"
     contributors = "oai_contributors"
     descriptions = "oai_descriptions"
+    # Filled from a publication's titles, contributors and descriptions.
+    text_tables = (titles, contributors, descriptions)
     title_index = "dblp_title"
     _title_index_sql = (
         f"CREATE INDEX IF NOT EXISTS {title_index} ON {dblp} (jpbib_title(title))"
@@ -266,6 +270,18 @@ class SqliteStore:
     # -- harvested publications -------------------------------------------
 
     def create_harvest_tables(self) -> None:
+        text_tables = "".join(
+            f"""
+            DROP TABLE IF EXISTS {table};
+            CREATE TABLE {table} (
+                id INTEGER PRIMARY KEY,
+                publication_id INTEGER NOT NULL,
+                position INTEGER NOT NULL,
+                text TEXT NOT NULL,
+                lang TEXT NOT NULL
+            );"""
+            for table in self.text_tables
+        )
         self.connection.executescript(
             f"""
             DROP TABLE IF EXISTS {self.publications};
@@ -294,31 +310,7 @@ class SqliteStore:
                 kanji_family TEXT,
                 status TEXT NOT NULL,
                 candidates TEXT NOT NULL
-            );
-            DROP TABLE IF EXISTS {self.titles};
-            CREATE TABLE {self.titles} (
-                id INTEGER PRIMARY KEY,
-                publication_id INTEGER NOT NULL,
-                position INTEGER NOT NULL,
-                text TEXT NOT NULL,
-                lang TEXT NOT NULL
-            );
-            DROP TABLE IF EXISTS {self.contributors};
-            CREATE TABLE {self.contributors} (
-                id INTEGER PRIMARY KEY,
-                publication_id INTEGER NOT NULL,
-                position INTEGER NOT NULL,
-                text TEXT NOT NULL,
-                lang TEXT NOT NULL
-            );
-            DROP TABLE IF EXISTS {self.descriptions};
-            CREATE TABLE {self.descriptions} (
-                id INTEGER PRIMARY KEY,
-                publication_id INTEGER NOT NULL,
-                position INTEGER NOT NULL,
-                text TEXT NOT NULL,
-                lang TEXT NOT NULL
-            );
+            );{text_tables}
             """
         )
 
@@ -331,12 +323,7 @@ class SqliteStore:
         ).fetchone()
         if earlier is None:
             return
-        for table in (
-            self.authors,
-            self.titles,
-            self.contributors,
-            self.descriptions,
-        ):
+        for table in (self.authors, *self.text_tables):
             self.connection.execute(
                 f"DELETE FROM {table} WHERE publication_id=?", earlier
             )
@@ -395,11 +382,8 @@ class SqliteStore:
             "VALUES (?,?,?,?,?,?,?,?,?,?)",
             author_rows,
         )
-        for table, values in (
-            (self.titles, publication.titles),
-            (self.contributors, publication.contributors),
-            (self.descriptions, publication.descriptions),
-        ):
+        texts = publication.titles, publication.contributors, publication.descriptions
+        for table, values in zip(self.text_tables, texts):
             self.connection.executemany(
                 f"INSERT INTO {table} (publication_id, position, text, lang) "
                 "VALUES (?,?,?,?)",

@@ -9,6 +9,7 @@ apostrophe separators, so every probe goes through the converters here.
 """
 
 import itertools
+import re
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -88,7 +89,9 @@ for _src, _dst in _HEPBURN_BASE:
     _HEPBURN_TABLE[_src] = _dst
     _HEPBURN_TABLE[_src.capitalize()] = _dst.capitalize()
 _HEPBURN_TABLE["L"] = "R"
-_PATTERN_LENGTHS = (3, 2, 1)
+# The table's sequences, longest first: the regex engine takes the first
+# alternative that matches, so the longest sequence at a position wins.
+_HEPBURN_RE = re.compile("|".join(sorted(_HEPBURN_TABLE, key=len, reverse=True)))
 
 
 def to_hepburn(name: str) -> str:
@@ -98,20 +101,7 @@ def to_hepburn(name: str) -> str:
     sequence wins and its replacement is emitted verbatim.  Lowercase and
     capitalized forms are covered; text already in Hepburn is unchanged.
     """
-    out = []
-    i = 0
-    n = len(name)
-    while i < n:
-        for length in _PATTERN_LENGTHS:
-            repl = _HEPBURN_TABLE.get(name[i:i + length])
-            if repl is not None:
-                out.append(repl)
-                i += length
-                break
-        else:
-            out.append(name[i])
-            i += 1
-    return "".join(out)
+    return _HEPBURN_RE.sub(lambda match: _HEPBURN_TABLE[match[0]], name)
 
 
 _CHAR_MAP = {

@@ -124,8 +124,8 @@ def test_adjacency_skips_repeated_and_single_authors():
 def test_entity_split_across_chunks(corpus):
     data = FIXTURE.read_bytes()
     for size in (1, 7):
-        chunks = [data[i : i + size] for i in range(0, len(data), size)]
-        store, edges = parse_corpus(chunks)
+        with patch.object(dblp, "BLOCK_SIZE", size):
+            store, edges = parse_corpus(io.BytesIO(data))
         assert store.publications == corpus[0].publications
         assert edges == corpus[1]
 
@@ -222,6 +222,15 @@ def test_common_coauthors_single_input(corpus):
 def test_common_coauthors_no_shared_third_party(corpus):
     store, _ = corpus
     assert common_coauthors(["E. F. Codd", "Markus Tresch"], store.coauthors) == []
+
+
+def test_common_coauthors_at_match_threshold_zero_is_empty(corpus):
+    # Every corpus name matches the input authors themselves.
+    store, _ = corpus
+    authors = ["Shinsuke Mori", "Graham Neubig", "Yuuta Tsuboi"]
+    assert common_coauthors(authors, store.coauthors) == ["Masato Mimura"]
+    zero = MatchConfig(match_threshold=0.0)
+    assert common_coauthors(authors, store.coauthors, zero) == []
 
 
 def test_common_coauthors_builds_the_adjacency_and_its_vocabulary():
@@ -328,7 +337,8 @@ def test_streaming_parse_of_generated_corpus():
             ).encode("ascii")
         yield b"</dblp>\n"
 
-    store, edges = parse_corpus(generate())
+    with patch.object(dblp, "BLOCK_SIZE", 4096):
+        store, edges = parse_corpus(io.BytesIO(b"".join(generate())))
     assert len(store.publications) == 2000
     assert len(edges) == 2000
 
@@ -392,13 +402,22 @@ def test_iter_corpus_equals_the_reference_on_the_fixture(corpus):
 
 
 def test_iter_corpus_yields_before_the_stream_ends():
-    def chunks():
-        yield b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
-        yield b'<article key="a/1"><author>Ann</author><title>One</title></article>\n'
-        yield b'<article key="a/2"><author>Bo</author><title>Two</title></article>\n'
-        raise AssertionError("read past the first record")
+    class Reader:
+        """A file that returns one line per read, and fails the read after
+        the second record."""
 
-    first = next(dblp.iter_corpus(chunks()))
+        lines = [
+            b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n',
+            b'<article key="a/1"><author>Ann</author><title>One</title></article>\n',
+            b'<article key="a/2"><author>Bo</author><title>Two</title></article>\n',
+        ]
+
+        def read(self, size):
+            if not self.lines:
+                raise AssertionError("read past the first record")
+            return self.lines.pop(0)
+
+    first = next(dblp.iter_corpus(Reader()))
     assert (first.id, first.key, first.authors) == (1, "a/1", ("Ann",))
 
 
@@ -472,15 +491,11 @@ def logged_warnings(function, *args):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_document, st.integers(1, 40), st.booleans())
-def test_iter_corpus_equals_the_reference(data, block_size, from_file):
+@given(_document, st.integers(1, 40))
+def test_iter_corpus_equals_the_reference(data, block_size):
     (publications, unknown), entity_warnings = logged_warnings(reference_corpus, data)
-    if from_file:
-        stream = io.BytesIO(data)
-    else:
-        stream = [data[i : i + block_size] for i in range(0, len(data), block_size)]
     with patch.object(dblp, "BLOCK_SIZE", block_size):
-        parsed, warnings = logged_warnings(list, dblp.iter_corpus(stream))
+        parsed, warnings = logged_warnings(list, dblp.iter_corpus(io.BytesIO(data)))
     assert parsed == publications
     skipped = [f"skipping unknown record type <{tag}>" for tag in unknown]
     assert [message for message in warnings if "record type" in message] == skipped

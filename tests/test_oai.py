@@ -1,9 +1,11 @@
 """OAI-PMH client behaviour against the in-process mock provider."""
 
 import email.message
+import http.client
 import io
 import urllib.error
 import urllib.parse
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -48,14 +50,28 @@ def sleeps(monkeypatch):
     return waits
 
 
+class _FailingResponse(io.BytesIO):
+    """A response whose body read raises ``error``."""
+
+    def __init__(self, error: Exception):
+        super().__init__()
+        self.error = error
+
+    def read(self, *args):
+        raise self.error
+
+
 def serve_http(monkeypatch, provider, *errors):
-    """Let urlopen raise HTTP errors, given as (status, Retry-After), then
+    """Let urlopen raise HTTP errors, given as (status, Retry-After), or
+    return a response whose read raises an exception given as such, then
     serve the provider; returns the list of requested URLs."""
     pending = list(errors)
     requested = []
 
     def urlopen(request, timeout):
         requested.append(request.full_url)
+        if pending and isinstance(pending[0], Exception):
+            return _FailingResponse(pending.pop(0))
         if pending:
             status, retry_after = pending.pop(0)
             headers = email.message.Message()
@@ -234,6 +250,26 @@ def test_client_error_fails_after_one_attempt(monkeypatch, provider, sleeps):
     assert sleeps == []
 
 
+def test_truncated_response_is_retried_as_a_network_failure(
+    monkeypatch, provider, sleeps
+):
+    truncated = [http.client.IncompleteRead(b"<OAI-PMH", 100)] * 3
+    requested = serve_http(monkeypatch, provider, *truncated)
+    with pytest.raises(TransportError) as info:
+        list_records(ENDPOINT, "junii2")
+    assert info.value.attempts == 3
+    assert info.value.status is None
+    assert len(requested) == 3
+    assert sleeps == [0.5, 1.0]
+
+
+def test_truncated_response_recovers(monkeypatch, provider, sleeps):
+    serve_http(monkeypatch, provider, http.client.IncompleteRead(b"", 10))
+    records, _ = list_records(ENDPOINT, "junii2")
+    assert len(records) == 100
+    assert sleeps == [0.5]
+
+
 def test_retry_after_is_honoured_and_capped(monkeypatch, provider, sleeps):
     serve_http(monkeypatch, provider, (503, "7"), (503, "86400"))
     records, _ = list_records(ENDPOINT, "junii2")
@@ -276,7 +312,7 @@ def test_parse_junii2_english_only():
     payload = junii2_payload(
         titles=[("Only English", "en")], creators=["Jane Doe"], language="eng"
     )
-    publication = parse_junii2(payload, "oai:mock:1")
+    publication = parse_junii2(ET.fromstring(payload), "oai:mock:1")
     assert publication.language == "en"
     assert publication.titles == [("Only English", "en")]
     assert publication.creators == [("Jane Doe", None)]
@@ -285,7 +321,7 @@ def test_parse_junii2_english_only():
 def test_parse_junii2_without_titles_raises():
     payload = junii2_payload(titles=[], creators=["森信介"])
     with pytest.raises(MalformedRecordError):
-        parse_junii2(payload, "oai:mock:60")
+        parse_junii2(ET.fromstring(payload), "oai:mock:60")
 
 
 def test_parse_junii2_contributors_and_descriptions():
@@ -295,7 +331,7 @@ def test_parse_junii2_contributors_and_descriptions():
         contributors=["情報処理学会"],
         descriptions=["An abstract."],
     )
-    publication = parse_junii2(payload, "x")
+    publication = parse_junii2(ET.fromstring(payload), "x")
     assert publication.contributors == [("情報処理学会", "ja")]
     assert publication.descriptions == [("An abstract.", "en")]
 

@@ -1,5 +1,7 @@
 """Configuration, persistence, statistics and CLI stage behaviour."""
 
+import http.client
+import io
 import json
 import logging
 from contextlib import contextmanager
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpbib import dblp
+from jpbib import dblp, oai
 from jpbib.config import Config, ConfigError, parse_config
 from jpbib.matching import NameStatus
 from jpbib.oai import OAI_NS, TransportError, get_record, parse_junii2
@@ -371,7 +373,7 @@ def test_store_coauthors_equal_the_parsed_corpus(tmp_path_factory, entries, auth
         + "<title>T</title></article>"
         for n, names in enumerate(entries)
     )
-    corpus, _ = parse_corpus([f"<dblp>{xml}</dblp>".encode()])
+    corpus, _ = parse_corpus(io.BytesIO(f"<dblp>{xml}</dblp>".encode()))
     parsed = corpus.coauthors
     config = Config(base_dir=str(tmp_path_factory.getbasetemp()), db_name="edges")
     with SqliteStore(config) as store:
@@ -635,6 +637,49 @@ def test_run_concatenate_without_bht_fails(tmp_path, capsys):
 
 def test_run_bad_config(tmp_path):
     assert run(["--config", str(tmp_path / "missing.ini"), "-e"]) == 2
+
+
+def test_run_rejects_an_endpoint_that_is_not_an_http_url_before_any_stage(
+    tmp_path, capsys
+):
+    config = make_config_file(tmp_path)
+    config.write_text(
+        config.read_text().replace(
+            "[harvester]\n", "[harvester]\nendpoint=not-a-url\n"
+        )
+    )
+    provider = build_provider()
+    assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 2
+    assert "harvester.endpoint" in capsys.readouterr().err
+    assert not (tmp_path / "store.sqlite3").exists()
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["http://example.org/oai", "https://example.org/oai?a=b", ""]
+)
+def test_parse_config_accepts_an_http_endpoint_or_none(tmp_path, endpoint):
+    path = tmp_path / "config.ini"
+    path.write_text(f"[harvester]\nendpoint={endpoint}\n")
+    assert parse_config(str(path)).endpoint == endpoint
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "not-a-url",
+        "ftp://example.org/oai",
+        "http://",
+        "example.org/oai",
+        "http://[::1",
+        "http://example.org:port/oai",
+    ],
+)
+def test_parse_config_rejects_an_endpoint_that_is_not_an_http_url(tmp_path, endpoint):
+    path = tmp_path / "config.ini"
+    path.write_text(f"[harvester]\nendpoint={endpoint}\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(str(path))
+    assert str(info.value).startswith("harvester.endpoint: ")
 
 
 def test_run_rejects_negative_levthreshold_before_any_stage(tmp_path, capsys):
@@ -1116,6 +1161,40 @@ def test_failed_harvest_leaves_no_file_without_a_row(tmp_path, capsys):
     assert run(["--config", str(config), "-b"]) == 0
     assert list(root.rglob("*.bht")) == []
     capsys.readouterr()
+
+
+def test_truncated_http_response_fails_the_harvest_without_a_traceback(
+    tmp_path, capsys, monkeypatch
+):
+    config = make_config_file(tmp_path)
+    provider = build_provider()
+    assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
+    root = tmp_path / "bht"
+    assert written_bht(root)
+    config.write_text(
+        config.read_text().replace(
+            "[harvester]\n", "[harvester]\nendpoint=http://example.org/oai\n"
+        )
+    )
+    requests = []
+
+    class Truncated(io.BytesIO):
+        def read(self, *args):
+            raise http.client.IncompleteRead(b"<OAI-PMH", 100)
+
+    def urlopen(request, timeout):
+        requests.append(request.full_url)
+        if len(requests) > 1:
+            return Truncated()
+        return io.BytesIO(provider.fetch(request.full_url))
+
+    monkeypatch.setattr(oai.urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr(oai.time, "sleep", lambda seconds: None)
+    assert run(["--config", str(config), "-h"]) == 1
+    assert "error: fetch failed after 3 attempts" in capsys.readouterr().err
+    assert len(requests) == 4
+    assert written_bht(root) == {}
+    assert harvested_row_counts(config) == [0, 0, 0]
 
 
 @pytest.mark.parametrize("display, warnings", [(True, 1), (False, 0)])

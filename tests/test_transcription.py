@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jpbib.transcription import (
+    _HEPBURN_TABLE,
     EmptyNameError,
     NormalizedLatin,
     VariantExplosionError,
@@ -72,6 +73,38 @@ def test_to_hepburn_idempotent_over_random_strings():
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
         once = to_hepburn(text)
         assert to_hepburn(once) == once
+
+
+def scan_hepburn(name: str) -> str:
+    """The reference for ``to_hepburn``: a left-to-right scan that tries
+    the table's 3-, 2- and 1-character sequences at each position."""
+    out = []
+    i = 0
+    while i < len(name):
+        for length in (3, 2, 1):
+            replacement = _HEPBURN_TABLE.get(name[i : i + length])
+            if replacement is not None:
+                out.append(replacement)
+                i += length
+                break
+        else:
+            out.append(name[i])
+            i += 1
+    return "".join(out)
+
+
+# Letters of the table's sequences in both cases, so that matches are
+# frequent and overlap, the rest of the alphabet, and separators.
+_romanized = st.text(
+    alphabet=st.sampled_from("syztjhuaioclSYZTJHUAIOCL'- " + string.ascii_letters),
+    max_size=16,
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_romanized)
+def test_to_hepburn_equals_the_scan(name):
+    assert to_hepburn(name) == scan_hepburn(name)
 
 
 def test_strip_length_h():
