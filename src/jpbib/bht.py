@@ -51,22 +51,13 @@ class BhtEntry:
     dblp_key: str | None = None
 
 
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+
+
 def escape_non_ascii(text: str) -> str:
     """ASCII-safe form: XML specials named, all else as &#xHEX; references."""
-    out = []
-    for ch in text:
-        code = ord(ch)
-        if ch == "&":
-            out.append("&amp;")
-        elif ch == "<":
-            out.append("&lt;")
-        elif ch == ">":
-            out.append("&gt;")
-        elif code > 127:
-            out.append(f"&#x{code:X};")
-        else:
-            out.append(ch)
-    return "".join(out)
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NON_ASCII_RE.sub(lambda match: f"&#x{ord(match[0]):X};", text)
 
 
 def date_label(date: str | None) -> str | None:
@@ -208,22 +199,27 @@ def build_entry(
 
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
+# Keeps each name made from provider data under the common 255-byte limit.
+_COMPONENT_CAP = 100
+# ASCII digits only: \d also takes non-ASCII digits of up to 4 UTF-8 bytes.
+_STEM_RE = re.compile(rf"[0-9]{{1,{_COMPONENT_CAP}}}$")
 
 
 def _slug(text: str, fallback: str = "") -> str:
-    return _SLUG_RE.sub("-", text.lower()).strip("-") or fallback
+    return (_SLUG_RE.sub("-", text.lower()).strip("-") or fallback)[:_COMPONENT_CAP]
 
 
 def spf_relative_path(publication: HarvestedPublication) -> str:
     """Directory grouping and file name for one publication.
 
     Files group by publication type and volume; the file itself is named
-    after the trailing integer of the OAI identifier.
+    after the trailing integer of the OAI identifier.  Each component is
+    cut to its first 100 characters, the integer to its last 100 digits.
     """
     type_slug = _slug(publication.publication_type or "", "untyped")
     volume = _slug(publication.volume or "", "0")
-    match = re.search(r"(\d+)$", publication.identifier)
-    stem = match.group(1) if match else _slug(publication.identifier)
+    match = _STEM_RE.search(publication.identifier)
+    stem = match[0] if match else _slug(publication.identifier)
     return os.path.join(type_slug, f"volume-{volume}", f"{stem}.bht")
 
 

@@ -12,7 +12,7 @@ import configparser
 import logging
 import os
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 __all__ = ["Config", "ConfigError", "parse_config"]
 
@@ -23,31 +23,30 @@ class ConfigError(ValueError):
     """Unusable configuration; the message names section.key."""
 
 
+def _key(section: str, key: str, default):
+    """A Config field read from ``key`` in ``[section]``."""
+    return field(default=default, metadata={"ini": (section, key)})
+
+
 @dataclass
 class Config:
     # [db]: location of the embedded tabular store
-    db_url: str = ""
-    db_name: str = "jpbib"
-    # [japnamesdb]
-    use_unclassified_names: bool = False
-    # [enamdict]
-    enamdict_file: str = "./enamdict"
-    # [harvester]
-    files_path: str = "./files-harvester"
-    min_id: int = 1
-    max_id: int = 100000
-    use_list_records: bool = True
-    endpoint: str = ""
-    id_prefix: str = ""
-    # [dblp]
-    dblp_xml_file: str = "./dblp.xml"
-    # [bhtexport]
-    bht_path: str = "./bht"
-    show_common_coauthors: bool = True
-    lev_threshold: int = 2
-    match_threshold: float = 0.75
-    # [log]
-    log_path: str = "./log"
+    db_url: str = _key("db", "url", "")
+    db_name: str = _key("db", "db", "jpbib")
+    use_unclassified_names: bool = _key("japnamesdb", "useunclassifiednames", False)
+    enamdict_file: str = _key("enamdict", "file", "./enamdict")
+    files_path: str = _key("harvester", "filespath", "./files-harvester")
+    min_id: int = _key("harvester", "minid", 1)
+    max_id: int = _key("harvester", "maxid", 100000)
+    use_list_records: bool = _key("harvester", "uselistrecords", True)
+    endpoint: str = _key("harvester", "endpoint", "")
+    id_prefix: str = _key("harvester", "idprefix", "")
+    dblp_xml_file: str = _key("dblp", "xmlfile", "./dblp.xml")
+    bht_path: str = _key("bhtexport", "path", "./bht")
+    show_common_coauthors: bool = _key("bhtexport", "showcommoncoauthors", True)
+    lev_threshold: int = _key("bhtexport", "levthreshold", 2)
+    match_threshold: float = _key("bhtexport", "matchthreshold", 0.75)
+    log_path: str = _key("log", "path", "./log")
     # Directory the config file lives in; anchors the relative paths.
     base_dir: str = "."
 
@@ -63,30 +62,10 @@ class Config:
         return os.path.join(directory, f"{self.db_name or 'jpbib'}.sqlite3")
 
 
-_SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
-    "db": {
-        "url": ("db_url", str),
-        "db": ("db_name", str),
-    },
-    "japnamesdb": {"useunclassifiednames": ("use_unclassified_names", bool)},
-    "enamdict": {"file": ("enamdict_file", str)},
-    "harvester": {
-        "filespath": ("files_path", str),
-        "minid": ("min_id", int),
-        "maxid": ("max_id", int),
-        "uselistrecords": ("use_list_records", bool),
-        "endpoint": ("endpoint", str),
-        "idprefix": ("id_prefix", str),
-    },
-    "dblp": {"xmlfile": ("dblp_xml_file", str)},
-    "bhtexport": {
-        "path": ("bht_path", str),
-        "showcommoncoauthors": ("show_common_coauthors", bool),
-        "levthreshold": ("lev_threshold", int),
-        "matchthreshold": ("match_threshold", float),
-    },
-    "log": {"path": ("log_path", str)},
-}
+# (section, key) -> the field it sets; the sections are the known ones.
+_FIELDS = {f.metadata["ini"]: f for f in fields(Config) if "ini" in f.metadata}
+_SECTIONS = {section for section, _ in _FIELDS}
+
 
 def _convert(section: str, key: str, value: str, target: type):
     try:
@@ -114,23 +93,22 @@ def parse_config(path: str) -> Config:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
 
     config = Config(base_dir=os.path.dirname(os.path.abspath(path)))
     for section in parser.sections():
-        known = _SCHEMA.get(section)
-        if known is None:
+        if section not in _SECTIONS:
             log.warning("unknown config section [%s]", section)
             continue
         for key, value in parser.items(section):
-            if key not in known:
+            declared = _FIELDS.get((section, key))
+            if declared is None:
                 log.warning("unknown config key %s.%s", section, key)
                 continue
-            attribute, target = known[key]
-            setattr(config, attribute, _convert(section, key, value, target))
+            setattr(config, declared.name, _convert(section, key, value, declared.type))
 
     if config.min_id > config.max_id:
         raise ConfigError(

@@ -31,6 +31,7 @@ A budget of 3 or more scans the vocabulary's tokens with
 candidate, so the result is the one a scan of every name gives.
 """
 
+import itertools
 import logging
 import re
 from dataclasses import dataclass
@@ -223,10 +224,7 @@ def iter_corpus(stream: BinaryIO) -> Iterator[CorpusPublication]:
 
 def coauthor_pairs(authors: Sequence[str]) -> Iterator[tuple[str, str]]:
     """Author pairs (i < j) of one author list, skipping equal names."""
-    for i, author_a in enumerate(authors):
-        for author_b in authors[i + 1 :]:
-            if author_a != author_b:
-                yield author_a, author_b
+    return ((a, b) for a, b in itertools.combinations(authors, 2) if a != b)
 
 
 def coauthor_edges(publications: Iterable[CorpusPublication]) -> Iterator[CoauthorEdge]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = [
+    "DictionaryEncodingError",
     "NameRecord",
     "NameType",
     "ParseWarning",
@@ -33,6 +34,10 @@ class NameType(enum.Enum):
     FEMALE_GIVEN = "f"
     MALE_GIVEN = "m"
     UNCLASSIFIED = "u"
+
+
+class DictionaryEncodingError(ValueError):
+    """The dictionary file is not UTF-8; the message names the file."""
 
 
 PERSON_TYPE_CODES = {t.value: t for t in NameType}
@@ -189,6 +194,12 @@ def load_enamdict(
     path: str, include_unclassified: bool = False
 ) -> tuple[list[NameRecord], list[ParseWarning]]:
     """Parse a dictionary file from disk (UTF-8 only)."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_file(handle, include_unclassified)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse_file(handle, include_unclassified)
+    except UnicodeDecodeError as exc:
+        raise DictionaryEncodingError(
+            f"name dictionary {path!r} is not UTF-8 ({exc.reason}); convert it"
+            " first, e.g. from EUC-JP with iconv -f EUC-JP -t UTF-8"
+        ) from None
 

@@ -9,6 +9,7 @@ up with exactly one status describing how well that worked.
 """
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -346,18 +347,14 @@ def kanji_name_candidates(
     fastest, in dictionary order, deduplicated.
     """
     kanji = re.sub(r"\s+", "", kanji_string or "")
-    candidates: list[PersonName] = []
-    seen: set[tuple[str, str]] = set()
-    for i in range(1, len(kanji)):
-        family_readings = dictionary.surface_readings(kanji[:i], FAMILY_TYPES)
-        given_readings = dictionary.surface_readings(kanji[i:], GIVEN_TYPES)
-        for family in family_readings:
-            for given in given_readings:
-                key = (given, family)
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(PersonName(given, family))
-    return candidates
+    return list(dict.fromkeys(
+        PersonName(given, family)
+        for i in range(1, len(kanji))
+        for family, given in itertools.product(
+            dictionary.surface_readings(kanji[:i], FAMILY_TYPES),
+            dictionary.surface_readings(kanji[i:], GIVEN_TYPES),
+        )
+    ))
 
 
 def resolve_author(

@@ -27,6 +27,7 @@ codes; ``URI`` (or an http identifier) is the electronic edition;
 import http.client
 import itertools
 import logging
+import re
 import time
 import urllib.error
 import urllib.parse
@@ -228,13 +229,12 @@ _LANG_ATTR = "{http://www.w3.org/XML/1998/namespace}lang"
 _LANGUAGE_CODES = {"jpn": "ja", "ja": "ja", "eng": "en", "en": "en"}
 
 
+# CJK punctuation and kana (adjacent ranges), then the unified ideographs.
+_CJK_RE = re.compile("[\u3000-\u30ff\u4e00-\u9fff]")
+
+
 def _has_cjk(text: str) -> bool:
-    return any(
-        0x3040 <= ord(ch) <= 0x30FF  # kana
-        or 0x4E00 <= ord(ch) <= 0x9FFF  # unified ideographs
-        or 0x3000 <= ord(ch) <= 0x303F  # CJK punctuation
-        for ch in text
-    )
+    return _CJK_RE.search(text) is not None
 
 
 def _language_tag(elem: ET.Element, text: str) -> str:

@@ -19,7 +19,7 @@ from typing import Container
 from .bht import build_entry, claim_spf_path, concatenate, remove_unclaimed, render_spf
 from .config import Config, ConfigError, parse_config
 from .dblp import common_coauthors, find_publication, iter_corpus
-from .enamdict import load_enamdict
+from .enamdict import DictionaryEncodingError, load_enamdict
 from .matching import NameDictionary, resolve_author
 from .oai import OaiProtocolError, TransportError, harvest, http_fetch
 from .similarity import MatchConfig
@@ -272,7 +272,7 @@ def run(argv=None, *, fetch=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TransportError, sqlite3.Error) as exc:
+    except (TransportError, sqlite3.Error, DictionaryEncodingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except OaiProtocolError as exc:

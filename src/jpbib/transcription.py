@@ -88,7 +88,6 @@ _HEPBURN_TABLE: dict[str, str] = {}
 for _src, _dst in _HEPBURN_BASE:
     _HEPBURN_TABLE[_src] = _dst
     _HEPBURN_TABLE[_src.capitalize()] = _dst.capitalize()
-_HEPBURN_TABLE["L"] = "R"
 # The table's sequences, longest first: the regex engine takes the first
 # alternative that matches, so the longest sequence at a position wins.
 _HEPBURN_RE = re.compile("|".join(sorted(_HEPBURN_TABLE, key=len, reverse=True)))
@@ -104,7 +103,7 @@ def to_hepburn(name: str) -> str:
     return _HEPBURN_RE.sub(lambda match: _HEPBURN_TABLE[match[0]], name)
 
 
-_CHAR_MAP = {
+_CHAR_MAP = str.maketrans({
     # curly quotes and modifier letters standing in for the apostrophe
     "\u2019": "'", "\u2018": "'", "\u02bc": "'",
     # dash punctuation of any width
@@ -112,7 +111,7 @@ _CHAR_MAP = {
     "\u2014": "-", "\u2015": "-",
     # middle dots separate name parts; ideographic space
     "\u00b7": " ", "\u30fb": " ", "\u3000": " ",
-}
+})
 
 
 def normalize_latin(raw: str) -> str:
@@ -122,9 +121,7 @@ def normalize_latin(raw: str) -> str:
     included) are stripped, whitespace is trimmed and collapsed.  Case
     is preserved.  Raises EmptyNameError when nothing is left.
     """
-    mapped = "".join(
-        _CHAR_MAP.get(ch, ch) for ch in unicodedata.normalize("NFC", raw)
-    )
+    mapped = unicodedata.normalize("NFC", raw).translate(_CHAR_MAP)
     # Compatibility decomposition turns fullwidth Latin into basic Latin
     # and splits an accented letter into its base letter and marks.
     text = unicodedata.normalize("NFKD", mapped).encode("ascii", "ignore").decode()
@@ -230,24 +227,12 @@ def consonant_variants(name: str) -> list[str]:
     such site yields both spellings; all combinations are returned, input
     first.
     """
-    sites = [
-        i
-        for i, ch in enumerate(name[:-1])
-        if ch.lower() in "mn" and name[i + 1].lower() in "bp"
-    ]
-    if not sites:
-        return [name]
     swaps = {"m": "n", "n": "m", "M": "N", "N": "M"}
-    variants: list[str] = []
-    for choice in itertools.product((False, True), repeat=len(sites)):
-        chars = list(name)
-        for site, swap in zip(sites, choice):
-            if swap:
-                chars[site] = swaps[chars[site]]
-        candidate = "".join(chars)
-        if candidate not in variants:
-            variants.append(candidate)
-    return variants
+    options = [
+        (ch, swaps[ch]) if ch in swaps and following in "bBpP" else (ch,)
+        for ch, following in zip(name, name[1:] + " ")
+    ]
+    return ["".join(chars) for chars in itertools.product(*options)]
 
 
 def separator_forms(base: NormalizedLatin) -> list[NormalizedLatin]:

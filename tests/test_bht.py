@@ -5,6 +5,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpbib.bht import (
     BhtEntry,
@@ -32,6 +34,37 @@ def test_escape_non_ascii():
     assert escape_non_ascii("abc") == "abc"
     assert escape_non_ascii("é") == "&#xE9;"
     assert escape_non_ascii("a&b<c>d") == "a&amp;b&lt;c&gt;d"
+
+
+def scan_escape(text: str) -> str:
+    """The reference for ``escape_non_ascii``: one branch per character."""
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch == "&":
+            out.append("&amp;")
+        elif ch == "<":
+            out.append("&lt;")
+        elif ch == ">":
+            out.append("&gt;")
+        elif code > 127:
+            out.append(f"&#x{code:X};")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+# Every code point, lone surrogates included, with the XML specials and
+# the escaped text's own characters frequent.
+_any_text = st.text(
+    st.one_of(st.sampled_from("&<>#x;"), st.characters(exclude_categories=()))
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_any_text)
+def test_escape_non_ascii_equals_the_scan(text):
+    assert escape_non_ascii(text) == scan_escape(text)
 
 
 def test_escape_round_trip():
@@ -193,7 +226,16 @@ def test_claim_spf_path_never_shares_a_file():
         )
 
     taken: dict[str, str] = {}
-    identifiers = ("oai:mock:1", "oai:other:1", "oai:mock:1", "OAI:Other:1")
+    # The last two share their last 100 digits, which is all a name keeps.
+    digits = "1234567890" * 10
+    identifiers = (
+        "oai:mock:1",
+        "oai:other:1",
+        "oai:mock:1",
+        "OAI:Other:1",
+        f"oai:mock:1{digits}",
+        f"oai:mock:2{digits}",
+    )
     claims = [
         claim_spf_path(publication(identifier), taken) for identifier in identifiers
     ]
@@ -203,6 +245,8 @@ def test_claim_spf_path_never_shares_a_file():
         directory / "oai-other-1.bht",
         directory / "oai-mock-1.bht",
         directory / "oai-other-1-2.bht",
+        directory / f"{digits}.bht",
+        directory / f"oai-mock-2{digits[:90]}.bht",
     ]
     assert taken == dict(zip(claims, identifiers))
     # A freed path is the first candidate again.

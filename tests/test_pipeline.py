@@ -1,10 +1,13 @@
 """Configuration, persistence, statistics and CLI stage behaviour."""
 
+import configparser
 import http.client
 import io
 import json
 import logging
+import re
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -93,6 +96,20 @@ def test_parse_config_unknown_key_warns(tmp_path, caplog):
         parse_config(str(path))
     assert any("fancyknob" in message for message in caplog.messages)
     assert any("mystery" in message for message in caplog.messages)
+
+
+def test_readme_configuration_block_lists_every_key_with_its_default(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL)[1]
+    listed = configparser.ConfigParser(interpolation=None)
+    listed.read_string(block)
+    assert {
+        (section, key) for section in listed.sections() for key in listed[section]
+    } == {field.metadata["ini"] for field in fields(Config) if field.metadata}
+    # The block is a working config file that changes no default.
+    path = tmp_path / "config.ini"
+    path.write_text(block, encoding="utf-8")
+    assert parse_config(str(path)) == Config(base_dir=str(tmp_path))
 
 
 def test_store_path_resolution(tmp_path):
@@ -639,6 +656,37 @@ def test_run_bad_config(tmp_path):
     assert run(["--config", str(tmp_path / "missing.ini"), "-e"]) == 2
 
 
+def test_run_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    latin_1 = config.read_text().replace("db=store", "db=café").encode("latin-1")
+    config.write_bytes(latin_1)
+    assert run(["--config", str(config), "-e"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config file '{config}'")
+    assert "utf-8" in err
+    assert not list(tmp_path.glob("*.sqlite3"))
+
+
+def test_run_enamdict_that_is_not_utf8_keeps_the_previous_names(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    assert run(["--config", str(config), "-e"]) == 0
+    with SqliteStore(parse_config(str(config))) as opened:
+        previous = opened.load_name_records()
+    # The historical ENAMDICT encoding.
+    euc_jp = tmp_path / "enamdict.euc"
+    fixture = FIXTURES / "names_fixture.txt"
+    euc_jp.write_bytes(fixture.read_text(encoding="utf-8").encode("euc_jp"))
+    config.write_text(config.read_text().replace(str(fixture), str(euc_jp)))
+    capsys.readouterr()
+
+    assert run(["--config", str(config), "-e"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(euc_jp) in err and "iconv -f EUC-JP -t UTF-8" in err
+    with SqliteStore(parse_config(str(config))) as opened:
+        assert opened.load_name_records() == previous
+
+
 def test_run_rejects_an_endpoint_that_is_not_an_http_url_before_any_stage(
     tmp_path, capsys
 ):
@@ -1114,6 +1162,36 @@ def test_run_colliding_file_names_keep_both(tmp_path, capsys):
     ]
     assert "Mock Title" in files["journal-article/volume-5/1.bht"]
     assert "Other Title" in files["journal-article/volume-5/oai-other-1.bht"]
+
+
+def test_run_long_provider_fields_fit_the_file_name_limit(tmp_path, capsys):
+    # OAI-PMH bounds none of these; each one used to make a path
+    # component too long for the file system, which ended -h with exit 4.
+    config = make_config_file(tmp_path)
+    digits = "1234567890" * 30
+    long_type = junii2_payload(
+        titles=[("Long Type", "en")],
+        creators=["Jane Doe"],
+        publication_type="Journal Article " * 30,
+        volume="5",
+        language="eng",
+    )
+    fetch = one_page_fetch(
+        ("oai:mock:1", long_type),
+        ("oai:mock:2", article("Long Volume", digits, ["Jane Doe"])),
+        (f"oai:mock:{digits}", article("Long Identifier", "5", ["Jane Doe"])),
+    )
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+
+    files = written_bht(tmp_path / "bht")
+    assert sorted(
+        re.search(r"Long \w+", text)[0] for text in files.values()
+    ) == ["Long Identifier", "Long Type", "Long Volume"]
+    assert all(
+        len(part.encode()) <= 255 for path in files for part in Path(path).parts
+    )
+    assert harvested_row_counts(config) == [3, 3, 3]
 
 
 def test_rerun_harvest_leaves_only_this_runs_files(tmp_path, capsys):

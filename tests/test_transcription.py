@@ -258,6 +258,35 @@ def test_consonant_variants_all_combinations():
     assert variants == {"nbmp", "mbmp", "nbnp", "mbnp"}
 
 
+def swap_consonants(name: str) -> list[str]:
+    """The reference for ``consonant_variants``: each combination of
+    swapped sites, written into a copy of the name, repeats dropped."""
+    sites = [
+        i
+        for i, ch in enumerate(name[:-1])
+        if ch.lower() in "mn" and name[i + 1].lower() in "bp"
+    ]
+    if not sites:
+        return [name]
+    swaps = {"m": "n", "n": "m", "M": "N", "N": "M"}
+    variants: list[str] = []
+    for choice in itertools.product((False, True), repeat=len(sites)):
+        chars = list(name)
+        for site, swap in zip(sites, choice):
+            if swap:
+                chars[site] = swaps[chars[site]]
+        candidate = "".join(chars)
+        if candidate not in variants:
+            variants.append(candidate)
+    return variants
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet=st.sampled_from("mnbpMNBPaA'- "), max_size=12))
+def test_consonant_variants_equal_the_reference_in_order(name):
+    assert consonant_variants(name) == swap_consonants(name)
+
+
 def _texts(forms):
     return [form.text for form in forms]
 
