@@ -1,4 +1,5 @@
-"""Rendering of extended BHT files and per-directory concatenation.
+"""Rendering of extended BHT files, export of the harvested tree, and
+per-directory concatenation.
 
 One publication becomes one file (single publication format): an h2
 header with volume, number and issue date, the author/title/pages list
@@ -15,10 +16,12 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Container
+from typing import Container, Iterable
 
-from .matching import AuthorResolution
+from .dblp import Coauthors, common_coauthors
+from .matching import AuthorResolution, latin_names
 from .oai import HarvestedPublication
+from .similarity import MatchConfig
 
 __all__ = [
     "BhtEntry",
@@ -27,6 +30,7 @@ __all__ = [
     "concatenate",
     "date_label",
     "escape_non_ascii",
+    "export",
     "remove_unclaimed",
     "render_spf",
     "spf_relative_path",
@@ -223,9 +227,8 @@ def spf_relative_path(publication: HarvestedPublication) -> str:
     return os.path.join(type_slug, f"volume-{volume}", f"{stem}.bht")
 
 
-def claim_spf_path(publication: HarvestedPublication, claimed: dict[str, str]) -> str:
-    """The first relative path not in ``claimed``, which it then maps to
-    the publication's identifier.
+def claim_spf_path(publication: HarvestedPublication, claimed: set[str]) -> str:
+    """The first relative path not in ``claimed``, which it then adds.
 
     ``spf_relative_path`` comes first; a publication whose path is taken
     is named after its whole slugged identifier, with a "-2", "-3", ...
@@ -239,7 +242,7 @@ def claim_spf_path(publication: HarvestedPublication, claimed: dict[str, str]) -
     )
     for candidate in candidates:
         if candidate not in claimed:
-            claimed[candidate] = publication.identifier
+            claimed.add(candidate)
             return candidate
 
 
@@ -257,8 +260,7 @@ def remove_unclaimed(root: str, taken: Container[str]) -> None:
     """Delete the single-publication files under ``root`` whose relative
     path is not in ``taken``, then every directory left empty but the root.
 
-    The tree then holds what the harvest tables hold; all.bht stays for
-    concatenation to rewrite or remove.
+    all.bht stays, for concatenation to rewrite or remove.
     """
     for directory, _, filenames in os.walk(root, topdown=False):
         relative = os.path.relpath(directory, root)
@@ -268,6 +270,44 @@ def remove_unclaimed(root: str, taken: Container[str]) -> None:
         _remove_if_empty(directory, root)
 
 
+def export(
+    harvested: Iterable[
+        tuple[HarvestedPublication, list[AuthorResolution], str | None]
+    ],
+    root: str,
+    coauthors: Coauthors | None = None,
+    match_config: MatchConfig | None = None,
+) -> None:
+    """Write one file under ``root`` for each harvested (publication,
+    resolutions, corpus key), then remove every other single-publication
+    file, as ``remove_unclaimed`` does.
+
+    Paths are claimed in the order given.  The common coauthors are listed
+    when ``coauthors`` is given.  The removal also runs when a write fails,
+    so the tree then holds only the files written here.
+    """
+    root = os.path.abspath(root)
+    claimed: set[str] = set()
+    written: set[str] = set()
+    try:
+        for publication, resolutions, dblp_key in harvested:
+            names = latin_names(resolutions)
+            shared: list[str] = []
+            if coauthors is not None and names:
+                shared = common_coauthors(names, coauthors, match_config)
+            relative = claim_spf_path(publication, claimed)
+            target = os.path.join(root, relative)
+            if os.path.commonpath([root, os.path.abspath(target)]) != root:
+                raise OSError(f"BHT path {target!r} leaves {root!r}")
+            entry = build_entry(publication, resolutions, shared, dblp_key)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            with open(target, "w", encoding="ascii", newline="") as handle:
+                handle.write(render_spf(entry))
+            written.add(relative)
+    finally:
+        remove_unclaimed(root, written)
+
+
 def concatenate(root: str) -> int:
     """Write all.bht in every directory that holds single-publication files.
 
@@ -275,9 +315,11 @@ def concatenate(root: str) -> int:
     all.bht never feeds its own replacement, so reruns are idempotent.
     An all.bht in a directory without other BHT files is removed, and so
     is every directory left empty but the root.  Returns the number of
-    all.bht files written.
+    all.bht files written.  A directory that fails is logged and skipped;
+    after the others, the first failure is raised as an ``OSError``.
     """
     written = 0
+    failures: list[str] = []
     for directory, _, filenames in os.walk(root, topdown=False):
         parts = sorted(name for name in filenames if _is_part(name))
         target = os.path.join(directory, "all.bht")
@@ -295,6 +337,11 @@ def concatenate(root: str) -> int:
                 handle.write(b"".join(chunks))
         except OSError as exc:
             log.error("cannot concatenate in %s: %s", directory, exc)
+            failures.append(f"{directory}: {exc}")
             continue
         written += 1
+    if failures:
+        raise OSError(
+            f"cannot concatenate in {failures[0]} (failed directories: {len(failures)})"
+        )
     return written

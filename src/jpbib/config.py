@@ -89,14 +89,18 @@ def _is_http_url(text: str) -> bool:
 
 def parse_config(path: str) -> Config:
     """Read a config file; missing keys default, bad values fail loudly."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section header can hold a line break, so [DEFAULT] is a section
+    # like any other, reported as unknown, and sets no key elsewhere.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
+        # Its message spans lines; the error is reported on one.
+        message = " ".join(str(exc).splitlines())
+        raise ConfigError(f"cannot parse config file {path!r}: {message}") from exc
 
     config = Config(base_dir=os.path.dirname(os.path.abspath(path)))
     for section in parser.sections():

@@ -35,6 +35,7 @@ __all__ = [
     "detect_abbreviated",
     "kanji_name_candidates",
     "latin_lookup_variants",
+    "latin_names",
     "match_latin_kanji",
     "resolve_author",
     "split_latin_full_name",
@@ -84,6 +85,11 @@ class AuthorResolution:
     kanji: PersonName | None
     candidates: list[PersonName] = field(default_factory=list)
     status: NameStatus = NameStatus.UNDEFINED_LATIN_MISSING
+
+
+def latin_names(resolutions: list[AuthorResolution]) -> list[str]:
+    """The non-empty Latin display names of ``resolutions``, in order."""
+    return [r.latin.display() for r in resolutions if r.latin and r.latin.display()]
 
 
 class NameDictionary:

@@ -14,13 +14,12 @@ import os
 import sqlite3
 import sys
 import xml.etree.ElementTree as ET
-from typing import Container
 
-from .bht import build_entry, claim_spf_path, concatenate, remove_unclaimed, render_spf
+from .bht import concatenate, export
 from .config import Config, ConfigError, parse_config
-from .dblp import common_coauthors, find_publication, iter_corpus
+from .dblp import find_publication, iter_corpus
 from .enamdict import DictionaryEncodingError, load_enamdict
-from .matching import NameDictionary, resolve_author
+from .matching import NameDictionary, latin_names, resolve_author
 from .oai import OaiProtocolError, TransportError, harvest, http_fetch
 from .similarity import MatchConfig
 from .stats import RecordOutcome, RunStatistics
@@ -113,33 +112,20 @@ def stage_enamdict(config: Config, store: SqliteStore) -> None:
 
 
 def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
+    """Harvest, resolve and look up every record, and replace the harvest
+    tables with the results in one transaction; writes no file."""
     dictionary = NameDictionary(store.load_name_records())
     # Title lookups query the store; a store written before the title
-    # index existed gets it here.  The adjacency comes from the edge table.
+    # index existed gets it here.
     store.create_title_index()
-    coauthors = store.load_coauthors() if config.show_common_coauthors else None
     match_config = MatchConfig(config.lev_threshold, config.match_threshold)
-    if config.show_common_coauthors and config.match_threshold == 0:
-        # Every corpus name then matches the input authors themselves,
-        # and common_coauthors leaves those out.
-        log.warning(
-            "bhtexport.matchthreshold=0: the common-coauthor display will be empty"
-        )
-    store.create_harvest_tables()
-
     mode = "list" if config.use_list_records else (config.min_id, config.max_id)
     save_dir = config.resolve(config.files_path) if config.files_path else None
-    bht_root = os.path.abspath(config.resolve(config.bht_path))
-    # Relative path of each BHT file written in this run -> its identifier.
-    claimed: dict[str, str] = {}
-    # The claimed paths whose rows are committed: none before flush()
-    # returns, so a failure keeps no part file without a row.
-    committed: Container[str] = ()
     # The statistics count each identifier once, by its last copy.
     outcomes: dict[str, RecordOutcome] = {}
 
     log.info("harvesting %s (mode=%s)", config.endpoint or "<injected>", mode)
-    try:
+    with store.replace_harvest():
         for record, publication in harvest(
             config.endpoint,
             "junii2",
@@ -148,12 +134,12 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
             id_prefix=config.id_prefix,
             save_dir=save_dir,
         ):
-            # A repeated identifier replaces its earlier copy, rows and file
-            # included; a deleted or unparsable last copy leaves nothing.
+            # A repeated identifier replaces its earlier copy's rows and keeps
+            # its id, so its file name follows its first copy; a deleted or
+            # unparsable last copy leaves no row.
+            earlier = None
             if record.identifier in outcomes:
-                store.remove_harvested(record.identifier)
-                earlier = (p for p, i in claimed.items() if i == record.identifier)
-                claimed.pop(next(earlier, None), None)
+                earlier = store.remove_harvested(record.identifier)
             if record.deleted or publication is None:
                 outcomes[record.identifier] = RecordOutcome(record.deleted)
                 continue
@@ -162,13 +148,10 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
                 resolve_author(latin, kanji, dictionary)
                 for latin, kanji in publication.creators
             ]
-            latin_names = [
-                r.latin.display() for r in resolutions if r.latin and r.latin.display()
-            ]
-
+            names = latin_names(resolutions)
             dblp_key = None
             for title, _ in publication.titles:
-                dblp_key = find_publication(title, latin_names, store, match_config)
+                dblp_key = find_publication(title, names, store, match_config)
                 if dblp_key:
                     break
             outcomes[record.identifier] = RecordOutcome(
@@ -177,25 +160,22 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
                 tuple(resolution.status for resolution in resolutions),
                 bool(dblp_key),
             )
-
-            shared: list[str] = []
-            if coauthors is not None and latin_names:
-                shared = common_coauthors(latin_names, coauthors, match_config)
-
-            relative = claim_spf_path(publication, claimed)
-            target = os.path.join(bht_root, relative)
-            if os.path.commonpath([bht_root, os.path.abspath(target)]) != bht_root:
-                raise OSError(f"BHT path {target!r} leaves {bht_root!r}")
-            store.add_harvested(publication, resolutions, dblp_key)
-            entry = build_entry(publication, resolutions, shared, dblp_key)
-            os.makedirs(os.path.dirname(target), exist_ok=True)
-            with open(target, "w", encoding="ascii", newline="") as handle:
-                handle.write(render_spf(entry))
-        store.flush()
-        committed = claimed
-    finally:
-        remove_unclaimed(bht_root, committed)
+            store.add_harvested(publication, resolutions, dblp_key, earlier)
     return RunStatistics(outcomes.values())
+
+
+def stage_export(config: Config, store: SqliteStore) -> None:
+    """Write the BHT tree from the committed harvest rows."""
+    # The adjacency comes from the edge table.
+    coauthors = store.load_coauthors() if config.show_common_coauthors else None
+    if coauthors is not None and config.match_threshold == 0:
+        # Every corpus name then matches the input authors themselves,
+        # and common_coauthors leaves those out.
+        log.warning(
+            "bhtexport.matchthreshold=0: the common-coauthor display will be empty"
+        )
+    match_config = MatchConfig(config.lev_threshold, config.match_threshold)
+    export(store.harvested(), config.resolve(config.bht_path), coauthors, match_config)
 
 
 def stage_concatenate(config: Config) -> int:
@@ -263,6 +243,7 @@ def run(argv=None, *, fetch=None) -> int:
                 )
                 with open(stats_path, "w", encoding="utf-8") as handle:
                     handle.write(stats.to_json())
+                stage_export(config, store)
             if flags.concatenate_bht:
                 count = stage_concatenate(config)
                 print(f"wrote {count} all.bht files")

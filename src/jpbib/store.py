@@ -6,10 +6,12 @@ corpus, and ``oai_publications``, ``oai_authors`` and the text tables
 ``oai_titles``, ``oai_contributors`` and ``oai_descriptions`` for the
 harvest.  The text tables share one definition: a row is one text of a
 publication, its position and its language tag.
-``replace_names`` and ``replace_corpus`` each drop, recreate and fill
-their tables in one transaction, so a load that fails partway leaves
-the previous tables and their index as they were.  A harvested
-identifier that arrives again replaces its earlier rows.
+``replace_names``, ``replace_corpus`` and ``replace_harvest`` each drop,
+recreate and fill their tables in one transaction, so a load or harvest
+that fails partway leaves the previous tables and their index as they
+were.  A harvested identifier that arrives again replaces its earlier
+rows and keeps its publication id; ``harvested`` reads the publications
+back in id order.
 
 Each connection registers the SQL function ``jpbib_title``, which is
 ``dblp.normalize_title``.  The index ``dblp_title`` on
@@ -26,8 +28,9 @@ import json
 import os
 import sqlite3
 from contextlib import contextmanager
-from itertools import combinations, islice
-from typing import Iterable, Iterator
+from itertools import combinations, groupby, islice, tee
+from operator import itemgetter
+from typing import ContextManager, Iterable, Iterator
 
 from .config import Config
 from .dblp import (
@@ -39,7 +42,7 @@ from .dblp import (
     normalize_title,
 )
 from .enamdict import NameRecord, NameType
-from .matching import AuthorResolution
+from .matching import AuthorResolution, NameStatus, PersonName
 from .oai import HarvestedPublication
 
 __all__ = ["SqliteStore"]
@@ -60,6 +63,31 @@ _to_json = json.JSONEncoder(ensure_ascii=False).encode
 # and 1000 gave the same setup time within run-to-run spread, and 10 a
 # 0.2 MiB higher peak (CHANGES.md).
 CORPUS_BATCH = 100
+
+
+def _per_id(rows: Iterable[tuple], ids: Iterable[int]) -> Iterator[list[tuple]]:
+    """For each of the ascending ``ids``, the rows whose first column is
+    that id, without that column; ``rows`` come sorted by it."""
+    groups = groupby(rows, itemgetter(0))
+    key, group = next(groups, (None, ()))
+    for row_id in ids:
+        if key != row_id:
+            yield []
+            continue
+        yield [row[1:] for row in group]
+        key, group = next(groups, (None, ()))
+
+
+def _resolution(
+    latin_given, latin_family, kanji_given, kanji_family, status, candidates
+) -> AuthorResolution:
+    """The resolution that ``add_harvested`` stored as these columns."""
+    return AuthorResolution(
+        None if latin_given is None else PersonName(latin_given, latin_family),
+        None if kanji_given is None else PersonName(kanji_given, kanji_family),
+        [PersonName(*pair) for pair in json.loads(candidates)],
+        NameStatus(status),
+    )
 
 
 class SqliteStore:
@@ -114,10 +142,14 @@ class SqliteStore:
         the block's inserts.  It commits when the block ends and rolls back
         on any exception, so a failed load leaves the previous tables and
         indexes as they were, or no tables on a store that had none."""
-        with self.connection:
+        try:
             # The script's own BEGIN keeps its DROP and CREATE uncommitted.
             self.connection.executescript("BEGIN;" + schema)
             yield
+        except BaseException:
+            self.connection.rollback()
+            raise
+        self.flush()
 
     # -- dictionary names ---------------------------------------------------
 
@@ -269,7 +301,9 @@ class SqliteStore:
 
     # -- harvested publications -------------------------------------------
 
-    def create_harvest_tables(self) -> None:
+    def replace_harvest(self) -> ContextManager[None]:
+        """A block that refills the five harvest tables in one transaction:
+        a harvest that fails keeps the previous run's rows."""
         text_tables = "".join(
             f"""
             DROP TABLE IF EXISTS {table};
@@ -282,7 +316,7 @@ class SqliteStore:
             );"""
             for table in self.text_tables
         )
-        self.connection.executescript(
+        return self._replacing(
             f"""
             DROP TABLE IF EXISTS {self.publications};
             CREATE TABLE {self.publications} (
@@ -314,34 +348,39 @@ class SqliteStore:
             """
         )
 
-    def remove_harvested(self, identifier: str) -> None:
+    def remove_harvested(self, identifier: str) -> int | None:
         """Delete the publication stored under ``identifier``, if any,
-        with its author, title, contributor and description rows."""
+        with its author, title, contributor and description rows; returns
+        the id it had."""
         earlier = self.connection.execute(
             f"SELECT id FROM {self.publications} WHERE identifier=?",
             (identifier,),
         ).fetchone()
         if earlier is None:
-            return
+            return None
         for table in (self.authors, *self.text_tables):
             self.connection.execute(
                 f"DELETE FROM {table} WHERE publication_id=?", earlier
             )
         self.connection.execute(f"DELETE FROM {self.publications} WHERE id=?", earlier)
+        return earlier[0]
 
     def add_harvested(
         self,
         publication: HarvestedPublication,
         resolutions: list[AuthorResolution],
         dblp_key: str | None = None,
+        publication_id: int | None = None,
     ) -> int:
-        """Store a publication whose identifier is not stored yet; a new
+        """Store a publication whose identifier is not stored yet, under
+        ``publication_id`` or else the next free id; returns the id.  A new
         copy of a stored one goes in after ``remove_harvested``."""
         cursor = self.connection.execute(
             f"INSERT INTO {self.publications} "
-            "(identifier, publication_type, date, volume, number, pages, "
-            " language, source_url, dblp_key) VALUES (?,?,?,?,?,?,?,?,?)",
+            "(id, identifier, publication_type, date, volume, number, pages, "
+            " language, source_url, dblp_key) VALUES (?,?,?,?,?,?,?,?,?,?)",
             (
+                publication_id,
                 publication.identifier,
                 publication.publication_type,
                 publication.date,
@@ -393,6 +432,47 @@ class SqliteStore:
                 ],
             )
         return publication_id
+
+    def harvested(
+        self,
+    ) -> Iterator[tuple[HarvestedPublication, list[AuthorResolution], str | None]]:
+        """Each stored publication in id order, with its author resolutions
+        and corpus key, as ``add_harvested`` received them.  The rows are
+        read as the items are taken, one publication's worth at a time."""
+        # The columns between identifier and dblp_key in HarvestedPublication's
+        # field order.
+        publications = self.connection.execute(
+            "SELECT id, identifier, publication_type, date, pages, volume, number, "
+            f"language, source_url, dblp_key FROM {self.publications} ORDER BY id"
+        )
+        children = {
+            self.authors: "latin_raw, kanji_raw, latin_given, latin_family, "
+            "kanji_given, kanji_family, status, candidates",
+            **dict.fromkeys(self.text_tables, "text, lang"),
+        }
+        rows, *ids = tee(publications, 1 + len(children))
+        per_publication = [
+            _per_id(
+                self.connection.execute(
+                    f"SELECT publication_id, {columns} FROM {table} "
+                    "ORDER BY publication_id, position"
+                ),
+                (row[0] for row in id_rows),
+            )
+            for (table, columns), id_rows in zip(children.items(), ids)
+        ]
+        for row, authors, titles, contributors, descriptions in zip(
+            rows, *per_publication
+        ):
+            _, identifier, *fields, key = row
+            creators = [author[:2] for author in authors]
+            yield (
+                HarvestedPublication(
+                    identifier, titles, creators, *fields, contributors, descriptions
+                ),
+                [_resolution(*author[2:]) for author in authors],
+                key,
+            )
 
     def flush(self) -> None:
         self.connection.commit()

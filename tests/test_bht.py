@@ -225,7 +225,7 @@ def test_claim_spf_path_never_shares_a_file():
             identifier, [], [], publication_type="Journal Article", volume="5"
         )
 
-    taken: dict[str, str] = {}
+    taken: set[str] = set()
     # The last two share their last 100 digits, which is all a name keeps.
     digits = "1234567890" * 10
     identifiers = (
@@ -248,9 +248,9 @@ def test_claim_spf_path_never_shares_a_file():
         directory / f"{digits}.bht",
         directory / f"oai-mock-2{digits[:90]}.bht",
     ]
-    assert taken == dict(zip(claims, identifiers))
+    assert taken == set(claims)
     # A freed path is the first candidate again.
-    del taken[claims[0]]
+    taken.remove(claims[0])
     assert claim_spf_path(publication("oai:mock:1"), taken) == claims[0]
 
 

@@ -197,6 +197,19 @@ def test_record_without_a_header_identifier_is_a_protocol_error(header):
         assert info.value.message == "record lacks a header identifier"
 
 
+def test_response_without_its_verb_element_is_a_protocol_error():
+    # A well-formed answer to another verb: the provider mixed up requests.
+    body = f'<OAI-PMH xmlns="{OAI_NS}"><Identify/></OAI-PMH>'.encode()
+    for verb, request in (
+        ("ListRecords", lambda: list_records(ENDPOINT, "junii2", fetch=lambda url: body)),
+        ("GetRecord", lambda: get_record(ENDPOINT, "junii2", "x", fetch=lambda url: body)),
+    ):
+        with pytest.raises(OaiProtocolError) as info:
+            request()
+        assert info.value.code == "badVerb"
+        assert info.value.message == f"response lacks a {verb} element"
+
+
 def test_transport_error_carries_attempts(sleeps):
     def failing(url: str) -> bytes:
         raise TransportError(url, 1)

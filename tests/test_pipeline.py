@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import re
+import shutil
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpbib import dblp, oai
+from jpbib import bht, dblp, oai
 from jpbib.config import Config, ConfigError, parse_config
 from jpbib.matching import NameStatus
 from jpbib.oai import OAI_NS, TransportError, get_record, parse_junii2
@@ -87,6 +88,32 @@ def test_parse_config_bad_value_names_key(tmp_path):
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/config.ini")
+
+
+def test_parse_config_default_section_sets_no_key(tmp_path, caplog):
+    path = tmp_path / "config.ini"
+    path.write_text("[DEFAULT]\npath=./elsewhere\n[bhtexport]\n[log]\n[db]\n")
+    with caplog.at_level(logging.WARNING, logger="jpbib.config"):
+        config = parse_config(str(path))
+    assert config == Config(base_dir=str(tmp_path))
+    assert caplog.messages == ["unknown config section [DEFAULT]"]
+
+
+def test_parse_config_match_threshold_above_one(tmp_path):
+    path = tmp_path / "config.ini"
+    path.write_text("[bhtexport]\nmatchthreshold=1.5\n")
+    with pytest.raises(ConfigError, match=r"^bhtexport\.matchthreshold: must lie"):
+        parse_config(str(path))
+
+
+def test_run_config_key_before_any_section_exits_with_one_line(tmp_path, capsys):
+    path = tmp_path / "config.ini"
+    path.write_text("db=jpbib\n[db]\n")
+    assert run(["--config", str(path), "-e"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot parse config file")
+    assert "no section headers" in err
+    assert err.count("\n") == 1
 
 
 def test_parse_config_unknown_key_warns(tmp_path, caplog):
@@ -505,9 +532,8 @@ def test_store_harvested_roundtrip(store, name_dictionary):
         resolve_author(latin, kanji, name_dictionary)
         for latin, kanji in publication.creators
     ]
-    store.create_harvest_tables()
-    store.add_harvested(publication, resolutions, dblp_key="conf/x/1")
-    store.flush()
+    with store.replace_harvest():
+        store.add_harvested(publication, resolutions, dblp_key="conf/x/1")
 
     stored = stored_rows(store, publication.identifier)
     assert stored["publication"] == (
@@ -541,9 +567,10 @@ def test_store_harvested_roundtrip(store, name_dictionary):
         )
     assert stored["authors"] == expected_authors
     assert len(expected_authors) == len(publication.creators) > 0
+    assert list(store.harvested()) == [(publication, resolutions, "conf/x/1")]
 
     # Removing leaves no row behind, and the identifier can be stored again.
-    store.remove_harvested(publication.identifier)
+    assert store.remove_harvested(publication.identifier) == 1
     assert stored_rows(store, publication.identifier) is None
     tables = (
         store.publications,
@@ -557,7 +584,8 @@ def test_store_harvested_roundtrip(store, name_dictionary):
         for table in tables
     ]
     assert counts == [0] * len(tables)
-    store.add_harvested(publication, resolutions, dblp_key="conf/x/1")
+    assert list(store.harvested()) == []
+    assert store.add_harvested(publication, resolutions, "conf/x/1", 7) == 7
     assert stored_rows(store, publication.identifier) == stored
 
 
@@ -645,6 +673,18 @@ def test_run_harvest_without_stores_fails(tmp_path, capsys):
     status = run(["--config", str(config), "--harvest"], fetch=provider.fetch)
     assert status == 3
     assert "parse-dblp" in capsys.readouterr().err
+
+
+def test_run_harvest_without_the_dictionary_table_fails(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    assert run(["--config", str(config), "-d"]) == 0
+    requests = []
+    assert run(["--config", str(config), "-h"], fetch=requests.append) == 3
+    assert capsys.readouterr().err == (
+        "prerequisite error: harvest needs the name dictionary table; "
+        "run --enamdict first\n"
+    )
+    assert requests == []
 
 
 def test_run_concatenate_without_bht_fails(tmp_path, capsys):
@@ -1022,8 +1062,8 @@ def test_run_record_without_a_header_exits_with_error_status(tmp_path, capsys):
     config = make_config_file(tmp_path)
     provider = build_provider()
     assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
-    root = tmp_path / "bht"
-    assert written_bht(root)
+    previous = harvest_outputs(config)
+    assert previous[0]
     headerless = (
         f'<OAI-PMH xmlns="{OAI_NS}"><ListRecords>'
         "<record><metadata><x/></metadata></record></ListRecords></OAI-PMH>"
@@ -1038,9 +1078,8 @@ def test_run_record_without_a_header_exits_with_error_status(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "oai error: badVerb: record lacks a header identifier" in err
     assert len(requests) == 2
-    # The first page's files went with the rows that were not committed.
-    assert written_bht(root) == {}
-    assert harvested_row_counts(config) == [0, 0, 0]
+    # The first page's rows rolled back, and no file was written.
+    assert harvest_outputs(config) == previous
 
 
 def one_page_fetch(*records: tuple[str, str | None]):
@@ -1073,6 +1112,22 @@ def written_bht(root: Path) -> dict[str, str]:
         for path in sorted(root.rglob("*.bht"))
         if path.name != "all.bht"
     }
+
+
+def harvest_outputs(config: Path) -> tuple[dict, list, bytes]:
+    """The BHT tree's bytes (all.bht included), every harvest-table row and
+    statistics.json, of the run configured by ``config``."""
+    root = config.parent / "bht"
+    tree = {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*.bht"))
+    }
+    with SqliteStore(parse_config(str(config))) as opened:
+        rows = [
+            opened.connection.execute(f"SELECT * FROM {table} ORDER BY id").fetchall()
+            for table in (opened.publications, opened.authors, *opened.text_tables)
+        ]
+    return tree, rows, (config.parent / "log" / "statistics.json").read_bytes()
 
 
 def harvested_row_counts(config: Path) -> list[int]:
@@ -1146,6 +1201,24 @@ def test_run_repeated_identifier_removed_by_last_copy(
     assert stats["publication_types"] == {}
 
 
+def test_run_repeated_identifier_stored_by_last_copy_after_a_deleted_one(
+    tmp_path, capsys
+):
+    config = make_config_file(tmp_path)
+    fetch = one_page_fetch(
+        ("oai:mock:1", None),
+        ("oai:mock:1", article("Mock Title", "5", ["Jane Doe"])),
+    )
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+
+    assert harvested_row_counts(config) == [1, 1, 1]
+    assert list(written_bht(tmp_path / "bht")) == ["journal-article/volume-5/1.bht"]
+    stats = json.loads((tmp_path / "log" / "statistics.json").read_text())
+    assert stats["records_with_metadata"] == 1
+    assert stats["deleted_records"] == 0
+
+
 def test_run_colliding_file_names_keep_both(tmp_path, capsys):
     config = make_config_file(tmp_path)
     fetch = one_page_fetch(
@@ -1162,6 +1235,26 @@ def test_run_colliding_file_names_keep_both(tmp_path, capsys):
     ]
     assert "Mock Title" in files["journal-article/volume-5/1.bht"]
     assert "Other Title" in files["journal-article/volume-5/oai-other-1.bht"]
+
+
+def test_run_repeated_identifier_keeps_its_first_file_name(tmp_path, capsys):
+    # A's last copy comes after B's, yet A keeps the name it was first given.
+    config = make_config_file(tmp_path)
+    fetch = one_page_fetch(
+        ("oai:a:7", junii2_payload(titles=[("A First", "en")], creators=["Jane Doe"],
+                                   publication_type="Article", volume="1")),
+        ("oai:b:7", junii2_payload(titles=[("B", "en")], creators=["John Roe"],
+                                   publication_type="Article", volume="1")),
+        ("oai:a:7", junii2_payload(titles=[("A Last", "en")], creators=["Jane Doe"],
+                                   publication_type="Article", volume="1")),
+    )
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+
+    files = written_bht(tmp_path / "bht")
+    assert sorted(files) == ["article/volume-1/7.bht", "article/volume-1/oai-b-7.bht"]
+    assert "A Last" in files["article/volume-1/7.bht"]
+    assert "B." in files["article/volume-1/oai-b-7.bht"]
 
 
 def test_run_long_provider_fields_fit_the_file_name_limit(tmp_path, capsys):
@@ -1223,8 +1316,8 @@ def test_failed_harvest_leaves_no_file_without_a_row(tmp_path, capsys):
     config = make_config_file(tmp_path)
     provider = build_provider()
     assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
-    root = tmp_path / "bht"
-    assert written_bht(root)
+    previous = harvest_outputs(config)
+    assert previous[0]
     requests = []
 
     def failing(url):
@@ -1234,10 +1327,9 @@ def test_failed_harvest_leaves_no_file_without_a_row(tmp_path, capsys):
         return provider.fetch(url)
 
     assert run(["--config", str(config), "-h"], fetch=failing) == 1
-    assert written_bht(root) == {}
-    assert harvested_row_counts(config) == [0, 0, 0]
+    assert harvest_outputs(config) == previous
     assert run(["--config", str(config), "-b"]) == 0
-    assert list(root.rglob("*.bht")) == []
+    assert harvest_outputs(config) == previous
     capsys.readouterr()
 
 
@@ -1247,8 +1339,8 @@ def test_truncated_http_response_fails_the_harvest_without_a_traceback(
     config = make_config_file(tmp_path)
     provider = build_provider()
     assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
-    root = tmp_path / "bht"
-    assert written_bht(root)
+    previous = harvest_outputs(config)
+    assert previous[0]
     config.write_text(
         config.read_text().replace(
             "[harvester]\n", "[harvester]\nendpoint=http://example.org/oai\n"
@@ -1271,8 +1363,76 @@ def test_truncated_http_response_fails_the_harvest_without_a_traceback(
     assert run(["--config", str(config), "-h"]) == 1
     assert "error: fetch failed after 3 attempts" in capsys.readouterr().err
     assert len(requests) == 4
-    assert written_bht(root) == {}
-    assert harvested_row_counts(config) == [0, 0, 0]
+    assert harvest_outputs(config) == previous
+
+
+def test_export_that_fails_leaves_only_the_files_it_wrote(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+
+    def records(title: str):
+        report = junii2_payload(
+            titles=[(f"{title} Two", "en")], creators=["John Roe"],
+            publication_type="Technical Report", volume="1", language="eng",
+        )
+        return one_page_fetch(
+            ("oai:mock:1", article(f"{title} One", "5", ["Jane Doe"])),
+            ("oai:mock:2", report),
+            ("oai:mock:3", article(f"{title} Three", "6", ["Jane Doe"])),
+        )
+
+    assert run(["--config", str(config), "--all"], fetch=records("Old")) == 0
+    root = tmp_path / "bht"
+    assert sorted(written_bht(root)) == [
+        "journal-article/volume-5/1.bht",
+        "journal-article/volume-6/3.bht",
+        "technical-report/volume-1/2.bht",
+    ]
+    # A regular file where the second record's type directory goes.
+    shutil.rmtree(root / "technical-report")
+    (root / "technical-report").write_text("in the way\n")
+    capsys.readouterr()
+
+    assert run(["--config", str(config), "-h"], fetch=records("New")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    # The rows are committed; the files left are the ones written from them,
+    # and the third record's stale file is gone.
+    files = written_bht(root)
+    assert list(files) == ["journal-article/volume-5/1.bht"]
+    assert "New One" in files["journal-article/volume-5/1.bht"]
+    assert harvested_row_counts(config) == [3, 3, 3]
+    assert (root / "technical-report").read_text() == "in the way\n"
+
+    (root / "technical-report").unlink()
+    assert run(["--config", str(config), "-h"], fetch=records("New")) == 0
+    assert len(written_bht(root)) == 3
+
+
+def test_export_refuses_a_path_outside_the_bht_root(tmp_path, capsys, monkeypatch):
+    config = make_config_file(tmp_path)
+    fetch = one_page_fetch(("oai:mock:1", article("Title", "5", ["Jane Doe"])))
+    monkeypatch.setattr(bht, "spf_relative_path", lambda publication: "../out.bht")
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 4
+    assert "leaves" in capsys.readouterr().err
+    assert not (tmp_path / "out.bht").exists()
+    assert harvested_row_counts(config) == [1, 1, 1]
+
+
+def test_run_concatenate_finishes_the_other_directories_then_fails(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    root = tmp_path / "bht"
+    for directory in ("a", "b", "c"):
+        (root / directory).mkdir(parents=True)
+        (root / directory / "1.bht").write_text(f"{directory}\n")
+    (root / "b" / "all.bht").mkdir()
+    (root / "b" / "all.bht" / "keep").write_text("not empty\n")
+
+    assert run(["--config", str(config), "-b"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: cannot concatenate in ")
+    assert err.count("\n") == 1
+    assert (root / "a" / "all.bht").read_text() == "a\n"
+    assert (root / "c" / "all.bht").read_text() == "c\n"
 
 
 @pytest.mark.parametrize("display, warnings", [(True, 1), (False, 0)])

@@ -94,3 +94,32 @@ def test_traced_run_reports_every_declared_layer_metric(tmp_path, capsys):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(metrics) == {entry["name"] for entry in declared} - RUN_METRICS
     assert metrics["dblp.common_coauthors_calls"][0] > 0
+
+
+# The seed-1 output digests (BHT tree, statistics.json, harvest tables) of
+# perfbench's workloads; CI's traced benchmark run checks the same file.
+PINNED_DIGESTS = json.loads((ROOT / "tests" / "pinned_digests.json").read_text())
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
+def test_seed_1_workload_gives_its_pinned_output_digest(
+    workload, tmp_path, monkeypatch, capsys
+):
+    from jpbib.oai import replay_fetcher
+    from jpbib.pipeline import run
+
+    # The perfbench modules import their siblings and the kernel benchmark.
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = _module_at(ROOT / "perfbench" / "workloads.py")
+    check = _module_at(ROOT / "perfbench" / "check.py")
+    bench = _module_at(ROOT / "perfbench" / "run.py")
+
+    inputs, run_dir = tmp_path / "inputs", tmp_path / "run"
+    generated = workloads.generate(workload, 1, inputs)
+    run_dir.mkdir()
+    config = bench.write_config(run_dir, inputs, generated)
+    fetch = replay_fetcher(str(inputs / "responses"))
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+    assert check.output_digest(run_dir) == PINNED_DIGESTS[workload]
