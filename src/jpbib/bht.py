@@ -31,6 +31,7 @@ __all__ = [
     "date_label",
     "escape_non_ascii",
     "export",
+    "overwrite",
     "remove_unclaimed",
     "render_spf",
     "spf_relative_path",
@@ -270,6 +271,21 @@ def remove_unclaimed(root: str, taken: Container[str]) -> None:
         _remove_if_empty(directory, root)
 
 
+def overwrite(path: str, data: bytes) -> None:
+    """Make ``data`` the whole content of the file at ``path``, created if
+    missing.
+
+    The old bytes are overwritten in place and the file is then cut to
+    ``len(data)``; it is never truncated to zero first.  On ext4, closing
+    a file truncated to zero starts its writeback (``auto_da_alloc``), so
+    truncating costs one disk flush per rewritten file.  A write stopped
+    midway leaves new bytes followed by old ones.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        handle.write(data)
+        handle.truncate()
+
+
 def export(
     harvested: Iterable[
         tuple[HarvestedPublication, list[AuthorResolution], str | None]
@@ -289,6 +305,7 @@ def export(
     root = os.path.abspath(root)
     claimed: set[str] = set()
     written: set[str] = set()
+    made: set[str] = set()
     try:
         for publication, resolutions, dblp_key in harvested:
             names = latin_names(resolutions)
@@ -300,9 +317,11 @@ def export(
             if os.path.commonpath([root, os.path.abspath(target)]) != root:
                 raise OSError(f"BHT path {target!r} leaves {root!r}")
             entry = build_entry(publication, resolutions, shared, dblp_key)
-            os.makedirs(os.path.dirname(target), exist_ok=True)
-            with open(target, "w", encoding="ascii", newline="") as handle:
-                handle.write(render_spf(entry))
+            directory = os.path.dirname(target)
+            if directory not in made:
+                os.makedirs(directory, exist_ok=True)
+                made.add(directory)
+            overwrite(target, render_spf(entry).encode("ascii"))
             written.add(relative)
     finally:
         remove_unclaimed(root, written)
@@ -333,8 +352,7 @@ def concatenate(root: str) -> int:
             for name in parts:
                 with open(os.path.join(directory, name), "rb") as handle:
                     chunks.append(handle.read())
-            with open(target, "wb") as handle:
-                handle.write(b"".join(chunks))
+            overwrite(target, b"".join(chunks))
         except OSError as exc:
             log.error("cannot concatenate in %s: %s", directory, exc)
             failures.append(f"{directory}: {exc}")

@@ -15,7 +15,7 @@ import sqlite3
 import sys
 import xml.etree.ElementTree as ET
 
-from .bht import concatenate, export
+from .bht import concatenate, export, overwrite
 from .config import Config, ConfigError, parse_config
 from .dblp import find_publication, iter_corpus
 from .enamdict import DictionaryEncodingError, load_enamdict
@@ -241,8 +241,7 @@ def run(argv=None, *, fetch=None) -> int:
                 stats_path = os.path.join(
                     config.resolve(config.log_path), "statistics.json"
                 )
-                with open(stats_path, "w", encoding="utf-8") as handle:
-                    handle.write(stats.to_json())
+                overwrite(stats_path, stats.to_json().encode("utf-8"))
                 stage_export(config, store)
             if flags.concatenate_bht:
                 count = stage_concatenate(config)

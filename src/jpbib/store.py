@@ -104,6 +104,9 @@ class SqliteStore:
     # Filled from a publication's titles, contributors and descriptions.
     text_tables = (titles, contributors, descriptions)
     title_index = "dblp_title"
+    child_indexes = {
+        table: f"{table}_publication_id" for table in (authors, *text_tables)
+    }
     _title_index_sql = (
         f"CREATE INDEX IF NOT EXISTS {title_index} ON {dblp} (jpbib_title(title))"
     )
@@ -316,6 +319,12 @@ class SqliteStore:
             );"""
             for table in self.text_tables
         )
+        # remove_harvested deletes a repeated identifier's child rows by
+        # publication_id; without these, each repeat scans the whole table.
+        child_indexes = "".join(
+            f"CREATE INDEX {index} ON {table} (publication_id);"
+            for table, index in self.child_indexes.items()
+        )
         return self._replacing(
             f"""
             DROP TABLE IF EXISTS {self.publications};
@@ -345,6 +354,7 @@ class SqliteStore:
                 status TEXT NOT NULL,
                 candidates TEXT NOT NULL
             );{text_tables}
+            {child_indexes}
             """
         )
 

@@ -5,6 +5,7 @@ import http.client
 import io
 import json
 import logging
+import os
 import re
 import shutil
 from contextlib import contextmanager
@@ -485,6 +486,39 @@ def test_store_title_lookup_uses_the_title_index(store):
     assert any(f"USING INDEX {store.title_index}" in row[-1] for row in plan)
 
 
+def test_store_remove_harvested_finds_the_child_rows_through_an_index(
+    store, name_dictionary
+):
+    from jpbib.matching import resolve_author
+
+    # Without an index each repeated identifier scanned every child table,
+    # so a page full of repeats took time quadratic in its length.
+    publication = oai.HarvestedPublication(
+        "oai:mock:1", [("Title", "en")], [("Jane Doe", None)],
+        contributors=[("Contributor", "en")], descriptions=[("Text", "en")],
+    )
+    with store.replace_harvest():
+        store.add_harvested(
+            publication, [resolve_author("Jane Doe", None, name_dictionary)]
+        )
+        statements = []
+        store.connection.set_trace_callback(statements.append)
+        assert store.remove_harvested(publication.identifier) == 1
+        store.connection.set_trace_callback(None)
+    deletes = {
+        table: statement
+        for statement in statements
+        for table in store.child_indexes
+        if statement.startswith(f"DELETE FROM {table} ")
+    }
+    assert deletes.keys() == store.child_indexes.keys()
+    for table, delete in deletes.items():
+        plan = store.connection.execute(f"EXPLAIN QUERY PLAN {delete}").fetchall()
+        assert any(
+            f"USING INDEX {store.child_indexes[table]}" in row[-1] for row in plan
+        )
+
+
 _corpus_titles = st.lists(
     st.tuples(
         st.sampled_from(["One", "one.", " ONE ", "Two", "two..", "Three"]),
@@ -846,11 +880,16 @@ def test_run_all_ignores_retired_table_keys(tmp_path, capsys):
         "oai_contributors",
         "oai_descriptions",
     }
-    # SQLite's own indexes for the two UNIQUE columns, and the title index.
+    # SQLite's own indexes for the two UNIQUE columns, the title index and
+    # the publication_id index of each harvest child table.
     indexes = {
         "sqlite_autoindex_dblp_1",
         "sqlite_autoindex_oai_publications_1",
         "dblp_title",
+        "oai_authors_publication_id",
+        "oai_titles_publication_id",
+        "oai_contributors_publication_id",
+        "oai_descriptions_publication_id",
     }
     assert schema == {("table", name) for name in tables} | {
         ("index", name) for name in indexes
@@ -1310,6 +1349,57 @@ def test_rerun_harvest_leaves_only_this_runs_files(tmp_path, capsys):
     volume_5 = root / "journal-article" / "volume-5"
     assert (volume_5 / "all.bht").read_text() == files["journal-article/volume-5/1.bht"]
     assert not (root / "journal-article" / "volume-6").exists()
+
+
+def test_rerun_with_shorter_records_leaves_no_stale_tail(tmp_path, capsys):
+    # Output files are overwritten in place and then cut to length.
+    config = make_config_file(tmp_path)
+    first = one_page_fetch(
+        ("oai:mock:1", article("A Long First Title", "5", ["Jane Doe", "John Roe"])),
+        ("oai:mock:2", article("Second Title", "5", ["John Roe"])),
+        ("oai:mock:3", junii2_payload(titles=[("Other", "en")], creators=["Jane Doe"],
+                                      publication_type="Article", volume="5")),
+    )
+    assert run(["--config", str(config), "--all"], fetch=first) == 0
+    second = one_page_fetch(
+        ("oai:mock:1", article("Short", "5", ["Jane Doe"])),
+        ("oai:mock:2", article("Second Title", "5", ["John Roe"])),
+    )
+    assert run(["--config", str(config), "-h", "-b"], fetch=second) == 0
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    fresh_config = make_config_file(fresh)
+    assert run(["--config", str(fresh_config), "--all"], fetch=second) == 0
+    capsys.readouterr()
+
+    rerun = harvest_outputs(config)
+    assert rerun == harvest_outputs(fresh_config)
+    assert rerun[0]["journal-article/volume-5/1.bht"].count(b"<status ") == 1
+
+
+def test_rerun_with_identical_bytes_rewrites_every_file(tmp_path, capsys):
+    # A rerun must touch each output file even when its bytes do not change;
+    # the files are aged first, so one that is skipped keeps its old mtime.
+    config = make_config_file(tmp_path)
+    fetch = one_page_fetch(
+        ("oai:mock:1", article("First Title", "5", ["Jane Doe"])),
+        ("oai:mock:2", article("Second Title", "6", ["John Roe"])),
+    )
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    before = harvest_outputs(config)
+    outputs = [*(tmp_path / "bht").rglob("*.bht"), tmp_path / "log" / "statistics.json"]
+    assert len(outputs) == 5
+    for path in outputs:
+        os.utime(path, ns=(0, 0))
+    # The file system's own clock, which may lag time.time_ns().
+    marker = tmp_path / "marker"
+    marker.touch()
+    start = marker.stat().st_mtime_ns
+    assert run(["--config", str(config), "-h", "-b"], fetch=fetch) == 0
+    capsys.readouterr()
+
+    assert harvest_outputs(config) == before
+    assert [path for path in outputs if path.stat().st_mtime_ns < start] == []
 
 
 def test_failed_harvest_leaves_no_file_without_a_row(tmp_path, capsys):
