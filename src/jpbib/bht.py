@@ -210,21 +210,27 @@ _COMPONENT_CAP = 100
 _STEM_RE = re.compile(rf"[0-9]{{1,{_COMPONENT_CAP}}}$")
 
 
-def _slug(text: str, fallback: str = "") -> str:
+def _slug(text: str, fallback: str) -> str:
     return (_SLUG_RE.sub("-", text.lower()).strip("-") or fallback)[:_COMPONENT_CAP]
+
+
+def _identifier_slug(identifier: str) -> str:
+    # An identifier without an ASCII letter or digit still names a visible file.
+    return _slug(identifier, "unnamed")
 
 
 def spf_relative_path(publication: HarvestedPublication) -> str:
     """Directory grouping and file name for one publication.
 
     Files group by publication type and volume; the file itself is named
-    after the trailing integer of the OAI identifier.  Each component is
-    cut to its first 100 characters, the integer to its last 100 digits.
+    after the trailing integer of the OAI identifier, or else the slugged
+    identifier.  Each component is cut to its first 100 characters, the
+    integer to its last 100 digits.
     """
     type_slug = _slug(publication.publication_type or "", "untyped")
     volume = _slug(publication.volume or "", "0")
     match = _STEM_RE.search(publication.identifier)
-    stem = match[0] if match else _slug(publication.identifier)
+    stem = match[0] if match else _identifier_slug(publication.identifier)
     return os.path.join(type_slug, f"volume-{volume}", f"{stem}.bht")
 
 
@@ -233,16 +239,18 @@ def claim_spf_path(publication: HarvestedPublication, claimed: set[str]) -> str:
 
     ``spf_relative_path`` comes first; a publication whose path is taken
     is named after its whole slugged identifier, with a "-2", "-3", ...
-    suffix if even that is taken.
+    suffix if even that is taken.  ``all.bht`` is never handed out: it
+    is the name of a directory's concatenation.
     """
     path = spf_relative_path(publication)
-    directory, stem = os.path.dirname(path), _slug(publication.identifier)
+    directory = os.path.dirname(path)
+    stem = _identifier_slug(publication.identifier)
     candidates = itertools.chain(
         (path, os.path.join(directory, f"{stem}.bht")),
         (os.path.join(directory, f"{stem}-{n}.bht") for n in itertools.count(2)),
     )
     for candidate in candidates:
-        if candidate not in claimed:
+        if candidate not in claimed and _is_part(os.path.basename(candidate)):
             claimed.add(candidate)
             return candidate
 

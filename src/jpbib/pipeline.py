@@ -14,6 +14,8 @@ import os
 import sqlite3
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
+from typing import Iterator
 
 from .bht import concatenate, export, overwrite
 from .config import Config, ConfigError, parse_config
@@ -72,7 +74,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging(config: Config) -> logging.Handler:
+@contextmanager
+def _logging_to_file(config: Config) -> Iterator[None]:
+    """Send the package's log to a timestamped file under ``[log] path``
+    for the duration of the block."""
     log_dir = config.resolve(config.log_path)
     os.makedirs(log_dir, exist_ok=True)
     timestamp = datetime.datetime.now().strftime("%Y%m%d-%H%M%S")
@@ -85,7 +90,11 @@ def _setup_logging(config: Config) -> logging.Handler:
     package_logger = logging.getLogger("jpbib")
     package_logger.setLevel(logging.INFO)
     package_logger.addHandler(handler)
-    return handler
+    try:
+        yield
+    finally:
+        package_logger.removeHandler(handler)
+        handler.close()
 
 
 def stage_parse_dblp(config: Config, store: SqliteStore) -> None:
@@ -223,9 +232,8 @@ def run(argv=None, *, fetch=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    handler = _setup_logging(config)
     try:
-        with SqliteStore(config) as store:
+        with _logging_to_file(config), SqliteStore(config) as store:
             _check_prerequisites(flags, config, store)
             if flags.parse_dblp:
                 stage_parse_dblp(config, store)
@@ -264,9 +272,6 @@ def run(argv=None, *, fetch=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        logging.getLogger("jpbib").removeHandler(handler)
-        handler.close()
     return EXIT_OK
 
 

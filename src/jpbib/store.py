@@ -5,7 +5,10 @@ A single SQLite file holds every relation under fixed table names:
 corpus, and ``oai_publications``, ``oai_authors`` and the text tables
 ``oai_titles``, ``oai_contributors`` and ``oai_descriptions`` for the
 harvest.  The text tables share one definition: a row is one text of a
-publication, its position and its language tag.
+publication, its position and its language tag.  The harvest columns are
+declared once, in ``SqliteStore.publication_fields`` and
+``SqliteStore.child_columns``; the inserts, reads and deletes are built
+from them, and only the CREATE TABLE statements repeat them, with types.
 ``replace_names``, ``replace_corpus`` and ``replace_harvest`` each drop,
 recreate and fill their tables in one transaction, so a load or harvest
 that fails partway leaves the previous tables and their index as they
@@ -28,8 +31,7 @@ import json
 import os
 import sqlite3
 from contextlib import contextmanager
-from itertools import combinations, groupby, islice, tee
-from operator import itemgetter
+from itertools import combinations, islice
 from typing import ContextManager, Iterable, Iterator
 
 from .config import Config
@@ -56,8 +58,8 @@ _TYPE_CODES = {
     for types in combinations(NameType, size)
 }
 _CODE_TYPES = {codes: types for types, codes in _TYPE_CODES.items()}
-# json.dumps(authors, ensure_ascii=False) for -d, without a new encoder
-# per call.
+# json.dumps(value, ensure_ascii=False) for -d's author lists and -h's
+# name candidates, without a new encoder per call.
 _to_json = json.JSONEncoder(ensure_ascii=False).encode
 # Publications per replace_corpus insert.  On the ingest-scale benchmark 10
 # and 1000 gave the same setup time within run-to-run spread, and 10 a
@@ -65,17 +67,18 @@ _to_json = json.JSONEncoder(ensure_ascii=False).encode
 CORPUS_BATCH = 100
 
 
-def _per_id(rows: Iterable[tuple], ids: Iterable[int]) -> Iterator[list[tuple]]:
-    """For each of the ascending ``ids``, the rows whose first column is
-    that id, without that column; ``rows`` come sorted by it."""
-    groups = groupby(rows, itemgetter(0))
-    key, group = next(groups, (None, ()))
-    for row_id in ids:
-        if key != row_id:
-            yield []
-            continue
-        yield [row[1:] for row in group]
-        key, group = next(groups, (None, ()))
+def _resolution_row(resolution: AuthorResolution) -> tuple:
+    """The ``oai_authors`` columns after the raw names that store
+    ``resolution``; ``_resolution`` reads them back."""
+    latin, kanji = resolution.latin, resolution.kanji
+    return (
+        latin.given if latin else None,
+        latin.family if latin else None,
+        kanji.given if kanji else None,
+        kanji.family if kanji else None,
+        resolution.status.value,
+        _to_json([[c.given, c.family] for c in resolution.candidates]),
+    )
 
 
 def _resolution(
@@ -103,10 +106,24 @@ class SqliteStore:
     descriptions = "oai_descriptions"
     # Filled from a publication's titles, contributors and descriptions.
     text_tables = (titles, contributors, descriptions)
-    title_index = "dblp_title"
-    child_indexes = {
-        table: f"{table}_publication_id" for table in (authors, *text_tables)
+    # The HarvestedPublication fields that oai_publications holds between
+    # its id and dblp_key columns, in column order.
+    publication_fields = (
+        "identifier publication_type date volume number pages language source_url"
+    ).split()
+    _publication_columns = ", ".join(("id", *publication_fields, "dblp_key"))
+    # The columns of each table that holds a publication's authors or texts,
+    # after publication_id and position.  An author row is the creator's raw
+    # (latin, kanji) pair followed by ``_resolution_row``.
+    child_columns = {
+        authors: (
+            "latin_raw kanji_raw latin_given latin_family kanji_given kanji_family "
+            "status candidates"
+        ).split(),
+        **dict.fromkeys(text_tables, ("text", "lang")),
     }
+    title_index = "dblp_title"
+    child_indexes = {table: f"{table}_publication_id" for table in child_columns}
     _title_index_sql = (
         f"CREATE INDEX IF NOT EXISTS {title_index} ON {dblp} (jpbib_title(title))"
     )
@@ -368,7 +385,7 @@ class SqliteStore:
         ).fetchone()
         if earlier is None:
             return None
-        for table in (self.authors, *self.text_tables):
+        for table in self.child_columns:
             self.connection.execute(
                 f"DELETE FROM {table} WHERE publication_id=?", earlier
             )
@@ -386,60 +403,29 @@ class SqliteStore:
         ``publication_id`` or else the next free id; returns the id.  A new
         copy of a stored one goes in after ``remove_harvested``."""
         cursor = self.connection.execute(
-            f"INSERT INTO {self.publications} "
-            "(id, identifier, publication_type, date, volume, number, pages, "
-            " language, source_url, dblp_key) VALUES (?,?,?,?,?,?,?,?,?,?)",
+            f"INSERT INTO {self.publications} ({self._publication_columns}) "
+            f"VALUES ({', '.join('?' * (len(self.publication_fields) + 2))})",
             (
                 publication_id,
-                publication.identifier,
-                publication.publication_type,
-                publication.date,
-                publication.volume,
-                publication.number,
-                publication.pages,
-                publication.language,
-                publication.source_url,
+                *(getattr(publication, name) for name in self.publication_fields),
                 dblp_key,
             ),
         )
         publication_id = cursor.lastrowid
-        author_rows = []
-        for position, ((latin_raw, kanji_raw), resolution) in enumerate(
-            zip(publication.creators, resolutions)
-        ):
-            author_rows.append(
-                (
-                    publication_id,
-                    position,
-                    latin_raw,
-                    kanji_raw,
-                    resolution.latin.given if resolution.latin else None,
-                    resolution.latin.family if resolution.latin else None,
-                    resolution.kanji.given if resolution.kanji else None,
-                    resolution.kanji.family if resolution.kanji else None,
-                    resolution.status.value,
-                    json.dumps(
-                        [[c.given, c.family] for c in resolution.candidates],
-                        ensure_ascii=False,
-                    ),
-                )
-            )
-        self.connection.executemany(
-            f"INSERT INTO {self.authors} "
-            "(publication_id, position, latin_raw, kanji_raw, latin_given, "
-            " latin_family, kanji_given, kanji_family, status, candidates) "
-            "VALUES (?,?,?,?,?,?,?,?,?,?)",
-            author_rows,
+        children = (
+            [
+                (*creator, *_resolution_row(resolution))
+                for creator, resolution in zip(publication.creators, resolutions)
+            ],
+            publication.titles,
+            publication.contributors,
+            publication.descriptions,
         )
-        texts = publication.titles, publication.contributors, publication.descriptions
-        for table, values in zip(self.text_tables, texts):
+        for (table, columns), rows in zip(self.child_columns.items(), children):
             self.connection.executemany(
-                f"INSERT INTO {table} (publication_id, position, text, lang) "
-                "VALUES (?,?,?,?)",
-                [
-                    (publication_id, position, text, lang)
-                    for position, (text, lang) in enumerate(values)
-                ],
+                f"INSERT INTO {table} (publication_id, position, {', '.join(columns)}) "
+                f"VALUES ({', '.join('?' * (len(columns) + 2))})",
+                [(publication_id, position, *row) for position, row in enumerate(rows)],
             )
         return publication_id
 
@@ -449,39 +435,37 @@ class SqliteStore:
         """Each stored publication in id order, with its author resolutions
         and corpus key, as ``add_harvested`` received them.  The rows are
         read as the items are taken, one publication's worth at a time."""
-        # The columns between identifier and dblp_key in HarvestedPublication's
-        # field order.
         publications = self.connection.execute(
-            "SELECT id, identifier, publication_type, date, pages, volume, number, "
-            f"language, source_url, dblp_key FROM {self.publications} ORDER BY id"
+            f"SELECT {self._publication_columns} FROM {self.publications} ORDER BY id"
         )
-        children = {
-            self.authors: "latin_raw, kanji_raw, latin_given, latin_family, "
-            "kanji_given, kanji_family, status, candidates",
-            **dict.fromkeys(self.text_tables, "text, lang"),
-        }
-        rows, *ids = tee(publications, 1 + len(children))
-        per_publication = [
-            _per_id(
-                self.connection.execute(
-                    f"SELECT publication_id, {columns} FROM {table} "
-                    "ORDER BY publication_id, position"
-                ),
-                (row[0] for row in id_rows),
+        cursors = [
+            self.connection.execute(
+                f"SELECT publication_id, {', '.join(columns)} FROM {table} "
+                "ORDER BY publication_id, position"
             )
-            for (table, columns), id_rows in zip(children.items(), ids)
+            for table, columns in self.child_columns.items()
         ]
-        for row, authors, titles, contributors, descriptions in zip(
-            rows, *per_publication
-        ):
-            _, identifier, *fields, key = row
-            creators = [author[:2] for author in authors]
+        # Each cursor's next row, read one ahead; (None,) once it has ended.
+        heads = [next(cursor, (None,)) for cursor in cursors]
+        for publication_id, *values, dblp_key in publications:
+            children = []
+            for index, cursor in enumerate(cursors):
+                rows = []
+                while heads[index][0] == publication_id:
+                    rows.append(heads[index][1:])
+                    heads[index] = next(cursor, (None,))
+                children.append(rows)
+            authors, titles, contributors, descriptions = children
             yield (
                 HarvestedPublication(
-                    identifier, titles, creators, *fields, contributors, descriptions
+                    **dict(zip(self.publication_fields, values)),
+                    titles=titles,
+                    creators=[author[:2] for author in authors],
+                    contributors=contributors,
+                    descriptions=descriptions,
                 ),
                 [_resolution(*author[2:]) for author in authors],
-                key,
+                dblp_key,
             )
 
     def flush(self) -> None:

@@ -254,6 +254,33 @@ def test_claim_spf_path_never_shares_a_file():
     assert claim_spf_path(publication("oai:mock:1"), taken) == claims[0]
 
 
+def test_claim_spf_path_keeps_all_bht_and_hidden_names_free():
+    taken: set[str] = set()
+    directory = Path("untyped", "volume-0")
+    claims = [
+        Path(claim_spf_path(HarvestedPublication(identifier, [], []), taken))
+        for identifier in ("ALL", "oai:all", "日本", "日本")
+    ]
+    # all.bht is the concatenation -b writes; no name may start with a dot.
+    assert claims == [
+        directory / "all-2.bht",
+        directory / "oai-all.bht",
+        directory / "unnamed.bht",
+        directory / "unnamed-2.bht",
+    ]
+
+
+def test_concatenate_keeps_the_part_of_an_identifier_named_all(tmp_path):
+    publication = HarvestedPublication("ALL", [("Only title", "en")], [])
+    relative = claim_spf_path(publication, set())
+    target = tmp_path / relative
+    target.parent.mkdir(parents=True)
+    target.write_text("part\n")
+    assert concatenate(str(tmp_path)) == 1
+    assert target.read_text() == "part\n"
+    assert (target.parent / "all.bht").read_text() == "part\n"
+
+
 def test_concatenate(tmp_path):
     nested = tmp_path / "a" / "b"
     nested.mkdir(parents=True)

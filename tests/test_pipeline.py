@@ -623,6 +623,57 @@ def test_store_harvested_roundtrip(store, name_dictionary):
     assert stored_rows(store, publication.identifier) == stored
 
 
+def test_store_harvested_reads_back_many_publications_in_id_order(store):
+    from jpbib.matching import AuthorResolution, PersonName
+    from jpbib.oai import HarvestedPublication
+
+    def publication(number, authors=0, titles=0, contributors=0, descriptions=0):
+        texts = [(f"text {number}.{i}", "ja" if i % 2 else "en") for i in range(9)]
+        return (
+            HarvestedPublication(
+                f"oai:mock:{number}",
+                texts[:titles],
+                [(f"Author {number}.{i}", None) for i in range(authors)],
+                publication_type="Journal Article" if number % 2 else "",
+                date=f"20{number:02}-01-02",
+                pages=f"{number}-{number + 3}" if titles else None,
+                volume=str(number),
+                language="jpn",
+                source_url=f"http://example.org/{number}",
+                contributors=texts[titles : titles + contributors],
+                descriptions=texts[-descriptions:] if descriptions else [],
+            ),
+            [
+                AuthorResolution(
+                    PersonName(f"Given{i}", f"Family{number}"),
+                    PersonName("太郎", "山田") if i % 2 else None,
+                    [PersonName("Taro", "Yamada")] * i,
+                    NameStatus.OK if i % 2 else NameStatus.NOT_FOUND_IN_DICTIONARY,
+                )
+                for i in range(authors)
+            ],
+            f"conf/x/{number}" if number % 3 else None,
+        )
+
+    first = publication(1, authors=3, titles=2, contributors=1, descriptions=2)
+    second = publication(2, titles=1)
+    gone = publication(3, authors=1, titles=1, descriptions=1)
+    bare = publication(4)
+    also_gone = publication(5, authors=2, contributors=3)
+    # The copy of the first publication that arrives again: other authors
+    # and texts, stored under its earlier id.
+    again = publication(1, authors=1, descriptions=3)
+    last = publication(6, authors=4, titles=3, contributors=2, descriptions=1)
+    with store.replace_harvest():
+        for item in (first, second, gone, bare, also_gone, last):
+            store.add_harvested(*item)
+        assert store.remove_harvested(gone[0].identifier) == 3
+        assert store.remove_harvested(also_gone[0].identifier) == 5
+        assert store.remove_harvested(first[0].identifier) == 1
+        assert store.add_harvested(*again, publication_id=1) == 1
+    assert list(store.harvested()) == [again, second, bare, last]
+
+
 def stored_rows(store, identifier):
     """The stored publication of ``identifier``: its columns, then its
     author, title, contributor and description rows in position order."""
@@ -728,6 +779,16 @@ def test_run_concatenate_without_bht_fails(tmp_path, capsys):
 
 def test_run_bad_config(tmp_path):
     assert run(["--config", str(tmp_path / "missing.ini"), "-e"]) == 2
+
+
+def test_run_with_a_log_path_that_is_a_file_exits_with_one_line(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    (tmp_path / "log").write_text("not a directory\n")
+    assert run(["--config", str(config), "-e"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
+    # No stage ran: the store was never opened.
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.ini", "log"]
 
 
 def test_run_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
