@@ -7,20 +7,32 @@ several slash-delimited senses.  Only person-name senses are kept; the
 known file inconsistencies (missing terminal slash, stray bracket,
 backslash in place of a bracket) are tolerated and reported as warnings
 instead of patched by hand.
+
+``iter_records`` parses a stream as it is read: it yields each record
+and reports each warning as its line comes, and keeps only the keys
+that drop duplicate records.  ``-e`` feeds it straight into the store,
+so no record or warning list is ever held.  Every combination of name
+types is one shared frozenset (``TYPE_COMBINATIONS``), so the records
+of one combination carry the same object.
 """
 
 import enum
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, TextIO
 
 __all__ = [
     "DictionaryEncodingError",
     "NameRecord",
     "NameType",
     "ParseWarning",
+    "TYPE_COMBINATIONS",
     "filter_types",
+    "iter_records",
     "load_enamdict",
+    "open_dictionary",
     "parse_entry_line",
     "parse_file",
 ]
@@ -34,6 +46,16 @@ class NameType(enum.Enum):
     FEMALE_GIVEN = "f"
     MALE_GIVEN = "m"
     UNCLASSIFIED = "u"
+
+
+# Every combination of person-name types as one frozenset, keyed by any
+# equal set.  The parser hands out these objects, so the records of one
+# combination share a set; the store derives its type codes from them.
+TYPE_COMBINATIONS: dict[frozenset[NameType], frozenset[NameType]] = {
+    types: types
+    for size in range(len(NameType) + 1)
+    for types in map(frozenset, combinations(NameType, size))
+}
 
 
 class DictionaryEncodingError(ValueError):
@@ -113,7 +135,7 @@ def _parse_sense(
         types.discard(NameType.UNCLASSIFIED)
     if not latin or not types:
         return None
-    return latin, frozenset(types)
+    return latin, TYPE_COMBINATIONS[frozenset(types)]
 
 
 def parse_entry_line(
@@ -167,39 +189,60 @@ def parse_entry_line(
     return records, warnings
 
 
-def parse_file(
-    lines: Iterable[str], include_unclassified: bool = False
-) -> tuple[list[NameRecord], list[ParseWarning]]:
-    """Parse a whole dictionary stream.
+def iter_records(
+    lines: Iterable[str],
+    on_warning: Callable[[ParseWarning], object],
+    include_unclassified: bool = False,
+) -> Iterator[NameRecord]:
+    """Parse a dictionary stream, yielding each record as its line is read.
 
-    Warnings accumulate and are never fatal; duplicate records (same
-    surface, Latin form and types) are kept once.  Read errors from the
-    underlying stream propagate as OSError.
+    Each warning goes to ``on_warning`` when its line is read, before that
+    line's records; warnings are never fatal.  A duplicate record (same
+    surface, Latin form and types) is yielded once; only those keys are
+    kept.  Read errors from the underlying stream propagate.
     """
-    records: list[NameRecord] = []
-    warnings: list[ParseWarning] = []
     seen: set[tuple[str, str, frozenset[NameType]]] = set()
     for number, line in enumerate(lines, start=1):
-        recs, warns = parse_entry_line(line, include_unclassified, number)
-        warnings.extend(warns)
-        for record in recs:
+        records, warnings = parse_entry_line(line, include_unclassified, number)
+        for warning in warnings:
+            on_warning(warning)
+        for record in records:
             key = (record.surface, record.latin, record.types)
             if key not in seen:
                 seen.add(key)
-                records.append(record)
+                yield record
+
+
+def parse_file(
+    lines: Iterable[str], include_unclassified: bool = False
+) -> tuple[list[NameRecord], list[ParseWarning]]:
+    """Parse a whole dictionary stream into the records and warnings that
+    ``iter_records`` yields and reports, in the same order."""
+    warnings: list[ParseWarning] = []
+    records = list(iter_records(lines, warnings.append, include_unclassified))
     return records, warnings
 
 
-def load_enamdict(
-    path: str, include_unclassified: bool = False
-) -> tuple[list[NameRecord], list[ParseWarning]]:
-    """Parse a dictionary file from disk (UTF-8 only)."""
+@contextmanager
+def open_dictionary(path: str) -> Iterator[TextIO]:
+    """The dictionary file as UTF-8 text lines.  A decode error anywhere in
+    the block, wherever the lines are read, becomes a
+    ``DictionaryEncodingError`` that names the file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_file(handle, include_unclassified)
+            yield handle
     except UnicodeDecodeError as exc:
         raise DictionaryEncodingError(
             f"name dictionary {path!r} is not UTF-8 ({exc.reason}); convert it"
             " first, e.g. from EUC-JP with iconv -f EUC-JP -t UTF-8"
         ) from None
 
+
+# No stage calls this: -e streams through iter_records.  Tests, README's
+# library example and perfbench/tracing.py still call it.
+def load_enamdict(
+    path: str, include_unclassified: bool = False
+) -> tuple[list[NameRecord], list[ParseWarning]]:
+    """Parse a dictionary file from disk (UTF-8 only)."""
+    with open_dictionary(path) as lines:
+        return parse_file(lines, include_unclassified)

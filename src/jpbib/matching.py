@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .enamdict import NameType
+from .enamdict import TYPE_COMBINATIONS, NameType
 from .transcription import (
     EmptyNameError,
     NormalizedLatin,
@@ -45,7 +45,6 @@ FAMILY_TYPES = frozenset({NameType.SURNAME, NameType.UNCLASSIFIED})
 GIVEN_TYPES = frozenset(
     {NameType.GIVEN, NameType.FEMALE_GIVEN, NameType.MALE_GIVEN, NameType.UNCLASSIFIED}
 )
-_NO_TYPES: frozenset[NameType] = frozenset()
 
 
 class NameStatus(enum.Enum):
@@ -101,6 +100,12 @@ class NameDictionary:
     spellings of apostrophe-bearing names; readings keep dictionary
     order, which defines the candidate ordering downstream.
 
+    The records are read one at a time, so an iterator over the store's
+    rows builds the dictionary without a record list beside it.  Each
+    kind (family or given) keeps one dict from surface to a tuple of its
+    readings, and every type set is the parser's shared frozenset of its
+    combination (``TYPE_COMBINATIONS``), unions included.
+
     ``probe`` expands a Latin name part into its transcription variants
     once and memoizes, per lowercased part, the variants the dictionary
     holds and their types.  The memo lives as long as the dictionary,
@@ -111,23 +116,34 @@ class NameDictionary:
 
     def __init__(self, records):
         self._types: dict[str, frozenset[NameType]] = {}
-        self._readings: dict[tuple[str, frozenset[NameType]], list[str]] = {}
+        # Per kind, FAMILY_TYPES or GIVEN_TYPES: surface -> its readings.
+        self._readings: dict[frozenset[NameType], dict[str, tuple[str, ...]]] = {
+            FAMILY_TYPES: {},
+            GIVEN_TYPES: {},
+        }
         self._probes: dict[str, tuple[tuple[str, ...], frozenset[NameType]]] = {}
+        kinds = tuple(self._readings.items())
         for record in records:
             latin = record.latin.lower()
             for key in {latin, latin.replace("'", "")}:
                 known = self._types.get(key)
-                self._types[key] = record.types if known is None else known | record.types
-            for kind in (FAMILY_TYPES, GIVEN_TYPES):
+                self._types[key] = (
+                    record.types
+                    if known is None
+                    else TYPE_COMBINATIONS[known | record.types]
+                )
+            for kind, readings in kinds:
                 if not kind.isdisjoint(record.types):
-                    readings = self._readings.setdefault((record.surface, kind), [])
-                    if record.latin not in readings:
-                        readings.append(record.latin)
+                    held = readings.get(record.surface, ())
+                    if record.latin not in held:
+                        readings[record.surface] = (*held, record.latin)
 
-    def surface_readings(self, surface: str, kind: frozenset[NameType]) -> list[str]:
+    def surface_readings(
+        self, surface: str, kind: frozenset[NameType]
+    ) -> tuple[str, ...]:
         """Latin readings of a surface whose types meet ``kind``, which is
-        FAMILY_TYPES or GIVEN_TYPES; the list is shared, do not change it."""
-        return self._readings.get((surface, kind), [])
+        FAMILY_TYPES or GIVEN_TYPES, in dictionary order."""
+        return self._readings[kind].get(surface, ())
 
     def probe(self, part: str) -> tuple[tuple[str, ...], frozenset[NameType]]:
         """The lowercase variants of a Latin name part that the dictionary
@@ -136,10 +152,10 @@ class NameDictionary:
         probed = self._probes.get(key)
         if probed is None:
             forms = tuple(form for form in _probe_forms(key) if form in self._types)
-            if len(forms) <= 1:
-                types = self._types[forms[0]] if forms else _NO_TYPES
-            else:
-                types = frozenset().union(*(self._types[form] for form in forms))
+            # The memo keeps the shared set of the union's combination.
+            types = TYPE_COMBINATIONS[
+                frozenset().union(*(self._types[form] for form in forms))
+            ]
             probed = self._probes[key] = (forms, types)
         return probed
 
@@ -261,7 +277,7 @@ def _categorize_hint(
 
 
 def _part_hit(
-    readings: list[str], forms: tuple[str, ...] | None, initial: str
+    readings: tuple[str, ...], forms: tuple[str, ...] | None, initial: str
 ) -> bool:
     # A reading fits a Latin name part when it is one of the part's probe
     # forms or, for an abbreviated part (no forms), starts with its initial.

@@ -20,7 +20,12 @@ from typing import Iterator
 from .bht import concatenate, export, overwrite
 from .config import Config, ConfigError, parse_config
 from .dblp import find_publication, iter_corpus
-from .enamdict import DictionaryEncodingError, load_enamdict
+from .enamdict import (
+    DictionaryEncodingError,
+    ParseWarning,
+    iter_records,
+    open_dictionary,
+)
 from .matching import NameDictionary, latin_names, resolve_author
 from .oai import OaiProtocolError, TransportError, harvest, http_fetch
 from .similarity import MatchConfig
@@ -106,18 +111,28 @@ def stage_parse_dblp(config: Config, store: SqliteStore) -> None:
 
 
 def stage_enamdict(config: Config, store: SqliteStore) -> None:
+    """Replace the names table with the dictionary file's records, inserted
+    as they are parsed; each warning is logged as its line is read."""
     path = config.resolve(config.enamdict_file)
     log.info("converting name dictionary %s", path)
-    records, warnings = load_enamdict(path, config.use_unclassified_names)
-    for warning in warnings:
+    warnings = 0
+
+    def report(warning: ParseWarning) -> None:
+        nonlocal warnings
+        warnings += 1
         log.warning(
             "dictionary line %d (%s): %s",
             warning.line_number,
             warning.kind,
             warning.raw,
         )
-    count = store.replace_names(records)
-    log.info("stored %d name records (%d warnings)", count, len(warnings))
+
+    # A decode error surfaces inside the insert, which then rolls back.
+    with open_dictionary(path) as lines:
+        count = store.replace_names(
+            iter_records(lines, report, config.use_unclassified_names)
+        )
+    log.info("stored %d name records (%d warnings)", count, warnings)
 
 
 def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:

@@ -12,9 +12,11 @@ from them, and only the CREATE TABLE statements repeat them, with types.
 ``replace_names``, ``replace_corpus`` and ``replace_harvest`` each drop,
 recreate and fill their tables in one transaction, so a load or harvest
 that fails partway leaves the previous tables and their index as they
-were.  A harvested identifier that arrives again replaces its earlier
-rows and keeps its publication id; ``harvested`` reads the publications
-back in id order.
+were.  ``replace_names`` inserts the records as an iterator yields them,
+and ``load_name_records`` decodes each row as it is read, so neither
+holds the whole dictionary.  A harvested identifier that arrives again
+replaces its earlier rows and keeps its publication id; ``harvested``
+reads the publications back in id order.
 
 Each connection registers the SQL function ``jpbib_title``, which is
 ``dblp.normalize_title``.  The index ``dblp_title`` on
@@ -31,7 +33,7 @@ import json
 import os
 import sqlite3
 from contextlib import contextmanager
-from itertools import combinations, islice
+from itertools import islice
 from typing import ContextManager, Iterable, Iterator
 
 from .config import Config
@@ -43,19 +45,19 @@ from .dblp import (
     coauthor_edges,
     normalize_title,
 )
-from .enamdict import NameRecord, NameType
+from .enamdict import TYPE_COMBINATIONS, NameRecord, NameType
 from .matching import AuthorResolution, NameStatus, PersonName
 from .oai import HarvestedPublication
 
 __all__ = ["SqliteStore"]
 
 
-# The stored code string of every set of name types, codes in NameType
-# order, and back: one dict hit per row instead of an enum scan.
+# The stored code string of every combination of name types, codes in
+# NameType order, and back to the parser's shared frozenset: one dict hit
+# per row instead of an enum scan.
 _TYPE_CODES = {
-    frozenset(types): "".join(t.value for t in types)
-    for size in range(len(NameType) + 1)
-    for types in combinations(NameType, size)
+    types: "".join(t.value for t in NameType if t in types)
+    for types in TYPE_COMBINATIONS
 }
 _CODE_TYPES = {codes: types for types, codes in _TYPE_CODES.items()}
 # json.dumps(value, ensure_ascii=False) for -d's author lists and -h's
@@ -202,14 +204,18 @@ class SqliteStore:
             ),
         ).rowcount
 
-    def load_name_records(self) -> list[NameRecord]:
+    # It returns a generator instead of being one: the query runs at the
+    # call, and perfbench/tracing.py records one span for it, not one per row.
+    def load_name_records(self) -> Iterator[NameRecord]:
+        """The stored records in id order, each decoded from its row as the
+        iterator is read."""
         rows = self.connection.execute(
             f"SELECT surface, reading, latin, types FROM {self.names} ORDER BY id"
-        ).fetchall()
-        return [
+        )
+        return (
             NameRecord(surface, reading, latin, _CODE_TYPES[types])
             for surface, reading, latin, types in rows
-        ]
+        )
 
     def has_names(self) -> bool:
         return self._has_rows(self.names)

@@ -108,7 +108,7 @@ def test_dictionary_lookup_succeeds_for_both_apostrophe_spellings(name_dictionar
     assert name_dictionary.probe("Shin'ichi")[1] == male
     assert name_dictionary.probe("Shinichi") == (("shinichi",), male)
     # The reading keeps the dictionary spelling.
-    assert name_dictionary.surface_readings("真一", GIVEN_TYPES) == ["Shin'ichi"]
+    assert name_dictionary.surface_readings("真一", GIVEN_TYPES) == ("Shin'ichi",)
     # Case-insensitive keys.
     assert name_dictionary.probe("MORI") == name_dictionary.probe("mori")
     assert name_dictionary.probe("mori")[1]
@@ -129,8 +129,8 @@ def test_dictionary_apostrophe_free_spelling_keeps_types():
     assert dictionary.probe("junya") == (("junya",), given | surname)
     forms, types = dictionary.probe("Jun'ya")
     assert sorted(forms) == ["jun'ya", "junya"] and types == given | surname
-    assert dictionary.surface_readings("純也", GIVEN_TYPES) == ["Jun'ya"]
-    assert dictionary.surface_readings("純也", FAMILY_TYPES) == []
+    assert dictionary.surface_readings("純也", GIVEN_TYPES) == ("Jun'ya",)
+    assert dictionary.surface_readings("純也", FAMILY_TYPES) == ()
 
 
 def test_match_latin_kanji_ok(name_dictionary):
@@ -422,7 +422,7 @@ def test_dictionary_indexes_against_brute_force(records, probe):
                     and record.latin not in expected
                 ):
                     expected.append(record.latin)
-            assert dictionary.surface_readings(surface, kind) == expected
+            assert dictionary.surface_readings(surface, kind) == tuple(expected)
 
 
 @pytest.mark.parametrize(

@@ -213,7 +213,7 @@ def store(tmp_path):
 def test_store_names_roundtrip(store, name_records):
     assert store.replace_names(name_records) == len(name_records)
     assert store.has_names()
-    assert store.load_name_records() == name_records
+    assert list(store.load_name_records()) == name_records
 
 
 def test_store_name_types_roundtrip_every_subset(store):
@@ -231,7 +231,7 @@ def test_store_name_types_roundtrip_every_subset(store):
         NameRecord("森", None, f"Mori{i}", types) for i, types in enumerate(subsets)
     ]
     store.replace_names(records)
-    assert store.load_name_records() == records
+    assert list(store.load_name_records()) == records
     # The stored codes follow NameType order, as before the code tables.
     codes = store.connection.execute(f"SELECT types FROM {store.names} ORDER BY id")
     assert [code for (code,) in codes] == [
@@ -261,7 +261,7 @@ def test_store_names_load_that_fails_partway_keeps_the_previous_names(tmp_path):
         with pytest.raises(OSError):
             reopened.replace_names(records())
     with SqliteStore(config) as reopened:
-        assert reopened.load_name_records() == previous
+        assert list(reopened.load_name_records()) == previous
 
 
 def test_store_corpus_roundtrip(store):
@@ -806,7 +806,7 @@ def test_run_enamdict_that_is_not_utf8_keeps_the_previous_names(tmp_path, capsys
     config = make_config_file(tmp_path)
     assert run(["--config", str(config), "-e"]) == 0
     with SqliteStore(parse_config(str(config))) as opened:
-        previous = opened.load_name_records()
+        previous = list(opened.load_name_records())
     # The historical ENAMDICT encoding.
     euc_jp = tmp_path / "enamdict.euc"
     fixture = FIXTURES / "names_fixture.txt"
@@ -819,7 +819,113 @@ def test_run_enamdict_that_is_not_utf8_keeps_the_previous_names(tmp_path, capsys
     assert err.count("\n") == 1
     assert str(euc_jp) in err and "iconv -f EUC-JP -t UTF-8" in err
     with SqliteStore(parse_config(str(config))) as opened:
-        assert opened.load_name_records() == previous
+        assert list(opened.load_name_records()) == previous
+
+
+def test_run_enamdict_streams_and_rolls_back_a_late_decode_error(
+    tmp_path, capsys, monkeypatch
+):
+    config = make_config_file(tmp_path)
+    assert run(["--config", str(config), "-e"]) == 0
+    with SqliteStore(parse_config(str(config))) as opened:
+        previous = list(opened.load_name_records())
+    # More than 128 KiB of valid lines, then one line that is not UTF-8.
+    valid = "".join(f"森{i} [もり] /Mori{i} (s)/\n" for i in range(6000))
+    assert len(valid.encode("utf-8")) > 128 * 1024
+    late = tmp_path / "late.txt"
+    late.write_bytes(valid.encode("utf-8") + "森 [もり] /Mori (s)/\n".encode("euc_jp"))
+    fixture = FIXTURES / "names_fixture.txt"
+    config.write_text(config.read_text().replace(str(fixture), str(late)))
+
+    received = []
+    drawn = 0
+    replace_names = SqliteStore.replace_names
+
+    def spy(self, records):
+        received.append(records)
+
+        def counted():
+            nonlocal drawn
+            for record in records:
+                drawn += 1
+                yield record
+
+        return replace_names(self, counted())
+
+    monkeypatch.setattr(SqliteStore, "replace_names", spy)
+    capsys.readouterr()
+    assert run(["--config", str(config), "-e"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(late) in err
+    # The records reach the insert as an iterator, drawn before the error.
+    [records] = received
+    assert iter(records) is records
+    assert drawn > 0
+    with SqliteStore(parse_config(str(config))) as opened:
+        assert list(opened.load_name_records()) == previous
+
+
+def test_run_enamdict_logs_each_warning_in_line_order_then_the_counts(
+    tmp_path, capsys
+):
+    config = make_config_file(tmp_path)
+    assert run(["--config", str(config), "-e"]) == 0
+    [log_file] = (tmp_path / "log").glob("run-*.log")
+    messages = [
+        line.partition(" jpbib.pipeline: ")[2]
+        for line in log_file.read_text(encoding="utf-8").splitlines()
+        if " jpbib.pipeline: dictionary line " in line or " stored " in line
+    ]
+    # The fixture's irregular lines.
+    lines = (FIXTURES / "names_fixture.txt").read_text(encoding="utf-8").splitlines()
+    assert messages == [
+        f"dictionary line 35 (missing-terminal-slash): {lines[34]}",
+        f"dictionary line 36 (stray-bracket): {lines[35]}",
+        f"dictionary line 37 (stray-bracket): {lines[36]}",
+        "stored 34 name records (3 warnings)",
+    ]
+
+
+def test_dictionary_build_from_the_store_holds_no_record_list(store):
+    import random
+    import tracemalloc
+
+    from jpbib.enamdict import NameRecord, NameType
+    from jpbib.matching import NameDictionary
+
+    # About 5k records over 676 two-character surfaces, several readings each.
+    rng = random.Random(24)
+    kanji = "森田中村山本川井上木下松岡吉藤原野小大石島林佐高橋"
+    syllables = (
+        "ka ki ku ko sa shi su so ta chi tsu to na ni no ha hi fu ho ma mi mo "
+        "ya yu yo ra ri ro wa n"
+    ).split()
+    combinations = [
+        frozenset({NameType.SURNAME}),
+        frozenset({NameType.GIVEN}),
+        frozenset({NameType.MALE_GIVEN}),
+        frozenset({NameType.FEMALE_GIVEN}),
+        frozenset({NameType.FEMALE_GIVEN, NameType.MALE_GIVEN}),
+    ]
+    records = [
+        NameRecord(
+            rng.choice(kanji) + rng.choice(kanji),
+            None,
+            "".join(rng.choices(syllables, k=rng.randint(2, 4))).capitalize(),
+            rng.choice(combinations),
+        )
+        for _ in range(5000)
+    ]
+    store.replace_names(records)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dictionary = NameDictionary(store.load_name_records())
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dictionary.probe(records[0].latin)[0]
+    assert peak - base <= 1.2 * (live - base)
 
 
 def test_run_rejects_an_endpoint_that_is_not_an_http_url_before_any_stage(
