@@ -1063,6 +1063,121 @@ def test_run_all_ignores_retired_table_keys(tmp_path, capsys):
     }
 
 
+# PRAGMA table_info rows: (cid, name, type, notnull, default, pk).
+_TEXT_TABLE_INFO = [
+    (0, "id", "INTEGER", 0, None, 1),
+    (1, "publication_id", "INTEGER", 1, None, 0),
+    (2, "position", "INTEGER", 1, None, 0),
+    (3, "text", "TEXT", 1, None, 0),
+    (4, "lang", "TEXT", 1, None, 0),
+]
+STORE_TABLE_INFO = {
+    "japnames": [
+        (0, "id", "INTEGER", 0, None, 1),
+        (1, "surface", "TEXT", 1, None, 0),
+        (2, "reading", "TEXT", 0, None, 0),
+        (3, "latin", "TEXT", 1, None, 0),
+        (4, "types", "TEXT", 1, None, 0),
+    ],
+    "dblp": [
+        (0, "id", "INTEGER", 0, None, 1),
+        (1, "key", "TEXT", 1, None, 0),
+        (2, "authors", "TEXT", 1, None, 0),
+        (3, "title", "TEXT", 1, None, 0),
+        (4, "year", "INTEGER", 0, None, 0),
+        (5, "journal", "TEXT", 0, None, 0),
+        (6, "pages", "TEXT", 0, None, 0),
+        (7, "volume", "TEXT", 0, None, 0),
+    ],
+    "dblpauthors": [
+        (0, "id", "INTEGER", 0, None, 1),
+        (1, "author_a", "TEXT", 1, None, 0),
+        (2, "author_b", "TEXT", 1, None, 0),
+        (3, "publication_id", "INTEGER", 1, None, 0),
+    ],
+    "oai_publications": [
+        (0, "id", "INTEGER", 0, None, 1),
+        (1, "identifier", "TEXT", 1, None, 0),
+        (2, "publication_type", "TEXT", 0, None, 0),
+        (3, "date", "TEXT", 0, None, 0),
+        (4, "volume", "TEXT", 0, None, 0),
+        (5, "number", "TEXT", 0, None, 0),
+        (6, "pages", "TEXT", 0, None, 0),
+        (7, "language", "TEXT", 0, None, 0),
+        (8, "source_url", "TEXT", 0, None, 0),
+        (9, "dblp_key", "TEXT", 0, None, 0),
+    ],
+    "oai_authors": [
+        (0, "id", "INTEGER", 0, None, 1),
+        (1, "publication_id", "INTEGER", 1, None, 0),
+        (2, "position", "INTEGER", 1, None, 0),
+        (3, "latin_raw", "TEXT", 0, None, 0),
+        (4, "kanji_raw", "TEXT", 0, None, 0),
+        (5, "latin_given", "TEXT", 0, None, 0),
+        (6, "latin_family", "TEXT", 0, None, 0),
+        (7, "kanji_given", "TEXT", 0, None, 0),
+        (8, "kanji_family", "TEXT", 0, None, 0),
+        (9, "status", "TEXT", 1, None, 0),
+        (10, "candidates", "TEXT", 1, None, 0),
+    ],
+    "oai_titles": _TEXT_TABLE_INFO,
+    "oai_contributors": _TEXT_TABLE_INFO,
+    "oai_descriptions": _TEXT_TABLE_INFO,
+}
+# Each table's indexes, by name: (unique, origin, partial) from PRAGMA
+# index_list, then the PRAGMA index_info rows (seqno, cid, column).  An
+# expression column has cid -2 and no name; "u" marks a UNIQUE column's
+# own index, "c" a CREATE INDEX.
+STORE_INDEXES = {
+    "japnames": {},
+    "dblp": {
+        "dblp_title": (0, "c", 0, [(0, -2, None)]),
+        "sqlite_autoindex_dblp_1": (1, "u", 0, [(0, 1, "key")]),
+    },
+    "dblpauthors": {},
+    "oai_publications": {
+        "sqlite_autoindex_oai_publications_1": (1, "u", 0, [(0, 1, "identifier")]),
+    },
+    **{
+        table: {f"{table}_publication_id": (0, "c", 0, [(0, 1, "publication_id")])}
+        for table in (
+            "oai_authors",
+            "oai_titles",
+            "oai_contributors",
+            "oai_descriptions",
+        )
+    },
+}
+
+
+def test_run_all_creates_the_declared_schema(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    assert run(["--config", str(config), "--all"], fetch=build_provider().fetch) == 0
+    capsys.readouterr()
+    with SqliteStore(parse_config(str(config))) as opened:
+        execute = opened.connection.execute
+        table_info = {
+            table: execute(f"PRAGMA table_info({table})").fetchall()
+            for table in STORE_TABLE_INFO
+        }
+        indexes = {
+            table: {
+                name: (
+                    unique,
+                    origin,
+                    partial,
+                    execute(f"PRAGMA index_info({name})").fetchall(),
+                )
+                for _, name, unique, origin, partial in execute(
+                    f"PRAGMA index_list({table})"
+                )
+            }
+            for table in STORE_INDEXES
+        }
+    assert table_info == STORE_TABLE_INFO
+    assert indexes == STORE_INDEXES
+
+
 # Captured before the statistics were counted from per-record outcomes;
 # the report and statistics.json must keep these bytes.
 MOCK_REPORT = """\
