@@ -93,7 +93,8 @@ def parse_config(path: str) -> Config:
     # like any other, reported as unknown, and sets no key elsewhere.
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        with open(path, encoding="utf-8") as handle:
+        # A leading byte-order mark is not part of the first section header.
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc

@@ -225,11 +225,11 @@ def parse_file(
 
 @contextmanager
 def open_dictionary(path: str) -> Iterator[TextIO]:
-    """The dictionary file as UTF-8 text lines.  A decode error anywhere in
-    the block, wherever the lines are read, becomes a
-    ``DictionaryEncodingError`` that names the file."""
+    """The dictionary file as UTF-8 text lines, past a leading byte-order
+    mark.  A decode error anywhere in the block, wherever the lines are
+    read, becomes a ``DictionaryEncodingError`` that names the file."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise DictionaryEncodingError(

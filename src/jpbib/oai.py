@@ -331,7 +331,6 @@ def harvest(
     *,
     fetch: Fetch = http_fetch,
     id_prefix: str = "",
-    save_dir: str | None = None,
 ) -> Iterator[tuple[OaiRecord, HarvestedPublication | None]]:
     """Stream every record of a provider exactly once.
 
@@ -340,12 +339,8 @@ def harvest(
     an (min, max) id range fetched record by record; range ids are built
     as ``id_prefix`` plus the integer and unknown ids are skipped.  Each
     payload is parsed as junii2; deleted or malformed records yield None
-    as their publication.  With ``save_dir`` set, every raw response body
-    is written there in request order for later replay.
+    as their publication.
     """
-    if save_dir:
-        fetch = _saving_fetcher(fetch, save_dir)
-
     if mode == "list":
         token: str | None = None
         seen: set[str] = set()
@@ -381,21 +376,9 @@ def _parse_payload(record: OaiRecord) -> HarvestedPublication | None:
         return None
 
 
-def _saving_fetcher(fetch: Fetch, directory: str) -> Fetch:
-    target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    sequence = itertools.count(1)
-
-    def saving_fetch(url: str) -> bytes:
-        data = fetch(url)
-        (target / f"{next(sequence):06d}.xml").write_bytes(data)
-        return data
-
-    return saving_fetch
-
-
 def replay_fetcher(directory: str) -> Fetch:
-    """Serve previously saved responses in their original request order."""
+    """Serve the responses that ``pipeline.saving_fetcher`` saved in
+    ``directory``, in their original request order."""
     files = sorted(Path(directory).glob("*.xml"))
     iterator = iter(files)
 

@@ -9,6 +9,7 @@ work starts.  -h is the harvest flag, so help hides behind --help/-help.
 
 import argparse
 import datetime
+import itertools
 import logging
 import os
 import sqlite3
@@ -27,7 +28,7 @@ from .enamdict import (
     open_dictionary,
 )
 from .matching import NameDictionary, latin_names, resolve_author
-from .oai import OaiProtocolError, TransportError, harvest, http_fetch
+from .oai import Fetch, OaiProtocolError, TransportError, harvest, http_fetch
 from .similarity import MatchConfig
 from .stats import RecordOutcome, RunStatistics
 from .store import SqliteStore
@@ -135,16 +136,33 @@ def stage_enamdict(config: Config, store: SqliteStore) -> None:
     log.info("stored %d name records (%d warnings)", count, warnings)
 
 
-def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
+def saving_fetcher(fetch: Fetch, directory: str) -> Fetch:
+    """``fetch`` that also saves each response body in ``directory``, as
+    ``000001.xml`` onwards in request order, for ``oai.replay_fetcher``.
+    Each file is rewritten in place, as every other output file is."""
+    os.makedirs(directory, exist_ok=True)
+    sequence = itertools.count(1)
+
+    def saving_fetch(url: str) -> bytes:
+        data = fetch(url)
+        overwrite(os.path.join(directory, f"{next(sequence):06d}.xml"), data)
+        return data
+
+    return saving_fetch
+
+
+def stage_harvest(config: Config, store: SqliteStore, fetch: Fetch) -> RunStatistics:
     """Harvest, resolve and look up every record, and replace the harvest
-    tables with the results in one transaction; writes no file."""
+    tables with the results in one transaction.  It writes no BHT file;
+    with ``[harvester] filespath`` set, it saves each response there."""
     dictionary = NameDictionary(store.load_name_records())
     # Title lookups query the store; a store written before the title
     # index existed gets it here.
     store.create_title_index()
     match_config = MatchConfig(config.lev_threshold, config.match_threshold)
     mode = "list" if config.use_list_records else (config.min_id, config.max_id)
-    save_dir = config.resolve(config.files_path) if config.files_path else None
+    if config.files_path:
+        fetch = saving_fetcher(fetch, config.resolve(config.files_path))
     # The statistics count each identifier once, by its last copy.
     outcomes: dict[str, RecordOutcome] = {}
 
@@ -156,7 +174,6 @@ def stage_harvest(config: Config, store: SqliteStore, fetch) -> RunStatistics:
             mode,
             fetch=fetch,
             id_prefix=config.id_prefix,
-            save_dir=save_dir,
         ):
             # A repeated identifier replaces its earlier copy's rows and keeps
             # its id, so its file name follows its first copy; a deleted or

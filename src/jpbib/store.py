@@ -5,10 +5,9 @@ A single SQLite file holds every relation under fixed table names:
 corpus, and ``oai_publications``, ``oai_authors`` and the text tables
 ``oai_titles``, ``oai_contributors`` and ``oai_descriptions`` for the
 harvest.  The text tables share one definition: a row is one text of a
-publication, its position and its language tag.  The harvest columns are
-declared once, in ``SqliteStore.publication_fields`` and
-``SqliteStore.child_columns``; the inserts, reads and deletes are built
-from them, and only the CREATE TABLE statements repeat them, with types.
+publication, its position and its language tag.  Each table's columns are
+declared once, with their types, in ``_TABLES``; its CREATE TABLE, its
+insert and its read are built from that declaration.
 ``replace_names``, ``replace_corpus`` and ``replace_harvest`` each drop,
 recreate and fill their tables in one transaction, so a load or harvest
 that fails partway leaves the previous tables and their index as they
@@ -95,37 +94,70 @@ def _resolution(
     )
 
 
+def _column_names(declared: str) -> list[str]:
+    """The names in a column declaration such as ``"key TEXT, year INTEGER"``."""
+    return [column.split()[0] for column in declared.split(", ")]
+
+
+# Each table's columns after ``id INTEGER PRIMARY KEY``, in order, with their
+# types and constraints.  The CREATE TABLE statements, the inserts and the
+# reads are built from these.  A row of each of the last four tables is one
+# author or text of a publication, at its position; an author row holds the
+# creator's raw (latin, kanji) pair followed by ``_resolution_row``.
+_CHILD = "publication_id INTEGER NOT NULL, position INTEGER NOT NULL, "
+_TEXT = _CHILD + "text TEXT NOT NULL, lang TEXT NOT NULL"
+_TABLES = {
+    "japnames": "surface TEXT NOT NULL, reading TEXT, latin TEXT NOT NULL, "
+    "types TEXT NOT NULL",
+    "dblp": "key TEXT NOT NULL UNIQUE, authors TEXT NOT NULL, title TEXT NOT NULL, "
+    "year INTEGER, journal TEXT, pages TEXT, volume TEXT",
+    "dblpauthors": "author_a TEXT NOT NULL, author_b TEXT NOT NULL, "
+    "publication_id INTEGER NOT NULL",
+    "oai_publications": "identifier TEXT NOT NULL UNIQUE, publication_type TEXT, "
+    "date TEXT, volume TEXT, number TEXT, pages TEXT, language TEXT, "
+    "source_url TEXT, dblp_key TEXT",
+    "oai_authors": _CHILD + "latin_raw TEXT, kanji_raw TEXT, latin_given TEXT, "
+    "latin_family TEXT, kanji_given TEXT, kanji_family TEXT, "
+    "status TEXT NOT NULL, candidates TEXT NOT NULL",
+    "oai_titles": _TEXT,
+    "oai_contributors": _TEXT,
+    "oai_descriptions": _TEXT,
+}
+
+
 class SqliteStore:
     """All pipeline relations in one embedded database file."""
 
-    names = "japnames"
-    dblp = "dblp"
-    edges = "dblpauthors"
-    publications = "oai_publications"
-    authors = "oai_authors"
-    titles = "oai_titles"
-    contributors = "oai_contributors"
-    descriptions = "oai_descriptions"
+    # The table names, in declaration order.
+    names, dblp, edges, publications, *child_tables = _TABLES
+    authors, titles, contributors, descriptions = child_tables
     # Filled from a publication's titles, contributors and descriptions.
     text_tables = (titles, contributors, descriptions)
+    # The columns that each table's insert writes and its read returns.  -d
+    # and -h give each dblp and oai_publications row its id; SQLite numbers
+    # the other tables' rows.
+    _columns = {
+        **{table: _column_names(declared) for table, declared in _TABLES.items()},
+        dblp: ["id", *_column_names(_TABLES[dblp])],
+        publications: ["id", *_column_names(_TABLES[publications])],
+    }
     # The HarvestedPublication fields that oai_publications holds between
     # its id and dblp_key columns, in column order.
-    publication_fields = (
-        "identifier publication_type date volume number pages language source_url"
-    ).split()
-    _publication_columns = ", ".join(("id", *publication_fields, "dblp_key"))
-    # The columns of each table that holds a publication's authors or texts,
-    # after publication_id and position.  An author row is the creator's raw
-    # (latin, kanji) pair followed by ``_resolution_row``.
-    child_columns = {
-        authors: (
-            "latin_raw kanji_raw latin_given latin_family kanji_given kanji_family "
-            "status candidates"
-        ).split(),
-        **dict.fromkeys(text_tables, ("text", "lang")),
+    publication_fields = _columns[publications][1:-1]
+    _inserts = {
+        table: f"INSERT INTO {table} ({', '.join(columns)}) "
+        f"VALUES ({', '.join('?' * len(columns))})"
+        for table, columns in _columns.items()
+    }
+    # A child table's rows in publication and position order, the others'
+    # in id order.
+    _selects = {
+        table: f"SELECT {', '.join(columns)} FROM {table} ORDER BY "
+        + ("publication_id, position" if _TABLES[table].startswith(_CHILD) else "id")
+        for table, columns in _columns.items()
     }
     title_index = "dblp_title"
-    child_indexes = {table: f"{table}_publication_id" for table in child_columns}
+    child_indexes = {table: f"{table}_publication_id" for table in child_tables}
     _title_index_sql = (
         f"CREATE INDEX IF NOT EXISTS {title_index} ON {dblp} (jpbib_title(title))"
     )
@@ -159,11 +191,24 @@ class SqliteStore:
         )
 
     @contextmanager
-    def _replacing(self, schema: str) -> Iterator[None]:
-        """One transaction for ``schema`` (its tables' DROP and CREATE) and
-        the block's inserts.  It commits when the block ends and rolls back
-        on any exception, so a failed load leaves the previous tables and
+    def _replacing(self, *tables: str) -> Iterator[None]:
+        """One transaction that drops ``tables``, creates them as declared,
+        each child table with its ``publication_id`` index, and runs the
+        block's inserts.  It commits when the block ends and rolls back on
+        any exception, so a failed load leaves the previous tables and
         indexes as they were, or no tables on a store that had none."""
+        schema = "".join(
+            f"DROP TABLE IF EXISTS {table};"
+            f"CREATE TABLE {table} (id INTEGER PRIMARY KEY, {_TABLES[table]});"
+            for table in tables
+        )
+        # remove_harvested deletes a repeated identifier's child rows by
+        # publication_id; without these, each repeat scans the whole table.
+        schema += "".join(
+            f"CREATE INDEX {self.child_indexes[table]} ON {table} (publication_id);"
+            for table in tables
+            if table in self.child_indexes
+        )
         try:
             # The script's own BEGIN keeps its DROP and CREATE uncommitted.
             self.connection.executescript("BEGIN;" + schema)
@@ -177,27 +222,12 @@ class SqliteStore:
 
     def replace_names(self, records: Iterable[NameRecord]) -> int:
         """Replace the dictionary table with ``records``; returns their count."""
-        with self._replacing(
-            f"""
-            DROP TABLE IF EXISTS {self.names};
-            CREATE TABLE {self.names} (
-                id INTEGER PRIMARY KEY,
-                surface TEXT NOT NULL,
-                reading TEXT,
-                latin TEXT NOT NULL,
-                types TEXT NOT NULL
-            );
-            """
-        ):
+        with self._replacing(self.names):
             return self.add_name_records(records)
 
     def add_name_records(self, records: Iterable[NameRecord]) -> int:
-        sql = (
-            f"INSERT INTO {self.names} (surface, reading, latin, types) "
-            "VALUES (?, ?, ?, ?)"
-        )
         return self.connection.executemany(
-            sql,
+            self._inserts[self.names],
             (
                 (r.surface, r.reading, r.latin, _TYPE_CODES[r.types])
                 for r in records
@@ -209,12 +239,11 @@ class SqliteStore:
     def load_name_records(self) -> Iterator[NameRecord]:
         """The stored records in id order, each decoded from its row as the
         iterator is read."""
-        rows = self.connection.execute(
-            f"SELECT surface, reading, latin, types FROM {self.names} ORDER BY id"
-        )
         return (
             NameRecord(surface, reading, latin, _CODE_TYPES[types])
-            for surface, reading, latin, types in rows
+            for surface, reading, latin, types in self.connection.execute(
+                self._selects[self.names]
+            )
         )
 
     def has_names(self) -> bool:
@@ -231,28 +260,7 @@ class SqliteStore:
         publications = iter(publications)
         stored = edges = 0
         # -h reads the coauthor adjacency from the edge table alone.
-        with self._replacing(
-            f"""
-            DROP TABLE IF EXISTS {self.dblp};
-            CREATE TABLE {self.dblp} (
-                id INTEGER PRIMARY KEY,
-                key TEXT NOT NULL UNIQUE,
-                authors TEXT NOT NULL,
-                title TEXT NOT NULL,
-                year INTEGER,
-                journal TEXT,
-                pages TEXT,
-                volume TEXT
-            );
-            DROP TABLE IF EXISTS {self.edges};
-            CREATE TABLE {self.edges} (
-                id INTEGER PRIMARY KEY,
-                author_a TEXT NOT NULL,
-                author_b TEXT NOT NULL,
-                publication_id INTEGER NOT NULL
-            );
-            """
-        ):
+        with self._replacing(self.dblp, self.edges):
             while batch := list(islice(publications, CORPUS_BATCH)):
                 stored += self.add_corpus_publications(batch)
                 edges += self.add_coauthor_edges(coauthor_edges(batch))
@@ -260,13 +268,8 @@ class SqliteStore:
         return stored, edges
 
     def add_corpus_publications(self, rows: Iterable[CorpusPublication]) -> int:
-        sql = (
-            f"INSERT INTO {self.dblp} "
-            "(id, key, authors, title, year, journal, pages, volume) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
-        )
         return self.connection.executemany(
-            sql,
+            self._inserts[self.dblp],
             (
                 (
                     p.id,
@@ -283,11 +286,7 @@ class SqliteStore:
         ).rowcount
 
     def add_coauthor_edges(self, rows: Iterable[CoauthorEdge]) -> int:
-        sql = (
-            f"INSERT INTO {self.edges} (author_a, author_b, publication_id) "
-            "VALUES (?, ?, ?)"
-        )
-        return self.connection.executemany(sql, rows).rowcount
+        return self.connection.executemany(self._inserts[self.edges], rows).rowcount
 
     def create_title_index(self) -> None:
         """Index ``dblp`` by normalised title, unless it already is."""
@@ -317,8 +316,7 @@ class SqliteStore:
         return CorpusStore(
             CorpusPublication(pid, key, tuple(json.loads(authors)), *rest)
             for pid, key, authors, *rest in self.connection.execute(
-                f"SELECT id, key, authors, title, year, journal, pages, volume "
-                f"FROM {self.dblp} ORDER BY id"
+                self._selects[self.dblp]
             )
         )
 
@@ -330,56 +328,7 @@ class SqliteStore:
     def replace_harvest(self) -> ContextManager[None]:
         """A block that refills the five harvest tables in one transaction:
         a harvest that fails keeps the previous run's rows."""
-        text_tables = "".join(
-            f"""
-            DROP TABLE IF EXISTS {table};
-            CREATE TABLE {table} (
-                id INTEGER PRIMARY KEY,
-                publication_id INTEGER NOT NULL,
-                position INTEGER NOT NULL,
-                text TEXT NOT NULL,
-                lang TEXT NOT NULL
-            );"""
-            for table in self.text_tables
-        )
-        # remove_harvested deletes a repeated identifier's child rows by
-        # publication_id; without these, each repeat scans the whole table.
-        child_indexes = "".join(
-            f"CREATE INDEX {index} ON {table} (publication_id);"
-            for table, index in self.child_indexes.items()
-        )
-        return self._replacing(
-            f"""
-            DROP TABLE IF EXISTS {self.publications};
-            CREATE TABLE {self.publications} (
-                id INTEGER PRIMARY KEY,
-                identifier TEXT NOT NULL UNIQUE,
-                publication_type TEXT,
-                date TEXT,
-                volume TEXT,
-                number TEXT,
-                pages TEXT,
-                language TEXT,
-                source_url TEXT,
-                dblp_key TEXT
-            );
-            DROP TABLE IF EXISTS {self.authors};
-            CREATE TABLE {self.authors} (
-                id INTEGER PRIMARY KEY,
-                publication_id INTEGER NOT NULL,
-                position INTEGER NOT NULL,
-                latin_raw TEXT,
-                kanji_raw TEXT,
-                latin_given TEXT,
-                latin_family TEXT,
-                kanji_given TEXT,
-                kanji_family TEXT,
-                status TEXT NOT NULL,
-                candidates TEXT NOT NULL
-            );{text_tables}
-            {child_indexes}
-            """
-        )
+        return self._replacing(self.publications, *self.child_tables)
 
     def remove_harvested(self, identifier: str) -> int | None:
         """Delete the publication stored under ``identifier``, if any,
@@ -391,7 +340,7 @@ class SqliteStore:
         ).fetchone()
         if earlier is None:
             return None
-        for table in self.child_columns:
+        for table in self.child_tables:
             self.connection.execute(
                 f"DELETE FROM {table} WHERE publication_id=?", earlier
             )
@@ -409,8 +358,7 @@ class SqliteStore:
         ``publication_id`` or else the next free id; returns the id.  A new
         copy of a stored one goes in after ``remove_harvested``."""
         cursor = self.connection.execute(
-            f"INSERT INTO {self.publications} ({self._publication_columns}) "
-            f"VALUES ({', '.join('?' * (len(self.publication_fields) + 2))})",
+            self._inserts[self.publications],
             (
                 publication_id,
                 *(getattr(publication, name) for name in self.publication_fields),
@@ -427,10 +375,9 @@ class SqliteStore:
             publication.contributors,
             publication.descriptions,
         )
-        for (table, columns), rows in zip(self.child_columns.items(), children):
+        for table, rows in zip(self.child_tables, children):
             self.connection.executemany(
-                f"INSERT INTO {table} (publication_id, position, {', '.join(columns)}) "
-                f"VALUES ({', '.join('?' * (len(columns) + 2))})",
+                self._inserts[table],
                 [(publication_id, position, *row) for position, row in enumerate(rows)],
             )
         return publication_id
@@ -441,24 +388,19 @@ class SqliteStore:
         """Each stored publication in id order, with its author resolutions
         and corpus key, as ``add_harvested`` received them.  The rows are
         read as the items are taken, one publication's worth at a time."""
-        publications = self.connection.execute(
-            f"SELECT {self._publication_columns} FROM {self.publications} ORDER BY id"
-        )
+        publications = self.connection.execute(self._selects[self.publications])
         cursors = [
-            self.connection.execute(
-                f"SELECT publication_id, {', '.join(columns)} FROM {table} "
-                "ORDER BY publication_id, position"
-            )
-            for table, columns in self.child_columns.items()
+            self.connection.execute(self._selects[table]) for table in self.child_tables
         ]
-        # Each cursor's next row, read one ahead; (None,) once it has ended.
+        # Each cursor's next (publication_id, position, ...) row, read one
+        # ahead; (None,) once it has ended.
         heads = [next(cursor, (None,)) for cursor in cursors]
         for publication_id, *values, dblp_key in publications:
             children = []
             for index, cursor in enumerate(cursors):
                 rows = []
                 while heads[index][0] == publication_id:
-                    rows.append(heads[index][1:])
+                    rows.append(heads[index][2:])
                     heads[index] = next(cursor, (None,))
                 children.append(rows)
             authors, titles, contributors, descriptions = children

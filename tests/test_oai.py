@@ -24,6 +24,7 @@ from jpbib.oai import (
     replay_fetcher,
 )
 from jpbib.oai_mock import MockDataProvider, MockRecord, junii2_payload
+from jpbib.pipeline import saving_fetcher
 
 from mockrepo import (
     ALL_IDS,
@@ -461,7 +462,10 @@ def test_save_and_replay(tmp_path, provider):
     first = [
         (record.identifier, publication)
         for record, publication in harvest(
-            ENDPOINT, "junii2", "list", fetch=provider.fetch, save_dir=str(save_dir)
+            ENDPOINT,
+            "junii2",
+            "list",
+            fetch=saving_fetcher(provider.fetch, str(save_dir)),
         )
     ]
     assert len(list(save_dir.glob("*.xml"))) == 3

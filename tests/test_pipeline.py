@@ -802,6 +802,13 @@ def test_run_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
     assert not list(tmp_path.glob("*.sqlite3"))
 
 
+def test_parse_config_reads_past_a_byte_order_mark(tmp_path):
+    config = make_config_file(tmp_path)
+    plain = parse_config(str(config))
+    config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    assert parse_config(str(config)) == plain
+
+
 def test_run_enamdict_that_is_not_utf8_keeps_the_previous_names(tmp_path, capsys):
     config = make_config_file(tmp_path)
     assert run(["--config", str(config), "-e"]) == 0
@@ -820,6 +827,21 @@ def test_run_enamdict_that_is_not_utf8_keeps_the_previous_names(tmp_path, capsys
     assert str(euc_jp) in err and "iconv -f EUC-JP -t UTF-8" in err
     with SqliteStore(parse_config(str(config))) as opened:
         assert list(opened.load_name_records()) == previous
+
+
+def test_run_enamdict_reads_past_a_byte_order_mark(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    fixture = FIXTURES / "names_fixture.txt"
+    # A record on the first line, after the mark.
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + "森 [もり] /Mori (s)/\n".encode("utf-8"))
+    config.write_text(config.read_text().replace(str(fixture), str(marked)))
+
+    assert run(["--config", str(config), "-e"]) == 0
+    capsys.readouterr()
+    with SqliteStore(parse_config(str(config))) as opened:
+        [record] = opened.load_name_records()
+    assert (record.surface, record.reading, record.latin) == ("森", "もり", "Mori")
 
 
 def test_run_enamdict_streams_and_rolls_back_a_late_decode_error(
@@ -1682,6 +1704,29 @@ def test_rerun_with_identical_bytes_rewrites_every_file(tmp_path, capsys):
 
     assert harvest_outputs(config) == before
     assert [path for path in outputs if path.stat().st_mtime_ns < start] == []
+
+
+def test_saved_responses_are_rewritten_in_place(tmp_path, capsys, monkeypatch):
+    # [harvester] filespath keeps every response; a rerun rewrites them,
+    # like the BHT files, through bht.overwrite.
+    written = []
+    overwrite = bht.overwrite
+
+    def spy(path, data):
+        written.append(os.path.abspath(path))
+        overwrite(path, data)
+
+    monkeypatch.setattr(bht, "overwrite", spy)
+    monkeypatch.setattr("jpbib.pipeline.overwrite", spy)
+    config = make_config_file(tmp_path)
+    provider = build_provider()
+    for _ in range(2):
+        written.clear()
+        assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
+        saved = sorted(str(path) for path in (tmp_path / "files-harvester").iterdir())
+        assert len(saved) > 1
+        assert sorted(path for path in written if path in saved) == saved
+    capsys.readouterr()
 
 
 def test_failed_harvest_leaves_no_file_without_a_row(tmp_path, capsys):
