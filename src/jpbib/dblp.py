@@ -88,7 +88,8 @@ class CorpusPublication:
 
 
 class CoauthorEdge(NamedTuple):
-    """A tuple, so that it is an edge table row as it stands."""
+    """One row of the edge table, as ``parse_corpus`` gives it; the store
+    derives its rows from the stored author lists."""
 
     author_a: str
     author_b: str
@@ -358,9 +359,13 @@ def find_publication(
     cfg: MatchConfig | None = None,
 ) -> str | None:
     """Key of a stored publication with the same title and one shared
-    author; the first such publication in id order."""
+    author; the first such publication in id order.  A title that
+    normalises to "" matches nothing: untitled records are stored so."""
+    normalized = normalize_title(title)
+    if not normalized:
+        return None
     cfg = cfg or MatchConfig()
-    for key, stored_authors in store.publications_titled(normalize_title(title)):
+    for key, stored_authors in store.publications_titled(normalized):
         for stored_author in stored_authors:
             if any(names_match(stored_author, a, cfg) for a in authors):
                 return key

@@ -237,12 +237,16 @@ def _has_cjk(text: str) -> bool:
     return _CJK_RE.search(text) is not None
 
 
+def _language(code: str) -> str:
+    """The tag ("ja", "en" or "other") of a jpn/eng code or of a BCP 47
+    tag such as ``ja-JP``, read by its primary subtag."""
+    return _LANGUAGE_CODES.get(code.lower().partition("-")[0], "other")
+
+
 def _language_tag(elem: ET.Element, text: str) -> str:
-    lang = elem.get(_LANG_ATTR, "").lower()
-    if lang in _LANGUAGE_CODES:
-        return _LANGUAGE_CODES[lang]
+    lang = elem.get(_LANG_ATTR, "")
     if lang:
-        return "other"
+        return _language(lang)
     return "ja" if _has_cjk(text) else "en"
 
 
@@ -317,7 +321,7 @@ def parse_junii2(payload: ET.Element, identifier: str = "") -> HarvestedPublicat
         pages=pages,
         volume=fields.get("volume"),
         number=fields.get("issue") or fields.get("number"),
-        language=_LANGUAGE_CODES.get(fields.get("language", "").lower(), "other"),
+        language=_language(fields.get("language", "")),
         source_url=source_url,
         contributors=contributors,
         descriptions=descriptions,

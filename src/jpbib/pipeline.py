@@ -9,13 +9,13 @@ work starts.  -h is the harvest flag, so help hides behind --help/-help.
 
 import argparse
 import datetime
-import itertools
 import logging
 import os
+import re
 import sqlite3
 import sys
 import xml.etree.ElementTree as ET
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterator
 
 from .bht import concatenate, export, overwrite
@@ -136,38 +136,57 @@ def stage_enamdict(config: Config, store: SqliteStore) -> None:
     log.info("stored %d name records (%d warnings)", count, warnings)
 
 
-def saving_fetcher(fetch: Fetch, directory: str) -> Fetch:
+# The name of a response that saving_fetcher saved.
+_SAVED_RESPONSE = re.compile(r"[0-9]{6}\.xml")
+
+
+@contextmanager
+def saving_fetcher(fetch: Fetch, directory: str) -> Iterator[Fetch]:
     """``fetch`` that also saves each response body in ``directory``, as
     ``000001.xml`` onwards in request order, for ``oai.replay_fetcher``.
-    Each file is rewritten in place, as every other output file is."""
+    Each file is rewritten in place, as every other output file is.  When
+    the block ends, by an exception too, every saved response numbered
+    above this run's last one is removed, so a replay serves no response
+    of an earlier, longer run; other files stay."""
     os.makedirs(directory, exist_ok=True)
-    sequence = itertools.count(1)
+    saved = 0  # the number of this run's last whole response
 
     def saving_fetch(url: str) -> bytes:
+        nonlocal saved
         data = fetch(url)
-        overwrite(os.path.join(directory, f"{next(sequence):06d}.xml"), data)
+        overwrite(os.path.join(directory, f"{saved + 1:06d}.xml"), data)
+        saved += 1
         return data
 
-    return saving_fetch
+    try:
+        yield saving_fetch
+    finally:
+        for name in os.listdir(directory):
+            if _SAVED_RESPONSE.fullmatch(name) and int(name[:6]) > saved:
+                os.remove(os.path.join(directory, name))
 
 
 def stage_harvest(config: Config, store: SqliteStore, fetch: Fetch) -> RunStatistics:
     """Harvest, resolve and look up every record, and replace the harvest
     tables with the results in one transaction.  It writes no BHT file;
-    with ``[harvester] filespath`` set, it saves each response there."""
+    with ``[harvester] filespath`` set, it saves each response there, and
+    removes the later responses that an earlier run saved."""
     dictionary = NameDictionary(store.load_name_records())
     # Title lookups query the store; a store written before the title
     # index existed gets it here.
     store.create_title_index()
     match_config = MatchConfig(config.lev_threshold, config.match_threshold)
     mode = "list" if config.use_list_records else (config.min_id, config.max_id)
-    if config.files_path:
-        fetch = saving_fetcher(fetch, config.resolve(config.files_path))
+    saving = (
+        saving_fetcher(fetch, config.resolve(config.files_path))
+        if config.files_path
+        else nullcontext(fetch)
+    )
     # The statistics count each identifier once, by its last copy.
     outcomes: dict[str, RecordOutcome] = {}
 
     log.info("harvesting %s (mode=%s)", config.endpoint or "<injected>", mode)
-    with store.replace_harvest():
+    with saving as fetch, store.replace_harvest():
         for record, publication in harvest(
             config.endpoint,
             "junii2",

@@ -11,11 +11,13 @@ insert and its read are built from that declaration.
 ``replace_names``, ``replace_corpus`` and ``replace_harvest`` each drop,
 recreate and fill their tables in one transaction, so a load or harvest
 that fails partway leaves the previous tables and their index as they
-were.  ``replace_names`` inserts the records as an iterator yields them,
-and ``load_name_records`` decodes each row as it is read, so neither
-holds the whole dictionary.  A harvested identifier that arrives again
-replaces its earlier rows and keeps its publication id; ``harvested``
-reads the publications back in id order.
+were.  ``replace_names`` and ``replace_corpus`` insert the records or
+publications as an iterator yields them, and ``load_name_records``
+decodes each row as it is read, so none holds the whole data set.
+``replace_corpus`` then fills ``dblpauthors`` from the stored author lists
+with one ``INSERT ... SELECT`` over ``json_each``.  A harvested identifier
+that arrives again replaces its earlier rows and keeps its publication id;
+``harvested`` reads the publications back in id order.
 
 Each connection registers the SQL function ``jpbib_title``, which is
 ``dblp.normalize_title``.  The index ``dblp_title`` on
@@ -25,25 +27,18 @@ store written before the index existed.  A connection that has not
 registered the function, such as the ``sqlite3`` shell, can still read
 ``dblp``, but its ``INSERT`` into ``dblp`` and its ``PRAGMA
 integrity_check`` fail with "unknown function: jpbib_title()".
-Expression indexes need SQLite 3.9.0 or later.
+Expression indexes need SQLite 3.9.0 or later, and ``json_each`` the JSON
+functions, built in since SQLite 3.38.0.
 """
 
 import json
 import os
 import sqlite3
 from contextlib import contextmanager
-from itertools import islice
 from typing import ContextManager, Iterable, Iterator
 
 from .config import Config
-from .dblp import (
-    CoauthorEdge,
-    Coauthors,
-    CorpusPublication,
-    CorpusStore,
-    coauthor_edges,
-    normalize_title,
-)
+from .dblp import Coauthors, CorpusPublication, CorpusStore, normalize_title
 from .enamdict import TYPE_COMBINATIONS, NameRecord, NameType
 from .matching import AuthorResolution, NameStatus, PersonName
 from .oai import HarvestedPublication
@@ -62,10 +57,6 @@ _CODE_TYPES = {codes: types for types, codes in _TYPE_CODES.items()}
 # json.dumps(value, ensure_ascii=False) for -d's author lists and -h's
 # name candidates, without a new encoder per call.
 _to_json = json.JSONEncoder(ensure_ascii=False).encode
-# Publications per replace_corpus insert.  On the ingest-scale benchmark 10
-# and 1000 gave the same setup time within run-to-run spread, and 10 a
-# 0.2 MiB higher peak (CHANGES.md).
-CORPUS_BATCH = 100
 
 
 def _resolution_row(resolution: AuthorResolution) -> tuple:
@@ -161,6 +152,16 @@ class SqliteStore:
     _title_index_sql = (
         f"CREATE INDEX IF NOT EXISTS {title_index} ON {dblp} (jpbib_title(title))"
     )
+    # The author pairs (i < j) of each stored author list, skipping equal
+    # names, in publication and pair order: dblp.coauthor_edges in SQL.  The
+    # CROSS JOINs fix the loop order, so the ORDER BY needs no sort.
+    _edges_sql = (
+        f"INSERT INTO {edges} ({', '.join(_columns[edges])}) "
+        f"SELECT a.value, b.value, {dblp}.id FROM {dblp} "
+        f"CROSS JOIN json_each({dblp}.authors) AS a "
+        f"CROSS JOIN json_each({dblp}.authors) AS b "
+        f"WHERE a.key < b.key AND a.value <> b.value ORDER BY {dblp}.id"
+    )
 
     def __init__(self, config: Config):
         path = config.store_path
@@ -254,16 +255,13 @@ class SqliteStore:
     def replace_corpus(
         self, publications: Iterable[CorpusPublication]
     ) -> tuple[int, int]:
-        """Replace both corpus tables and the title index with ``publications``
-        and their coauthor edges, inserted ``CORPUS_BATCH`` publications at a
-        time as they arrive.  Returns the publication and edge counts."""
-        publications = iter(publications)
-        stored = edges = 0
+        """Replace both corpus tables and the title index with ``publications``,
+        inserted as they arrive, and the coauthor edges of their stored
+        author lists.  Returns the publication and edge counts."""
         # -h reads the coauthor adjacency from the edge table alone.
         with self._replacing(self.dblp, self.edges):
-            while batch := list(islice(publications, CORPUS_BATCH)):
-                stored += self.add_corpus_publications(batch)
-                edges += self.add_coauthor_edges(coauthor_edges(batch))
+            stored = self.add_corpus_publications(publications)
+            edges = self.add_coauthor_edges()
             self.connection.execute(self._title_index_sql)
         return stored, edges
 
@@ -285,8 +283,8 @@ class SqliteStore:
             ),
         ).rowcount
 
-    def add_coauthor_edges(self, rows: Iterable[CoauthorEdge]) -> int:
-        return self.connection.executemany(self._inserts[self.edges], rows).rowcount
+    def add_coauthor_edges(self) -> int:
+        return self.connection.execute(self._edges_sql).rowcount
 
     def create_title_index(self) -> None:
         """Index ``dblp`` by normalised title, unless it already is."""

@@ -332,6 +332,30 @@ def test_parse_junii2_english_only():
     assert publication.creators == [("Jane Doe", None)]
 
 
+def test_parse_junii2_reads_the_primary_subtag_of_a_language_tag():
+    from jpbib.bht import build_entry
+
+    payload = junii2_payload(
+        titles=[
+            ("点予測による単語分割", "ja-JP"),
+            ("Pointwise Word Segmentation", "EN-us"),
+            ("Punktweise Segmentierung", "de-DE"),
+        ],
+        creators=["森信介"],
+        language="ja-JP",
+    )
+    publication = parse_junii2(ET.fromstring(payload), "oai:mock:1")
+    assert publication.titles == [
+        ("点予測による単語分割", "ja"),
+        ("Pointwise Word Segmentation", "en"),
+        ("Punktweise Segmentierung", "other"),
+    ]
+    assert publication.language == "ja"
+    entry = build_entry(publication, [])
+    assert entry.title == "Pointwise Word Segmentation"
+    assert entry.original_title == ("点予測による単語分割", "ja", "Journal Article")
+
+
 def test_parse_junii2_without_titles_raises():
     payload = junii2_payload(titles=[], creators=["森信介"])
     with pytest.raises(MalformedRecordError):
@@ -459,15 +483,11 @@ def test_continuation_carries_only_the_token(provider):
 
 def test_save_and_replay(tmp_path, provider):
     save_dir = tmp_path / "responses"
-    first = [
-        (record.identifier, publication)
-        for record, publication in harvest(
-            ENDPOINT,
-            "junii2",
-            "list",
-            fetch=saving_fetcher(provider.fetch, str(save_dir)),
-        )
-    ]
+    with saving_fetcher(provider.fetch, str(save_dir)) as fetch:
+        first = [
+            (record.identifier, publication)
+            for record, publication in harvest(ENDPOINT, "junii2", "list", fetch=fetch)
+        ]
     assert len(list(save_dir.glob("*.xml"))) == 3
     replayed = [
         (record.identifier, publication)

@@ -23,7 +23,7 @@ from jpbib.oai import OAI_NS, TransportError, get_record, parse_junii2
 from jpbib.oai_mock import junii2_payload
 from jpbib.pipeline import run
 from jpbib.stats import RecordOutcome, RunStatistics
-from jpbib.store import CORPUS_BATCH, SqliteStore
+from jpbib.store import SqliteStore
 
 from mockrepo import GOLDEN_ID, build_provider, repeating_first_page
 
@@ -282,6 +282,14 @@ def test_store_corpus_roundtrip(store):
     assert [CoauthorEdge(*row) for row in rows] == edges
 
 
+def test_edge_insert_reads_the_corpus_in_order_without_a_sort(store):
+    # The CROSS JOINs fix the loop order; ordering by the pair keys too
+    # would add a temporary B-tree.
+    store.replace_corpus([])
+    plan = store.connection.execute(f"EXPLAIN QUERY PLAN {store._edges_sql}")
+    assert not any("TEMP B-TREE" in detail for *_, detail in plan)
+
+
 def corpus_state(config: Path) -> tuple[list, list, list]:
     """The corpus tables' schema entries, title index included, and both
     tables' rows; all empty on a store without corpus tables."""
@@ -332,60 +340,71 @@ def check_failed_parse_dblp(config: Path, capsys, failing) -> str:
 def test_parse_dblp_whose_edge_load_fails_keeps_the_previous_corpus(
     tmp_path, capsys
 ):
-    import sqlite3
-
     add_coauthor_edges = SqliteStore.add_coauthor_edges
+    steps = []  # virtual-machine instructions run by each edge insert
 
-    def failing_edges(self, rows):
-        def partway():
-            yield from list(rows)[:3]
-            raise sqlite3.OperationalError("disk I/O error")
+    def interrupted_edges(self):
+        # Interrupt the INSERT ... SELECT after 100 instructions, which
+        # is partway through even the fixture corpus's six edges.
+        steps.append(0)
 
-        return add_coauthor_edges(self, partway())
+        def handler():
+            steps[-1] += 1
+            return steps[-1] >= 100
+
+        self.connection.set_progress_handler(handler, 1)
+        try:
+            return add_coauthor_edges(self)
+        finally:
+            self.connection.set_progress_handler(None, 0)
 
     @contextmanager
     def failing():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(SqliteStore, "add_coauthor_edges", failing_edges)
+            patch.setattr(SqliteStore, "add_coauthor_edges", interrupted_edges)
             yield
 
     err = check_failed_parse_dblp(make_config_file(tmp_path), capsys, failing)
-    assert "error: disk I/O error" in err
+    assert "error: interrupted" in err
+    assert steps == [100, 100]
 
 
 def test_parse_dblp_of_a_corpus_that_breaks_late_keeps_the_previous_corpus(
     tmp_path, capsys
 ):
-    # Well formed for more records than one parser block or insert batch
-    # holds, so rows are inserted before the parser reaches the error.
+    # Well formed for more records than one parser block holds, so rows
+    # are inserted before the parser reaches the error.
     records = 2000
     corpus = tmp_path / "late.xml"
+    lines = [
+        b'<article key="late/%d"><author>Ann %d</author><author>Bo %d</author>'
+        b"<title>Late &auml; %d</title></article>\n" % (n, n, n, n)
+        for n in range(records)
+    ]
     corpus.write_bytes(
         b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
-        + b"".join(
-            b'<article key="late/%d"><author>Ann %d</author><author>Bo %d</author>'
-            b"<title>Late &auml; %d</title></article>\n" % (n, n, n, n)
-            for n in range(records)
-        )
+        + b"".join(lines)
         + b"<article><title>Broken</article>\n</dblp>\n"
     )
     assert corpus.stat().st_size > 2 * dblp.BLOCK_SIZE
-    assert records > 2 * CORPUS_BATCH
     config = make_config_file(tmp_path)
     good = config.read_text()
     broken = good.replace(str(FIXTURES / "corpus_fixture.xml"), str(corpus))
-    inserted: list[list[int]] = []  # batch sizes of each failed -d
+    taken: list[int] = []  # publications each failed -d's insert read
     add_corpus_publications = SqliteStore.add_corpus_publications
+
+    def counting(self, rows):
+        taken.append(0)
+
+        def counted():
+            for row in rows:
+                taken[-1] += 1
+                yield row
+
+        return add_corpus_publications(self, counted())
 
     @contextmanager
     def failing():
-        batches = []
-        inserted.append(batches)
-
-        def counting(self, rows):
-            batches.append(add_corpus_publications(self, rows))
-            return batches[-1]
-
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(SqliteStore, "add_corpus_publications", counting)
             config.write_text(broken)
@@ -396,8 +415,9 @@ def test_parse_dblp_of_a_corpus_that_breaks_late_keeps_the_previous_corpus(
 
     err = check_failed_parse_dblp(config, capsys, failing)
     assert "xml parse error: mismatched tag" in err
-    assert len(inserted) == 2
-    assert all(sum(batches) >= CORPUS_BATCH for batches in inserted)
+    assert len(taken) == 2
+    # More publications than the first block's bytes can hold.
+    assert all(count * min(map(len, lines)) > dblp.BLOCK_SIZE for count in taken)
 
 
 # Few letters, so that names repeat within and across publications;
@@ -418,12 +438,16 @@ def test_store_coauthors_equal_the_parsed_corpus(tmp_path_factory, entries, auth
         + "<title>T</title></article>"
         for n, names in enumerate(entries)
     )
-    corpus, _ = parse_corpus(io.BytesIO(f"<dblp>{xml}</dblp>".encode()))
+    corpus, edges = parse_corpus(io.BytesIO(f"<dblp>{xml}</dblp>".encode()))
     parsed = corpus.coauthors
     config = Config(base_dir=str(tmp_path_factory.getbasetemp()), db_name="edges")
     with SqliteStore(config) as store:
         store.replace_corpus(corpus.publications)
         loaded = store.load_coauthors()
+        rows = store.connection.execute(
+            f"SELECT author_a, author_b, publication_id FROM {store.edges} ORDER BY id"
+        ).fetchall()
+    assert rows == edges
     assert loaded == parsed
     assert list(loaded) == list(parsed)
     assert list(loaded.tokens.names.items()) == list(parsed.tokens.names.items())
@@ -446,6 +470,16 @@ def title_variants(title: str) -> list[str]:
         title + " extended",
         title[: len(title) // 2],
     ]
+
+
+def test_an_empty_normalised_title_matches_no_untitled_record(store):
+    from jpbib.dblp import find_publication, iter_corpus
+
+    xml = b'<dblp><article key="untitled/1"><author>Ann Lee</author></article></dblp>'
+    store.replace_corpus(iter_corpus(io.BytesIO(xml)))
+    assert store.publications_titled("") == [("untitled/1", ("Ann Lee",))]
+    for title in ("...", " . ", ""):
+        assert find_publication(title, ["Ann Lee"], store) is None
 
 
 def test_store_title_lookup_agrees_with_the_parsed_corpus(store):
@@ -1726,6 +1760,47 @@ def test_saved_responses_are_rewritten_in_place(tmp_path, capsys, monkeypatch):
         saved = sorted(str(path) for path in (tmp_path / "files-harvester").iterdir())
         assert len(saved) > 1
         assert sorted(path for path in written if path in saved) == saved
+    capsys.readouterr()
+
+
+def saved_responses(config: Path) -> list[str]:
+    """The names of the files under the run's ``[harvester] filespath``."""
+    return sorted(path.name for path in (config.parent / "files-harvester").iterdir())
+
+
+def test_a_shorter_harvest_leaves_no_response_of_a_longer_one(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    responses = ["000001.xml", "000002.xml", "000003.xml"]
+    assert run(["--config", str(config), "--all"], fetch=build_provider().fetch) == 0
+    assert saved_responses(config) == responses
+    # One ListRecords page: this run saves one response.
+    shorter = build_provider(page_size=1000).fetch
+    assert run(["--config", str(config), "-h"], fetch=shorter) == 0
+    assert saved_responses(config) == responses[:1]
+    replay = oai.replay_fetcher(str(tmp_path / "files-harvester"))
+    first = "http://mock/oai?verb=ListRecords&metadataPrefix=junii2"
+    assert replay(first) == shorter(first)
+    with pytest.raises(TransportError):
+        replay("second")
+
+    # A harvest that fails keeps only the responses it saved, and every
+    # file with another name.
+    provider = build_provider()
+    assert run(["--config", str(config), "-h"], fetch=provider.fetch) == 0
+    assert saved_responses(config) == responses
+    others = ["0000004.xml", "000004.txt", "000004.xml.bak", "notes.xml"]
+    for name in others:
+        (tmp_path / "files-harvester" / name).write_text("kept")
+    requests = []
+
+    def failing(url):
+        requests.append(url)
+        if len(requests) > 1:
+            raise TransportError(url, 1, status=404)
+        return provider.fetch(url)
+
+    assert run(["--config", str(config), "-h"], fetch=failing) == 1
+    assert saved_responses(config) == sorted([*responses[:1], *others])
     capsys.readouterr()
 
 
