@@ -7,14 +7,13 @@ stream reaches the XML parser.  The input is a binary file, read in
 blocks of ``BLOCK_SIZE`` bytes.  ``iter_corpus`` drives pyexpat with
 element and text handlers and keeps only the current record's fields,
 so it yields publications one by one in constant memory; -d inserts
-them into the store as they come.  ``parse_corpus`` collects them.
+them into the store as they come.
 
-``find_publication`` reads the publications of a title through
-``publications_titled``: ``SqliteStore`` answers from its ``dblp_title``
-index, ``CorpusStore`` by a scan of its list.  ``Coauthors`` is the one
-coauthor adjacency; -h builds it from the stored edge table, so it
-holds no copy of the corpus, and ``CorpusStore.coauthors`` builds it
-from the parsed publications.
+The store is the one corpus.  ``find_publication`` reads the
+publications of a title through ``publications_titled``, which
+``SqliteStore`` answers from its ``dblp_title`` index.  ``Coauthors`` is
+the one coauthor adjacency; -h builds it from the stored edge table, so
+it holds no copy of the corpus.
 
 ``common_coauthors`` does not compare an author with every adjacency
 name.  With a match threshold above 0, a name can match only if it
@@ -31,26 +30,22 @@ A budget of 3 or more scans the vocabulary's tokens with
 candidate, so the result is the one a scan of every name gives.
 """
 
-import itertools
 import logging
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from html.entities import name2codepoint
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import BinaryIO, Iterable, Iterator, Protocol, Sequence
 from xml.etree import ElementTree as ET
 from xml.parsers import expat
 
 from .similarity import MatchConfig, levenshtein, names_match
 
 __all__ = [
-    "CoauthorEdge",
     "Coauthors",
     "CorpusPublication",
-    "CorpusStore",
     "TitleLookup",
     "TokenVocabulary",
-    "coauthor_edges",
     "common_coauthors",
     "find_publication",
     "iter_corpus",
@@ -85,15 +80,6 @@ class CorpusPublication:
     journal: str | None = None
     pages: str | None = None
     volume: str | None = None
-
-
-class CoauthorEdge(NamedTuple):
-    """One row of the edge table, as ``parse_corpus`` gives it; the store
-    derives its rows from the stored author lists."""
-
-    author_a: str
-    author_b: str
-    publication_id: int
 
 
 _XML_BUILTINS = {"amp", "lt", "gt", "quot", "apos"}
@@ -181,14 +167,15 @@ def iter_corpus(stream: BinaryIO) -> Iterator[CorpusPublication]:
                 fields[tag] = "".join(text).strip() or None
         elif depth == 1 and record is not None:
             pid += 1
-            year = fields.get("year")
+            # An SQLite INTEGER holds every number of up to 18 digits.
+            year = fields.get("year") or ""
             done.append(
                 CorpusPublication(
                     id=pid,
                     key=record.get("key", f"generated/{pid}"),
                     authors=tuple(authors),
                     title=fields.get("title") or "",
-                    year=int(year) if year and year.isdecimal() else None,
+                    year=int(year) if year.isdecimal() and len(year) <= 18 else None,
                     journal=fields.get("journal"),
                     pages=fields.get("pages"),
                     volume=fields.get("volume"),
@@ -223,48 +210,11 @@ def iter_corpus(stream: BinaryIO) -> Iterator[CorpusPublication]:
     yield from done
 
 
-def coauthor_pairs(authors: Sequence[str]) -> Iterator[tuple[str, str]]:
-    """Author pairs (i < j) of one author list, skipping equal names."""
-    return ((a, b) for a, b in itertools.combinations(authors, 2) if a != b)
-
-
-def coauthor_edges(publications: Iterable[CorpusPublication]) -> Iterator[CoauthorEdge]:
-    """The coauthor pairs of each publication, in publication order."""
-    for publication in publications:
-        for author_a, author_b in coauthor_pairs(publication.authors):
-            yield CoauthorEdge(author_a, author_b, publication.id)
-
-
-class CorpusStore:
-    """The corpus publications; each index is built from them on first use."""
-
-    def __init__(self, publications: Iterable[CorpusPublication]) -> None:
-        self.publications = list(publications)
-
-    @cached_property
-    def by_key(self) -> dict[str, CorpusPublication]:
-        return {publication.key: publication for publication in self.publications}
-
-    def publications_titled(self, title: str) -> list[tuple[str, tuple[str, ...]]]:
-        """(key, authors) of each publication with the normalised title
-        ``title``, in id order, by the scan ``dblp_title`` is tested against."""
-        return [
-            (p.key, p.authors)
-            for p in self.publications
-            if normalize_title(p.title) == title
-        ]
-
-    @cached_property
-    def coauthors(self) -> "Coauthors":
-        return Coauthors(
-            pair
-            for publication in self.publications
-            for pair in coauthor_pairs(publication.authors)
-        )
-
-
 class Coauthors(dict[str, set[str]]):
-    """Author -> every author they share a publication with, in pair order."""
+    """Author -> every author they share a publication with, in pair order.
+
+    -h fills it from the store's edge table (``SqliteStore.load_coauthors``).
+    """
 
     def __init__(self, pairs: Iterable[tuple[str, str]]) -> None:
         super().__init__()
@@ -334,19 +284,14 @@ def normalize_title(title: str) -> str:
     return " ".join(title.split()).casefold().rstrip(".")
 
 
-def parse_corpus(stream: BinaryIO) -> tuple[CorpusStore, list[CoauthorEdge]]:
-    """Parse a corpus XML file into a store and coauthor edges.
-
-    The publications are those of ``iter_corpus``; every publication with
-    n >= 2 authors contributes all n(n-1)/2 unordered author pairs.
-    """
-    publications = list(iter_corpus(stream))
-    return CorpusStore(publications), list(coauthor_edges(publications))
+# No stage calls this; perfbench/tracing.py wraps it.  It goes with ROADMAP item 5.
+def parse_corpus(stream: BinaryIO) -> list[CorpusPublication]:
+    return list(iter_corpus(stream))
 
 
 class TitleLookup(Protocol):
-    """A corpus that lists the publications of a normalised title:
-    ``CorpusStore`` by a scan, ``SqliteStore`` from its title index."""
+    """A corpus that lists the publications of a normalised title, such as
+    ``SqliteStore``: from its title index, or by a scan without it."""
 
     def publications_titled(self, title: str) -> Iterable[tuple[str, Sequence[str]]]:
         ...

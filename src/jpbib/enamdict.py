@@ -10,8 +10,9 @@ instead of patched by hand.
 
 ``iter_records`` parses a stream as it is read: it yields each record
 and reports each warning as its line comes, and keeps only the keys
-that drop duplicate records.  ``-e`` feeds it straight into the store,
-so no record or warning list is ever held.  Every combination of name
+that drop duplicate records.  It is the one parse of a whole stream:
+``-e`` feeds it straight into the store, so no record or warning list is
+ever held, and ``load_enamdict`` only collects it.  Every combination of name
 types is one shared frozenset (``TYPE_COMBINATIONS``), so the records
 of one combination carry the same object.
 """
@@ -34,7 +35,6 @@ __all__ = [
     "load_enamdict",
     "open_dictionary",
     "parse_entry_line",
-    "parse_file",
 ]
 
 
@@ -213,16 +213,6 @@ def iter_records(
                 yield record
 
 
-def parse_file(
-    lines: Iterable[str], include_unclassified: bool = False
-) -> tuple[list[NameRecord], list[ParseWarning]]:
-    """Parse a whole dictionary stream into the records and warnings that
-    ``iter_records`` yields and reports, in the same order."""
-    warnings: list[ParseWarning] = []
-    records = list(iter_records(lines, warnings.append, include_unclassified))
-    return records, warnings
-
-
 @contextmanager
 def open_dictionary(path: str) -> Iterator[TextIO]:
     """The dictionary file as UTF-8 text lines, past a leading byte-order
@@ -238,11 +228,13 @@ def open_dictionary(path: str) -> Iterator[TextIO]:
         ) from None
 
 
-# No stage calls this: -e streams through iter_records.  Tests, README's
-# library example and perfbench/tracing.py still call it.
+# No stage calls this; perfbench/tracing.py wraps it.  It goes with ROADMAP item 5.
 def load_enamdict(
     path: str, include_unclassified: bool = False
 ) -> tuple[list[NameRecord], list[ParseWarning]]:
-    """Parse a dictionary file from disk (UTF-8 only)."""
+    """The records and warnings of a dictionary file, in ``iter_records``
+    order, as two lists."""
+    warnings: list[ParseWarning] = []
     with open_dictionary(path) as lines:
-        return parse_file(lines, include_unclassified)
+        records = list(iter_records(lines, warnings.append, include_unclassified))
+    return records, warnings

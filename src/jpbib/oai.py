@@ -61,6 +61,11 @@ RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 0.5
 RETRY_AFTER_CAP_S = 60
 
+# A saved response's file name: its request number in six digits, then
+# ".xml".  pipeline.saving_fetcher writes these, and replay_fetcher
+# serves them and no other file.
+SAVED_RESPONSE_NAME = "{:06d}.xml"
+
 
 class TransportError(RuntimeError):
     """Failed fetch; ``status`` and ``retry_after`` come from an HTTP error."""
@@ -147,8 +152,11 @@ def _fetch_with_retries(fetch: Fetch, url: str) -> bytes:
             if attempt == RETRY_ATTEMPTS or not retryable:
                 raise TransportError(url, attempt, status) from exc
             retry_after = (getattr(exc, "retry_after", None) or "").strip()
+            # Past its leading zeros, a delay with more digits than the cap
+            # is over it, so int() reads at most one digit more.
+            delay = retry_after.lstrip("0")[: len(str(RETRY_AFTER_CAP_S)) + 1]
             time.sleep(
-                min(int(retry_after), RETRY_AFTER_CAP_S)
+                min(int(delay or 0), RETRY_AFTER_CAP_S)
                 if retry_after.isdecimal()
                 else RETRY_BACKOFF_S * 2 ** (attempt - 1)
             )
@@ -380,11 +388,16 @@ def _parse_payload(record: OaiRecord) -> HarvestedPublication | None:
         return None
 
 
+def saved_responses(directory: str) -> list[Path]:
+    """The files in ``directory`` named as ``SAVED_RESPONSE_NAME`` names
+    them, in number order."""
+    return sorted(Path(directory).glob("[0-9]" * 6 + ".xml"))
+
+
 def replay_fetcher(directory: str) -> Fetch:
     """Serve the responses that ``pipeline.saving_fetcher`` saved in
     ``directory``, in their original request order."""
-    files = sorted(Path(directory).glob("*.xml"))
-    iterator = iter(files)
+    iterator = iter(saved_responses(directory))
 
     def fetch(url: str) -> bytes:
         try:

@@ -107,7 +107,12 @@ class MockDataProvider:
                 )
             offset = 0
         else:
-            if not token.isdecimal() or int(token) >= len(self.records):
+            # int() refuses more than 4,300 digits; 18 are plenty.
+            if (
+                not token.isdecimal()
+                or len(token) > 18
+                or int(token) >= len(self.records)
+            ):
                 return self._error("badResumptionToken", f"bad token {token!r}")
             offset = int(token)
         page = self.records[offset : offset + self.page_size]
@@ -128,7 +133,11 @@ class MockDataProvider:
             return self._error("cannotDisseminateFormat", f"unknown prefix {prefix!r}")
         identifier = params.get("identifier", "")
         number = identifier.rsplit(":", 1)[-1]
-        record = self.by_number.get(int(number)) if number.isdecimal() else None
+        record = (
+            self.by_number.get(int(number))
+            if number.isdecimal() and len(number) <= 18
+            else None
+        )
         if record is None:
             return self._error("idDoesNotExist", identifier)
         return f"<GetRecord>{self._record_xml(record)}</GetRecord>"

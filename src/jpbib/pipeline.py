@@ -11,14 +11,13 @@ import argparse
 import datetime
 import logging
 import os
-import re
 import sqlite3
 import sys
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager, nullcontext
 from typing import Iterator
 
-from .bht import concatenate, export, overwrite
+from .bht import concatenate, export, overwrite, remove_unclaimed
 from .config import Config, ConfigError, parse_config
 from .dblp import find_publication, iter_corpus
 from .enamdict import (
@@ -28,7 +27,15 @@ from .enamdict import (
     open_dictionary,
 )
 from .matching import NameDictionary, latin_names, resolve_author
-from .oai import Fetch, OaiProtocolError, TransportError, harvest, http_fetch
+from .oai import (
+    SAVED_RESPONSE_NAME,
+    Fetch,
+    OaiProtocolError,
+    TransportError,
+    harvest,
+    http_fetch,
+    saved_responses,
+)
 from .similarity import MatchConfig
 from .stats import RecordOutcome, RunStatistics
 from .store import SqliteStore
@@ -136,10 +143,6 @@ def stage_enamdict(config: Config, store: SqliteStore) -> None:
     log.info("stored %d name records (%d warnings)", count, warnings)
 
 
-# The name of a response that saving_fetcher saved.
-_SAVED_RESPONSE = re.compile(r"[0-9]{6}\.xml")
-
-
 @contextmanager
 def saving_fetcher(fetch: Fetch, directory: str) -> Iterator[Fetch]:
     """``fetch`` that also saves each response body in ``directory``, as
@@ -154,16 +157,16 @@ def saving_fetcher(fetch: Fetch, directory: str) -> Iterator[Fetch]:
     def saving_fetch(url: str) -> bytes:
         nonlocal saved
         data = fetch(url)
-        overwrite(os.path.join(directory, f"{saved + 1:06d}.xml"), data)
+        overwrite(os.path.join(directory, SAVED_RESPONSE_NAME.format(saved + 1)), data)
         saved += 1
         return data
 
     try:
         yield saving_fetch
     finally:
-        for name in os.listdir(directory):
-            if _SAVED_RESPONSE.fullmatch(name) and int(name[:6]) > saved:
-                os.remove(os.path.join(directory, name))
+        for path in saved_responses(directory):
+            if int(path.stem) > saved:
+                os.remove(path)
 
 
 def stage_harvest(config: Config, store: SqliteStore, fetch: Fetch) -> RunStatistics:
@@ -172,9 +175,6 @@ def stage_harvest(config: Config, store: SqliteStore, fetch: Fetch) -> RunStatis
     with ``[harvester] filespath`` set, it saves each response there, and
     removes the later responses that an earlier run saved."""
     dictionary = NameDictionary(store.load_name_records())
-    # Title lookups query the store; a store written before the title
-    # index existed gets it here.
-    store.create_title_index()
     match_config = MatchConfig(config.lev_threshold, config.match_threshold)
     mode = "list" if config.use_list_records else (config.min_id, config.max_id)
     saving = (
@@ -224,10 +224,19 @@ def stage_harvest(config: Config, store: SqliteStore, fetch: Fetch) -> RunStatis
     return RunStatistics(outcomes.values())
 
 
-def stage_export(config: Config, store: SqliteStore) -> None:
-    """Write the BHT tree from the committed harvest rows."""
-    # The adjacency comes from the edge table.
-    coauthors = store.load_coauthors() if config.show_common_coauthors else None
+def stage_export(config: Config, store: SqliteStore, stats: RunStatistics) -> None:
+    """Write ``statistics.json``, then the BHT tree from the committed
+    harvest rows.  A failure leaves only the files written from them."""
+    root = config.resolve(config.bht_path)
+    stats_path = os.path.join(config.resolve(config.log_path), "statistics.json")
+    try:
+        overwrite(stats_path, stats.to_json().encode("utf-8"))
+        # The adjacency comes from the edge table.
+        coauthors = store.load_coauthors() if config.show_common_coauthors else None
+    except BaseException:
+        # The files of the rows that this harvest replaced go too.
+        remove_unclaimed(root, ())
+        raise
     if coauthors is not None and config.match_threshold == 0:
         # Every corpus name then matches the input authors themselves,
         # and common_coauthors leaves those out.
@@ -235,7 +244,7 @@ def stage_export(config: Config, store: SqliteStore) -> None:
             "bhtexport.matchthreshold=0: the common-coauthor display will be empty"
         )
     match_config = MatchConfig(config.lev_threshold, config.match_threshold)
-    export(store.harvested(), config.resolve(config.bht_path), coauthors, match_config)
+    export(store.harvested(), root, coauthors, match_config)
 
 
 def stage_concatenate(config: Config) -> int:
@@ -297,11 +306,7 @@ def run(argv=None, *, fetch=None) -> int:
                     )
                 stats = stage_harvest(config, store, fetch or http_fetch)
                 print(stats.format_report())
-                stats_path = os.path.join(
-                    config.resolve(config.log_path), "statistics.json"
-                )
-                overwrite(stats_path, stats.to_json().encode("utf-8"))
-                stage_export(config, store)
+                stage_export(config, store, stats)
             if flags.concatenate_bht:
                 count = stage_concatenate(config)
                 print(f"wrote {count} all.bht files")

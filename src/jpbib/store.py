@@ -22,9 +22,9 @@ that arrives again replaces its earlier rows and keeps its publication id;
 Each connection registers the SQL function ``jpbib_title``, which is
 ``dblp.normalize_title``.  The index ``dblp_title`` on
 ``dblp(jpbib_title(title))`` answers the harvest's title lookups;
-``replace_corpus`` creates it after its inserts, and -h creates it in a
-store written before the index existed.  A connection that has not
-registered the function, such as the ``sqlite3`` shell, can still read
+``replace_corpus`` creates it after its inserts.  A store without the
+index still answers them, by a scan of ``dblp``.  A connection that has
+not registered the function, such as the ``sqlite3`` shell, can still read
 ``dblp``, but its ``INSERT`` into ``dblp`` and its ``PRAGMA
 integrity_check`` fail with "unknown function: jpbib_title()".
 Expression indexes need SQLite 3.9.0 or later, and ``json_each`` the JSON
@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from typing import ContextManager, Iterable, Iterator
 
 from .config import Config
-from .dblp import Coauthors, CorpusPublication, CorpusStore, normalize_title
+from .dblp import Coauthors, CorpusPublication, normalize_title
 from .enamdict import TYPE_COMBINATIONS, NameRecord, NameType
 from .matching import AuthorResolution, NameStatus, PersonName
 from .oai import HarvestedPublication
@@ -149,12 +149,9 @@ class SqliteStore:
     }
     title_index = "dblp_title"
     child_indexes = {table: f"{table}_publication_id" for table in child_tables}
-    _title_index_sql = (
-        f"CREATE INDEX IF NOT EXISTS {title_index} ON {dblp} (jpbib_title(title))"
-    )
     # The author pairs (i < j) of each stored author list, skipping equal
-    # names, in publication and pair order: dblp.coauthor_edges in SQL.  The
-    # CROSS JOINs fix the loop order, so the ORDER BY needs no sort.
+    # names, in publication and pair order.  The CROSS JOINs fix the loop
+    # order, so the ORDER BY needs no sort.
     _edges_sql = (
         f"INSERT INTO {edges} ({', '.join(_columns[edges])}) "
         f"SELECT a.value, b.value, {dblp}.id FROM {dblp} "
@@ -262,7 +259,9 @@ class SqliteStore:
         with self._replacing(self.dblp, self.edges):
             stored = self.add_corpus_publications(publications)
             edges = self.add_coauthor_edges()
-            self.connection.execute(self._title_index_sql)
+            self.connection.execute(
+                f"CREATE INDEX {self.title_index} ON {self.dblp} (jpbib_title(title))"
+            )
         return stored, edges
 
     def add_corpus_publications(self, rows: Iterable[CorpusPublication]) -> int:
@@ -286,14 +285,9 @@ class SqliteStore:
     def add_coauthor_edges(self) -> int:
         return self.connection.execute(self._edges_sql).rowcount
 
-    def create_title_index(self) -> None:
-        """Index ``dblp`` by normalised title, unless it already is."""
-        with self.connection:
-            self.connection.execute(self._title_index_sql)
-
     def publications_titled(self, title: str) -> list[tuple[str, tuple[str, ...]]]:
         """(key, authors) of each publication with the normalised title
-        ``title``, in id order, as ``CorpusStore.publications_titled``."""
+        ``title``, in id order, from the title index or else by a scan."""
         return [
             (key, tuple(json.loads(authors)))
             for key, authors in self.connection.execute(
@@ -308,15 +302,14 @@ class SqliteStore:
         sql = f"SELECT author_a, author_b FROM {self.edges} ORDER BY id"
         return Coauthors(self.connection.execute(sql))
 
-    # No stage calls this.  Tests and perfbench/tracing.py still read it,
-    # so it goes only in a later change to the benchmark.
-    def load_corpus(self) -> CorpusStore:
-        return CorpusStore(
+    # No stage calls this; perfbench/tracing.py wraps it.  It goes with ROADMAP item 5.
+    def load_corpus(self) -> list[CorpusPublication]:
+        return [
             CorpusPublication(pid, key, tuple(json.loads(authors)), *rest)
             for pid, key, authors, *rest in self.connection.execute(
                 self._selects[self.dblp]
             )
-        )
+        ]
 
     def has_corpus(self) -> bool:
         return self._has_rows(self.dblp)

@@ -10,13 +10,14 @@ import time
 from pathlib import Path
 
 from jpbib.bht import concatenate, render_spf
-from jpbib.enamdict import parse_file
+from jpbib.enamdict import iter_records
 from jpbib.matching import NameStatus, detect_abbreviated, split_latin_full_name
 from jpbib.oai import get_record, list_records
 from jpbib.pipeline import run
 from jpbib.similarity import MatchConfig, jaccard, jaccard_lev, levenshtein
 from jpbib.transcription import NormalizedLatin, expand_double_vowels, strip_length_h, to_hepburn
 
+from corpora import corpus_store, stored_edges, stored_publications
 from mockrepo import ALL_IDS, build_provider
 from test_bht import golden_entry  # noqa: F401  (fixture reuse)
 from test_pipeline import make_config_file
@@ -36,8 +37,9 @@ def test_criterion_1_dictionary_fixture(names_fixture_path):
     assert len(lines) >= 30
 
     started = time.perf_counter()
+    warnings = []
     with open(names_fixture_path, encoding="utf-8") as handle:
-        records, warnings = parse_file(handle)
+        records = list(iter_records(handle, warnings.append))
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
 
@@ -163,13 +165,21 @@ def test_criterion_6_mock_provider_paging():
     _ok(6, "3 pages of 100/100/50, identical sets in both modes, gap handled")
 
 
-def test_criterion_7_corpus_fixture():
-    from jpbib.dblp import find_publication, parse_corpus
+def test_criterion_7_corpus_fixture(tmp_path):
+    from jpbib.dblp import find_publication
 
+    # The store that -d fills and -h reads.
     with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
-        store, edges = parse_corpus(handle)
+        store = corpus_store(tmp_path, handle)
+    with store:
+        publications = stored_publications(store)
+        edges = stored_edges(store)
+        title = "A Study on Duplicate Detection in Bibliographies"
+        tanaka = find_publication(title, ["Hiroshi Tanaka"], store)
+        somebody = find_publication(title, ["Somebody Else"], store)
+        another = find_publication("Another Title", ["Hiroshi Tanaka"], store)
 
-    codd = store.by_key["persons/Codd71a"]
+    codd = {p.key: p for p in publications}["persons/Codd71a"]
     assert codd.authors == ("E. F. Codd",)
     assert codd.title == "Further Normalization of the Data Base Relational Model."
     assert codd.journal == "IBM Research Report, San Jose, California"
@@ -177,21 +187,15 @@ def test_criterion_7_corpus_fixture():
     assert codd.year == 1971
 
     per_publication = {}
-    for edge in edges:
-        per_publication[edge.publication_id] = (
-            per_publication.get(edge.publication_id, 0) + 1
-        )
-    for publication in store.publications:
+    for _, _, publication_id in edges:
+        per_publication[publication_id] = per_publication.get(publication_id, 0) + 1
+    for publication in publications:
         n = len(publication.authors)
         assert per_publication.get(publication.id, 0) == n * (n - 1) // 2
 
-    title = "A Study on Duplicate Detection in Bibliographies"
-    assert (
-        find_publication(title, ["Hiroshi Tanaka"], store)
-        == "journals/mock/TanakaSuzuki11"
-    )
-    assert find_publication(title, ["Somebody Else"], store) is None
-    assert find_publication("Another Title", ["Hiroshi Tanaka"], store) is None
+    assert tanaka == "journals/mock/TanakaSuzuki11"
+    assert somebody is None
+    assert another is None
     _ok(7, "Codd record field-exact, edge counts n(n-1)/2, dedup rule with negatives")
 
 

@@ -19,10 +19,11 @@ from jpbib.bht import (
     render_spf,
     spf_relative_path,
 )
-from jpbib.dblp import common_coauthors, parse_corpus
+from jpbib.dblp import common_coauthors
 from jpbib.matching import AuthorResolution, NameStatus, PersonName, resolve_author
 from jpbib.oai import HarvestedPublication, get_record, parse_junii2
 
+from corpora import corpus_store
 from mockrepo import GOLDEN_ID, NO_LATIN_ID, build_provider
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -86,7 +87,7 @@ def test_date_label():
 
 
 @pytest.fixture(scope="module")
-def golden_entry(name_dictionary):
+def golden_entry(name_dictionary, tmp_path_factory):
     provider = build_provider()
     record = get_record(
         ENDPOINT, "junii2", provider.identifier(GOLDEN_ID), fetch=provider.fetch
@@ -96,10 +97,13 @@ def golden_entry(name_dictionary):
         resolve_author(latin, kanji, name_dictionary)
         for latin, kanji in publication.creators
     ]
+    # The common coauthors come from the store, as -h reads them.
     with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
-        store, _ = parse_corpus(handle)
+        store = corpus_store(tmp_path_factory.mktemp("corpus"), handle)
+    with store:
+        coauthors = store.load_coauthors()
     shared = common_coauthors(
-        [r.latin.display() for r in resolutions if r.latin], store.coauthors
+        [r.latin.display() for r in resolutions if r.latin], coauthors
     )
     return build_entry(publication, resolutions, shared)
 

@@ -1,4 +1,5 @@
-"""Corpus XML parsing, coauthor edges and dedup queries."""
+"""Corpus XML parsing, coauthor edges and dedup queries, read from the
+store that -d fills."""
 
 import io
 import logging
@@ -12,47 +13,50 @@ from hypothesis import strategies as st
 
 from jpbib import dblp
 from jpbib.dblp import (
-    CoauthorEdge,
     CorpusPublication,
-    CorpusStore,
     TokenVocabulary,
     common_coauthors,
     find_publication,
-    parse_corpus,
 )
 from jpbib.similarity import MatchConfig, levenshtein, names_match
+
+from corpora import (
+    coauthor_adjacency,
+    corpus_document,
+    corpus_store,
+    stored_edges,
+    stored_publications,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "corpus_fixture.xml"
 
 
-def fresh_corpus():
-    with open(FIXTURE, "rb") as handle:
-        return parse_corpus(handle)
-
-
 @pytest.fixture(scope="module")
-def corpus():
-    return fresh_corpus()
+def corpus(tmp_path_factory):
+    """The fixture corpus in a store, as -d writes it."""
+    with open(FIXTURE, "rb") as handle:
+        store = corpus_store(tmp_path_factory.mktemp("corpus"), handle)
+    with store:
+        yield store
 
 
-INDEXES = {"by_key", "coauthors"}
+def by_key(store) -> dict[str, CorpusPublication]:
+    return {publication.key: publication for publication in stored_publications(store)}
 
 
-def test_parse_builds_no_index():
-    store, _ = fresh_corpus()
-    assert not INDEXES & set(vars(store))
+def schema(store) -> list[tuple]:
+    return store.connection.execute("SELECT * FROM sqlite_master").fetchall()
 
 
-def test_find_publication_builds_no_index():
-    # A parsed corpus answers title lookups by a scan of its list.
-    store, _ = fresh_corpus()
-    assert find_publication("Further Normalization", ["E. F. Codd"], store) is None
-    assert not INDEXES & set(vars(store))
+def test_find_publication_builds_no_index(corpus):
+    # A lookup reads the store and leaves its schema as -d wrote it.
+    before = schema(corpus)
+    assert find_publication("Further Normalization", ["E. F. Codd"], corpus) is None
+    assert schema(corpus) == before
 
 
 def test_codd_record_fields(corpus):
-    store, _ = corpus
-    codd = store.by_key["persons/Codd71a"]
+    codd = by_key(corpus)["persons/Codd71a"]
     assert codd.authors == ("E. F. Codd",)
     assert codd.title == "Further Normalization of the Data Base Relational Model."
     assert codd.journal == "IBM Research Report, San Jose, California"
@@ -62,53 +66,44 @@ def test_codd_record_fields(corpus):
 
 
 def test_named_entity_decoded(corpus):
-    store, _ = corpus
-    tresch = store.by_key["persons/Tresch96"]
+    tresch = by_key(corpus)["persons/Tresch96"]
     assert "ETH Zürich" in tresch.journal
 
 
 def test_surrogate_ids_follow_document_order(corpus):
-    store, _ = corpus
-    assert [p.id for p in store.publications] == list(
-        range(1, len(store.publications) + 1)
-    )
+    publications = stored_publications(corpus)
+    assert [p.id for p in publications] == list(range(1, len(publications) + 1))
 
 
 def test_www_records_skipped(corpus):
-    store, _ = corpus
-    assert "homepages/m/AtsuyukiMorishima" not in store.by_key
-    assert all("Home Page" != p.title for p in store.publications)
+    assert "homepages/m/AtsuyukiMorishima" not in by_key(corpus)
+    assert all("Home Page" != p.title for p in stored_publications(corpus))
 
 
 def test_edge_counts(corpus):
-    store, edges = corpus
     per_publication = {}
-    for edge in edges:
-        per_publication[edge.publication_id] = (
-            per_publication.get(edge.publication_id, 0) + 1
-        )
-    for publication in store.publications:
+    for _, _, publication_id in stored_edges(corpus):
+        per_publication[publication_id] = per_publication.get(publication_id, 0) + 1
+    for publication in stored_publications(corpus):
         n = len(publication.authors)
         assert per_publication.get(publication.id, 0) == n * (n - 1) // 2
 
 
 def test_single_author_publication_has_no_edges(corpus):
-    store, edges = corpus
-    codd = store.by_key["persons/Codd71a"]
-    assert all(edge.publication_id != codd.id for edge in edges)
+    codd = by_key(corpus)["persons/Codd71a"]
+    assert all(edge[2] != codd.id for edge in stored_edges(corpus))
 
 
 def test_edges_resolve_to_their_publication(corpus):
-    store, edges = corpus
-    by_id = {p.id: p for p in store.publications}
-    for edge in edges:
-        publication = by_id[edge.publication_id]
-        assert edge.author_a in publication.authors
-        assert edge.author_b in publication.authors
-        assert edge.author_a != edge.author_b
+    by_id = {p.id: p for p in stored_publications(corpus)}
+    for author_a, author_b, publication_id in stored_edges(corpus):
+        publication = by_id[publication_id]
+        assert author_a in publication.authors
+        assert author_b in publication.authors
+        assert author_a != author_b
 
 
-def test_adjacency_skips_repeated_and_single_authors():
+def test_adjacency_skips_repeated_and_single_authors(tmp_path):
     xml = (
         b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
         b'<article key="a/1"><author>Ann</author><author>Bo</author>'
@@ -116,21 +111,22 @@ def test_adjacency_skips_repeated_and_single_authors():
         b'<article key="a/2"><author>Cy</author><title>Two</title></article>\n'
         b"</dblp>\n"
     )
-    store, edges = parse_corpus(io.BytesIO(xml))
-    assert store.coauthors == {"Ann": {"Bo"}, "Bo": {"Ann"}}
-    assert edges == [CoauthorEdge("Ann", "Bo", 1), CoauthorEdge("Bo", "Ann", 1)]
+    with corpus_store(tmp_path, io.BytesIO(xml)) as store:
+        assert store.load_coauthors() == {"Ann": {"Bo"}, "Bo": {"Ann"}}
+        assert stored_edges(store) == [("Ann", "Bo", 1), ("Bo", "Ann", 1)]
 
 
-def test_entity_split_across_chunks(corpus):
+def test_entity_split_across_chunks(corpus, tmp_path):
     data = FIXTURE.read_bytes()
     for size in (1, 7):
         with patch.object(dblp, "BLOCK_SIZE", size):
-            store, edges = parse_corpus(io.BytesIO(data))
-        assert store.publications == corpus[0].publications
-        assert edges == corpus[1]
+            store = corpus_store(tmp_path, io.BytesIO(data), f"block{size}")
+        with store:
+            assert stored_publications(store) == stored_publications(corpus)
+            assert stored_edges(store) == stored_edges(corpus)
 
 
-def test_year_must_be_decimal():
+def test_year_must_be_decimal(tmp_path):
     # "&sup2;" is a digit but no decimal, so int() would reject it.
     xml = (
         b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
@@ -139,120 +135,128 @@ def test_year_must_be_decimal():
         b"</year></article>\n"
         b"</dblp>\n"
     )
-    store, _ = parse_corpus(io.BytesIO(xml))
-    assert [p.year for p in store.publications] == [None, 2001]
+    with corpus_store(tmp_path, io.BytesIO(xml)) as store:
+        assert [p.year for p in stored_publications(store)] == [None, 2001]
 
 
-def test_unknown_record_type_warns(caplog):
+def test_a_year_beyond_the_int_digit_limit_is_none():
+    # int() refuses a string of more than 4,300 digits with a ValueError.
+    articles = "".join(
+        f'<article key="y/{digits}"><year>{"9" * digits}</year></article>'
+        for digits in (5000, 18)
+    )
+    xml = f"<dblp>{articles}</dblp>".encode()
+    years = [p.year for p in dblp.iter_corpus(io.BytesIO(xml))]
+    assert years == [None, 999_999_999_999_999_999]
+
+
+def test_unknown_record_type_warns(caplog, tmp_path):
     xml = (
         b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
         b'<gadget key="x/y"><title>Thing</title></gadget>\n'
         b"</dblp>\n"
     )
     with caplog.at_level(logging.WARNING, logger="jpbib.dblp"):
-        store, edges = parse_corpus(io.BytesIO(xml))
-    assert store.publications == []
+        store = corpus_store(tmp_path, io.BytesIO(xml))
+    with store:
+        assert stored_publications(store) == []
     assert any("gadget" in message for message in caplog.messages)
 
 
-def test_parse_is_deterministic():
-    with open(FIXTURE, "rb") as handle:
-        first_store, first_edges = parse_corpus(handle)
-    with open(FIXTURE, "rb") as handle:
-        second_store, second_edges = parse_corpus(handle)
-    assert first_store.publications == second_store.publications
-    assert first_edges == second_edges
+def test_parse_is_deterministic(tmp_path):
+    stores = []
+    for name in ("one", "two"):
+        with open(FIXTURE, "rb") as handle:
+            stores.append(corpus_store(tmp_path, handle, name))
+    with stores[0] as first, stores[1] as second:
+        assert stored_publications(first) == stored_publications(second)
+        assert stored_edges(first) == stored_edges(second)
 
 
 def test_find_publication_positive(corpus):
-    store, _ = corpus
     key = find_publication(
         "A Study on Duplicate Detection in Bibliographies",
         ["Hiroshi Tanaka"],
-        store,
+        corpus,
     )
     assert key == "journals/mock/TanakaSuzuki11"
 
 
 def test_find_publication_title_without_shared_author(corpus):
-    store, _ = corpus
     assert (
         find_publication(
             "A Study on Duplicate Detection in Bibliographies",
             ["Somebody Else"],
-            store,
+            corpus,
         )
         is None
     )
 
 
 def test_find_publication_author_without_title(corpus):
-    store, _ = corpus
     assert (
-        find_publication("A Completely Different Title", ["Hiroshi Tanaka"], store)
+        find_publication("A Completely Different Title", ["Hiroshi Tanaka"], corpus)
         is None
     )
 
 
 def test_find_publication_self_lookup(corpus):
-    store, _ = corpus
-    for publication in store.publications:
+    for publication in stored_publications(corpus):
         if not publication.authors:
             continue
         assert (
-            find_publication(publication.title, list(publication.authors), store)
+            find_publication(publication.title, list(publication.authors), corpus)
             == publication.key
         )
 
 
 def test_common_coauthors(corpus):
-    store, _ = corpus
     cfg = MatchConfig()
     result = common_coauthors(
-        ["Shinsuke Mori", "Graham Neubig", "Yuuta Tsuboi"], store.coauthors, cfg
+        ["Shinsuke Mori", "Graham Neubig", "Yuuta Tsuboi"], corpus.load_coauthors(), cfg
     )
     assert result == ["Masato Mimura"]
 
 
 def test_common_coauthors_single_input(corpus):
-    store, _ = corpus
-    assert common_coauthors(["Shinsuke Mori"], store.coauthors) == []
+    assert common_coauthors(["Shinsuke Mori"], corpus.load_coauthors()) == []
 
 
 def test_common_coauthors_no_shared_third_party(corpus):
-    store, _ = corpus
-    assert common_coauthors(["E. F. Codd", "Markus Tresch"], store.coauthors) == []
+    coauthors = corpus.load_coauthors()
+    assert common_coauthors(["E. F. Codd", "Markus Tresch"], coauthors) == []
 
 
 def test_common_coauthors_at_match_threshold_zero_is_empty(corpus):
     # Every corpus name matches the input authors themselves.
-    store, _ = corpus
+    coauthors = corpus.load_coauthors()
     authors = ["Shinsuke Mori", "Graham Neubig", "Yuuta Tsuboi"]
-    assert common_coauthors(authors, store.coauthors) == ["Masato Mimura"]
+    assert common_coauthors(authors, coauthors) == ["Masato Mimura"]
     zero = MatchConfig(match_threshold=0.0)
-    assert common_coauthors(authors, store.coauthors, zero) == []
+    assert common_coauthors(authors, coauthors, zero) == []
 
 
-def test_common_coauthors_builds_the_adjacency_and_its_vocabulary():
-    store, _ = fresh_corpus()
-    common_coauthors(["Shinsuke Mori", "Graham Neubig"], store.coauthors)
-    assert INDEXES & set(vars(store)) == {"coauthors"}
-    assert set(vars(store.coauthors)) == {"tokens"}
+def test_common_coauthors_builds_the_adjacency_and_its_vocabulary(corpus):
+    coauthors = corpus.load_coauthors()
+    assert not vars(coauthors)
+    common_coauthors(["Shinsuke Mori", "Graham Neubig"], coauthors)
+    assert set(vars(coauthors)) == {"tokens"}
 
 
-def store_of(author_lists) -> CorpusStore:
-    return CorpusStore(
+def adjacency_of(author_lists):
+    """The reference adjacency of one publication per author list."""
+    return coauthor_adjacency(
         CorpusPublication(id=n, key=f"k/{n}", authors=tuple(authors), title="")
         for n, authors in enumerate(author_lists, start=1)
     )
 
 
-def scan_common_coauthors(authors, store, cfg):
+def scan_common_coauthors(authors, adjacency, cfg):
     """The reference: compare each author with every adjacency name."""
     counts: dict[str, int] = {}
     for author in dict.fromkeys(authors):
         neighbourhood: set[str] = set()
-        for name, coauthors in store.coauthors.items():
+        for name, coauthors in adjacency.items():
             if names_match(author, name, cfg):
                 neighbourhood |= coauthors
         for neighbour in neighbourhood:
@@ -281,9 +285,9 @@ configs = st.builds(
     configs,
 )
 def test_common_coauthors_equals_the_scan(author_lists, authors, cfg):
-    store = store_of(author_lists)
-    assert common_coauthors(authors, store.coauthors, cfg) == scan_common_coauthors(
-        authors, store, cfg
+    adjacency = adjacency_of(author_lists)
+    assert common_coauthors(authors, adjacency, cfg) == scan_common_coauthors(
+        authors, adjacency, cfg
     )
 
 
@@ -299,11 +303,13 @@ def test_near_tokens_are_the_tokens_within_the_edit_budget(corpus_names, name, l
         )
 
 
-def test_common_coauthors_compares_only_candidates(monkeypatch):
+def test_common_coauthors_compares_only_candidates(monkeypatch, tmp_path):
     # Tokens of doubled letters: two of them differ in at least two places.
     letters = "abcdefghijklmnopqrstuvwxyz"
     far = ["".join(2 * letters[n // 26**i % 26] for i in range(2)) for n in range(400)]
-    store = store_of(zip(far, far[1:]))
+    document = io.BytesIO(corpus_document(zip(far, far[1:])))
+    with corpus_store(tmp_path, document) as store:
+        coauthors = store.load_coauthors()
     calls = []
 
     def counting(a, b, cfg):
@@ -311,21 +317,19 @@ def test_common_coauthors_compares_only_candidates(monkeypatch):
         return names_match(a, b, cfg)
 
     monkeypatch.setattr(dblp, "names_match", counting)
-    assert common_coauthors([far[10], far[12]], store.coauthors) == [far[11]]
-    assert len(store.coauthors) == len(far)
+    assert common_coauthors([far[10], far[12]], coauthors) == [far[11]]
+    assert len(coauthors) == len(far)
     assert len(calls) < len(far) // 10
 
 
-def test_malformed_xml_raises_positioned_error():
-    import xml.etree.ElementTree as ET
-
+def test_malformed_xml_raises_positioned_error(tmp_path):
     xml = b'<?xml version="1.0"?>\n<dblp>\n<article key="x">\n</dblp>\n'
     with pytest.raises(ET.ParseError) as info:
-        parse_corpus(io.BytesIO(xml))
+        corpus_store(tmp_path, io.BytesIO(xml))
     assert info.value.position is not None
 
 
-def test_streaming_parse_of_generated_corpus():
+def test_streaming_parse_of_generated_corpus(tmp_path):
     def generate():
         yield b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<dblp>\n'
         for n in range(2000):
@@ -338,17 +342,17 @@ def test_streaming_parse_of_generated_corpus():
         yield b"</dblp>\n"
 
     with patch.object(dblp, "BLOCK_SIZE", 4096):
-        store, edges = parse_corpus(io.BytesIO(b"".join(generate())))
-    assert len(store.publications) == 2000
-    assert len(edges) == 2000
+        store = corpus_store(tmp_path, io.BytesIO(b"".join(generate())))
+    with store:
+        assert len(stored_publications(store)) == 2000
+        assert len(stored_edges(store)) == 2000
 
 
 def test_fuzzy_title_normalization(corpus):
-    store, _ = corpus
     key = find_publication(
         "  a study ON duplicate detection in bibliographies. ",
         ["Yoko Suzuki"],
-        store,
+        corpus,
     )
     assert key == "journals/mock/TanakaSuzuki11"
 
@@ -374,7 +378,7 @@ def reference_corpus(data: bytes) -> tuple[list[CorpusPublication], list[str]]:
                 return None
             return "".join(child.itertext()).strip() or None
 
-        year = text("year")
+        year = text("year") or ""
         pid = len(publications) + 1
         publications.append(
             CorpusPublication(
@@ -385,7 +389,7 @@ def reference_corpus(data: bytes) -> tuple[list[CorpusPublication], list[str]]:
                     for author in record.findall("author")
                 ),
                 title=text("title") or "",
-                year=int(year) if year and year.isdecimal() else None,
+                year=int(year) if year.isdecimal() and len(year) <= 18 else None,
                 journal=text("journal"),
                 pages=text("pages"),
                 volume=text("volume"),
@@ -398,7 +402,7 @@ def test_iter_corpus_equals_the_reference_on_the_fixture(corpus):
     data = FIXTURE.read_bytes()
     publications, _ = reference_corpus(data)
     assert list(dblp.iter_corpus(io.BytesIO(data))) == publications
-    assert corpus[0].publications == publications
+    assert stored_publications(corpus) == publications
 
 
 def test_iter_corpus_yields_before_the_stream_ends():

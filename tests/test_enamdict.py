@@ -8,8 +8,8 @@ from jpbib.enamdict import (
     NameRecord,
     NameType,
     filter_types,
+    iter_records,
     parse_entry_line,
-    parse_file,
 )
 
 S = NameType.SURNAME
@@ -112,13 +112,20 @@ def test_backslash_for_bracket_warns():
     assert any(w.kind == "stray-bracket" for w in warnings)
 
 
+def parse_lines(lines, include_unclassified=False):
+    """The records that ``iter_records`` yields and the warnings it reports."""
+    warnings = []
+    records = list(iter_records(lines, warnings.append, include_unclassified))
+    return records, warnings
+
+
 def test_parse_file_empty():
-    assert parse_file(io.StringIO("")) == ([], [])
+    assert parse_lines(io.StringIO("")) == ([], [])
 
 
 def test_parse_file_deduplicates():
     stream = io.StringIO("森 [もり] /Mori (s)/\n森 [もり] /Mori (s)/\n")
-    records, warnings = parse_file(stream)
+    records, warnings = parse_lines(stream)
     assert len(records) == 1
     assert warnings == []
 
@@ -165,7 +172,7 @@ def expected_fixture_records():
 
 def test_parse_file_fixture_multiset(names_fixture_path):
     with open(names_fixture_path, encoding="utf-8") as handle:
-        records, warnings = parse_file(handle)
+        records, warnings = parse_lines(handle)
     expected = expected_fixture_records()
     assert {(r.surface, r.latin, r.types) for r in records} == expected
     assert len(records) == len(expected)
@@ -178,7 +185,7 @@ def test_parse_file_fixture_multiset(names_fixture_path):
 
 def test_parse_file_fixture_with_unclassified(names_fixture_path):
     with open(names_fixture_path, encoding="utf-8") as handle:
-        records, _ = parse_file(handle, include_unclassified=True)
+        records, _ = parse_lines(handle, include_unclassified=True)
     by_spelling = {r.latin: r for r in records}
     assert by_spelling["Star Wars"].types == types(U)
     assert by_spelling["Ib"].types == types(U)
@@ -188,7 +195,7 @@ def test_parse_file_fixture_with_unclassified(names_fixture_path):
 
 def test_record_invariants(names_fixture_path):
     with open(names_fixture_path, encoding="utf-8") as handle:
-        records, _ = parse_file(handle)
+        records, _ = parse_lines(handle)
     for record in records:
         assert record.latin
         assert record.types <= types(S, G, F, M)

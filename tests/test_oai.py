@@ -137,6 +137,21 @@ def test_get_record_with_superscript_number_does_not_exist(provider):
     assert get_record(ENDPOINT, "junii2", "oai:mock:²", fetch=provider.fetch) is None
 
 
+# int() refuses a decimal string of more than 4,300 digits with a ValueError.
+HUGE = "9" * 5000
+
+
+def test_resumption_token_beyond_the_int_digit_limit_is_bad(provider):
+    with pytest.raises(OaiProtocolError) as info:
+        list_records(ENDPOINT, "junii2", HUGE, fetch=provider.fetch)
+    assert info.value.code == "badResumptionToken"
+
+
+def test_get_record_number_beyond_the_int_digit_limit_does_not_exist(provider):
+    identifier = f"oai:mock:{HUGE}"
+    assert get_record(ENDPOINT, "junii2", identifier, fetch=provider.fetch) is None
+
+
 def test_unknown_prefix(provider):
     with pytest.raises(OaiProtocolError) as info:
         list_records(ENDPOINT, "nope", fetch=provider.fetch)
@@ -289,6 +304,16 @@ def test_retry_after_is_honoured_and_capped(monkeypatch, provider, sleeps):
     records, _ = list_records(ENDPOINT, "junii2")
     assert len(records) == 100
     assert sleeps == [7, RETRY_AFTER_CAP_S]
+
+
+def test_retry_after_beyond_the_int_digit_limit_waits_the_cap(
+    monkeypatch, provider, sleeps
+):
+    # Leading zeros count for nothing, however many there are.
+    serve_http(monkeypatch, provider, (503, HUGE), (503, "0" * 5000 + "7"))
+    records, _ = list_records(ENDPOINT, "junii2")
+    assert len(records) == 100
+    assert sleeps == [RETRY_AFTER_CAP_S, 7]
 
 
 def test_backoff_without_integer_retry_after(monkeypatch, provider, sleeps):
@@ -496,3 +521,15 @@ def test_save_and_replay(tmp_path, provider):
         )
     ]
     assert first == replayed
+
+
+def test_replay_serves_only_saved_responses_in_number_order(tmp_path, sleeps):
+    for name in ("000001.xml", "0000004.xml", "notes.xml", "000002.xml"):
+        (tmp_path / name).write_bytes(name.encode())
+    fetch = replay_fetcher(str(tmp_path))
+    assert oai._fetch_with_retries(fetch, "first") == b"000001.xml"
+    assert oai._fetch_with_retries(fetch, "second") == b"000002.xml"
+    with pytest.raises(TransportError) as info:
+        oai._fetch_with_retries(fetch, "third")
+    assert info.value.attempts == 1
+    assert sleeps == []

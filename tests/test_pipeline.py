@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpbib import bht, dblp, oai
+from jpbib import bht, dblp, oai, pipeline
 from jpbib.config import Config, ConfigError, parse_config
 from jpbib.matching import NameStatus
 from jpbib.oai import OAI_NS, TransportError, get_record, parse_junii2
@@ -25,6 +25,15 @@ from jpbib.pipeline import run
 from jpbib.stats import RecordOutcome, RunStatistics
 from jpbib.store import SqliteStore
 
+from corpora import (
+    TitleScan,
+    coauthor_adjacency,
+    coauthor_edges,
+    corpus_document,
+    corpus_store,
+    stored_edges,
+    stored_publications,
+)
 from mockrepo import GOLDEN_ID, build_provider, repeating_first_page
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -265,21 +274,19 @@ def test_store_names_load_that_fails_partway_keeps_the_previous_names(tmp_path):
 
 
 def test_store_corpus_roundtrip(store):
-    from jpbib.dblp import CoauthorEdge, parse_corpus
+    from jpbib.dblp import iter_corpus
 
     with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
-        corpus, edges = parse_corpus(handle)
-    stored = store.replace_corpus(corpus.publications)
-    assert stored == (len(corpus.publications), len(edges))
+        stored = store.replace_corpus(iter_corpus(handle))
+    with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
+        publications = list(iter_corpus(handle))
+    edges = coauthor_edges(publications)
+    assert stored == (len(publications), len(edges))
     assert store.has_corpus()
-    loaded = store.load_corpus()
-    assert loaded.publications == corpus.publications
-    assert loaded.by_key == corpus.by_key
-    assert loaded.coauthors == corpus.coauthors
-    rows = store.connection.execute(
-        f"SELECT author_a, author_b, publication_id FROM {store.edges} ORDER BY id"
-    )
-    assert [CoauthorEdge(*row) for row in rows] == edges
+    assert stored_publications(store) == publications
+    assert store.load_corpus() == publications
+    assert store.load_coauthors() == coauthor_adjacency(publications)
+    assert stored_edges(store) == edges
 
 
 def test_edge_insert_reads_the_corpus_in_order_without_a_sort(store):
@@ -420,6 +427,28 @@ def test_parse_dblp_of_a_corpus_that_breaks_late_keeps_the_previous_corpus(
     assert all(count * min(map(len, lines)) > dblp.BLOCK_SIZE for count in taken)
 
 
+def test_parse_dblp_stores_a_year_of_more_than_18_digits_as_null(tmp_path, capsys):
+    # An SQLite INTEGER holds 18 digits but not every 19-digit number.
+    corpus = tmp_path / "years.xml"
+    corpus.write_text(
+        "<dblp>"
+        + "".join(
+            f'<article key="y/{len(year)}"><year>{year}</year></article>'
+            for year in ("9" * 18, "9" * 20)
+        )
+        + "</dblp>"
+    )
+    config = make_config_file(tmp_path)
+    config.write_text(
+        config.read_text().replace(str(FIXTURES / "corpus_fixture.xml"), str(corpus))
+    )
+    assert run(["--config", str(config), "-d"]) == 0
+    assert capsys.readouterr().err == ""
+    with SqliteStore(parse_config(str(config))) as opened:
+        years = [p.year for p in stored_publications(opened)]
+    assert years == [999_999_999_999_999_999, None]
+
+
 # Few letters, so that names repeat within and across publications;
 # blank names strip to "".
 _corpus_authors = st.lists(
@@ -430,32 +459,20 @@ _corpus_authors = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(_corpus_authors, st.lists(st.text(alphabet="abAB ", max_size=4), max_size=3))
 def test_store_coauthors_equal_the_parsed_corpus(tmp_path_factory, entries, authors):
-    from jpbib.dblp import common_coauthors, parse_corpus
+    from jpbib.dblp import common_coauthors, iter_corpus
 
-    xml = "".join(
-        f'<article key="k/{n}">'
-        + "".join(f"<author>{name}</author>" for name in names)
-        + "<title>T</title></article>"
-        for n, names in enumerate(entries)
-    )
-    corpus, edges = parse_corpus(io.BytesIO(f"<dblp>{xml}</dblp>".encode()))
-    parsed = corpus.coauthors
-    config = Config(base_dir=str(tmp_path_factory.getbasetemp()), db_name="edges")
-    with SqliteStore(config) as store:
-        store.replace_corpus(corpus.publications)
+    document = corpus_document(entries)
+    publications = list(iter_corpus(io.BytesIO(document)))
+    parsed = coauthor_adjacency(publications)
+    directory = tmp_path_factory.getbasetemp()
+    with corpus_store(directory, io.BytesIO(document), "edges") as store:
         loaded = store.load_coauthors()
-        rows = store.connection.execute(
-            f"SELECT author_a, author_b, publication_id FROM {store.edges} ORDER BY id"
-        ).fetchall()
-    assert rows == edges
+        rows = stored_edges(store)
+    assert rows == coauthor_edges(publications)
     assert loaded == parsed
     assert list(loaded) == list(parsed)
     assert list(loaded.tokens.names.items()) == list(parsed.tokens.names.items())
     assert common_coauthors(authors, loaded) == common_coauthors(authors, parsed)
-
-
-def stored_corpus(store, publications):
-    store.replace_corpus(publications)
 
 
 def title_variants(title: str) -> list[str]:
@@ -483,11 +500,12 @@ def test_an_empty_normalised_title_matches_no_untitled_record(store):
 
 
 def test_store_title_lookup_agrees_with_the_parsed_corpus(store):
-    from jpbib.dblp import find_publication, normalize_title, parse_corpus
+    from jpbib.dblp import find_publication, iter_corpus, normalize_title
 
     with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
-        corpus, _ = parse_corpus(handle)
-    stored_corpus(store, corpus.publications)
+        store.replace_corpus(iter_corpus(handle))
+    with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
+        corpus = TitleScan(iter_corpus(handle))
     hits = 0
     for publication in corpus.publications:
         others = [
@@ -510,7 +528,7 @@ def test_store_title_lookup_agrees_with_the_parsed_corpus(store):
 def test_store_title_lookup_uses_the_title_index(store):
     from jpbib.dblp import CorpusPublication
 
-    stored_corpus(store, [CorpusPublication(1, "k/1", ("Ann",), "One.")])
+    store.replace_corpus([CorpusPublication(1, "k/1", ("Ann",), "One.")])
     statements = []
     store.connection.set_trace_callback(statements.append)
     assert store.publications_titled("one") == [("k/1", ("Ann",))]
@@ -571,17 +589,18 @@ _corpus_titles = st.lists(
 def test_store_title_lookup_with_repeated_titles(
     tmp_path_factory, entries, title, authors
 ):
-    from jpbib.dblp import CorpusPublication, CorpusStore, find_publication
+    from jpbib.dblp import CorpusPublication, find_publication
 
+    # Stored as given: the parser would strip the titles' outer spaces.
     publications = [
         CorpusPublication(pid, f"k/{pid}", tuple(names), text)
         for pid, (text, names) in enumerate(entries, start=1)
     ]
     config = Config(base_dir=str(tmp_path_factory.getbasetemp()), db_name="titles")
     with SqliteStore(config) as store:
-        stored_corpus(store, publications)
+        store.replace_corpus(publications)
         assert find_publication(title, authors, store) == find_publication(
-            title, authors, CorpusStore(publications)
+            title, authors, TitleScan(publications)
         )
 
 
@@ -1379,25 +1398,23 @@ def test_run_without_coauthor_display_builds_no_adjacency(
     assert calls == [(True, "load_coauthors")]
 
 
-def test_harvest_recreates_a_dropped_title_index(tmp_path, capsys):
+def test_harvest_without_the_title_index_gives_the_same_outputs(tmp_path, capsys):
     config = make_config_file(tmp_path)
     provider = build_provider()
     assert run(["--config", str(config), "--all"], fetch=provider.fetch) == 0
-    root = tmp_path / "bht"
-    before = {path: path.read_bytes() for path in sorted(root.rglob("*.bht"))}
-    assert any(b"<dblpkey>" in data for data in before.values())
+    before = harvest_outputs(config)
+    assert any(b"<dblpkey>" in data for data in before[0].values())
     index = ("index", SqliteStore.title_index)
     with SqliteStore(parse_config(str(config))) as opened:
         opened.connection.execute(f"DROP INDEX {opened.title_index}")
-        schema = set(opened.connection.execute("SELECT type, name FROM sqlite_master"))
-        assert index not in schema
+    (config.parent / "log" / "statistics.json").unlink()
+    # The title lookups scan dblp instead; -h leaves the schema as it is.
     assert run(["--config", str(config), "-h"], fetch=provider.fetch) == 0
     capsys.readouterr()
     with SqliteStore(parse_config(str(config))) as opened:
         schema = set(opened.connection.execute("SELECT type, name FROM sqlite_master"))
-    assert index in schema
-    # The harvest rewrote every file, all.bht aside, with the same bytes.
-    assert {path: path.read_bytes() for path in sorted(root.rglob("*.bht"))} == before
+    assert index not in schema
+    assert harvest_outputs(config) == before
 
 
 def test_run_stages_separately(tmp_path, capsys):
@@ -1898,6 +1915,125 @@ def test_export_that_fails_leaves_only_the_files_it_wrote(tmp_path, capsys):
     (root / "technical-report").unlink()
     assert run(["--config", str(config), "-h"], fetch=records("New")) == 0
     assert len(written_bht(root)) == 3
+
+
+def test_statistics_that_cannot_be_written_leave_no_file_of_the_replaced_rows(
+    tmp_path, capsys
+):
+    config = make_config_file(tmp_path)
+    old = one_page_fetch(("oai:mock:1", article("Old One", "5", ["Jane Doe"])))
+    new = one_page_fetch(("oai:mock:1", article("New One", "5", ["Jane Doe"])))
+    assert run(["--config", str(config), "-d", "-e", "-h"], fetch=old) == 0
+    statistics = tmp_path / "log" / "statistics.json"
+    statistics.unlink()
+    statistics.mkdir()
+    capsys.readouterr()
+
+    # The harvest commits; the export then fails before its first file.
+    assert run(["--config", str(config), "-h"], fetch=new) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert harvested_row_counts(config) == [1, 1, 1]
+    assert written_bht(tmp_path / "bht") == {}
+
+    statistics.rmdir()
+    assert run(["--config", str(config), "-h"], fetch=new) == 0
+    capsys.readouterr()
+    assert "New One" in written_bht(tmp_path / "bht")["journal-article/volume-5/1.bht"]
+
+
+@contextmanager
+def progress_handler(handler):
+    """Each store opened in the block calls ``handler`` at every virtual
+    machine instruction; a true result interrupts the running statement."""
+    open_store = SqliteStore.__init__
+
+    def opened(self, config):
+        open_store(self, config)
+        self.connection.set_progress_handler(handler, 1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SqliteStore, "__init__", opened)
+        yield
+
+
+def test_sql_interrupted_anywhere_in_a_harvest_leaves_store_and_tree_agreeing(
+    tmp_path, capsys
+):
+    previous = one_page_fetch(
+        ("oai:mock:1", article("Old One", "5", ["Jane Doe"])),
+        ("oai:mock:2", article("Old Two", "7", ["John Roe"])),
+    )
+    title = "A Study on Duplicate Detection in Bibliographies"
+    fetch = one_page_fetch(
+        ("oai:mock:1", article("New One", "5", ["Jane Doe"])),
+        ("oai:mock:2", article(title, "6", ["Hiroshi Tanaka"])),
+        ("oai:mock:3", article("New Three", "6", ["Shinsuke Mori", "Graham Neubig"])),
+        ("oai:mock:4", article("New Four", "8", ["Yuuta Tsuboi", "Shinsuke Mori"])),
+    )
+    start = tmp_path / "start"
+    start.mkdir()
+    config = make_config_file(start)
+    assert run(["--config", str(config), "-d", "-e", "-h"], fetch=previous) == 0
+    before = harvest_outputs(config)
+
+    def copy(name: str) -> Path:
+        shutil.copytree(start, tmp_path / name)
+        return tmp_path / name / config.name
+
+    # An uninterrupted -h, counting its instructions up to the export phase
+    # and in all.
+    clean = copy("clean")
+    steps = [0]
+    stage_export = pipeline.stage_export
+
+    def counted_export(*args):
+        steps.append(steps[0])
+        return stage_export(*args)
+
+    def count():
+        steps[0] += 1
+        return False
+
+    with progress_handler(count), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "stage_export", counted_export)
+        assert run(["--config", str(clean), "-h"], fetch=fetch) == 0
+    total, export_start = steps
+    after = harvest_outputs(clean)
+    assert after[1] != before[1]
+    capsys.readouterr()
+
+    # Abort points spread over both phases, the last instruction included.
+    points = sorted(
+        {1 + n * (export_start - 1) // 8 for n in range(8)}
+        | {export_start + 1 + n * (total - export_start - 1) // 5 for n in range(6)}
+    )
+    outcomes = []
+    for point in points:
+        interrupted = copy(f"abort-{point}")
+        steps = [0]
+
+        def abort():
+            steps[0] += 1
+            return steps[0] == point
+
+        with progress_handler(abort):
+            assert run(["--config", str(interrupted), "-h"], fetch=fetch) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: interrupted\n"
+        assert "Traceback" not in out
+        tree, rows, _ = harvest_outputs(interrupted)
+        assert rows in (before[1], after[1])
+        committed = before if rows == before[1] else after
+        outcomes.append(committed is after)
+        # Each single-publication file is the one its committed row gives.
+        for path, data in tree.items():
+            assert committed[0][path] == data, (point, path)
+
+        assert run(["--config", str(interrupted), "-h"], fetch=fetch) == 0
+        capsys.readouterr()
+        assert harvest_outputs(interrupted) == after
+    assert False in outcomes and True in outcomes
 
 
 def test_export_refuses_a_path_outside_the_bht_root(tmp_path, capsys, monkeypatch):
