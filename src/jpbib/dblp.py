@@ -1,9 +1,12 @@
 """Streaming parser and query layer for DBLP-style publication XML.
 
 The corpus file declares Latin-1 and writes everything else as character
-entities, including named HTML entities defined by its DTD.  Those named
-entities are rewritten to numeric references on the byte level before the
-stream reaches the XML parser.  The input is a binary file, read in
+entities, including named HTML entities defined by its DTD.  expat expands
+them: it reads the HTML entity declarations as every document's external
+DTD subset, and opens no file that the document names.  A declaration in
+the document's own internal subset comes first and wins.  An undeclared
+entity in text is kept as its literal ``&name;`` with a warning; expat
+drops one in an attribute value.  The input is a binary file, read in
 blocks of ``BLOCK_SIZE`` bytes.  ``iter_corpus`` drives pyexpat with
 element and text handlers and keeps only the current record's fields,
 so it yields publications one by one in constant memory; -d inserts
@@ -31,7 +34,6 @@ candidate, so the result is the one a scan of every name gives.
 """
 
 import logging
-import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from html.entities import name2codepoint
@@ -82,47 +84,19 @@ class CorpusPublication:
     volume: str | None = None
 
 
-_XML_BUILTINS = {"amp", "lt", "gt", "quot", "apos"}
-_NAMED_ENTITY_RE = re.compile(rb"&([A-Za-z][A-Za-z0-9]*);")
-_ENTITY_HEAD_RE = re.compile(rb"&[A-Za-z0-9]*")
-
-
-def _rewrite_named_entities(chunk: bytes) -> bytes:
-    def replace(match: re.Match) -> bytes:
-        name = match.group(1).decode("ascii")
-        if name in _XML_BUILTINS:
-            return match.group(0)
-        codepoint = name2codepoint.get(name)
-        if codepoint is None:
-            log.warning("unknown entity &%s; left undecoded", name)
-            return b"&amp;" + match.group(1) + b";"
-        return b"&#%d;" % codepoint
-
-    return _NAMED_ENTITY_RE.sub(replace, chunk)
-
-
-def _entity_safe(blocks: Iterable[bytes]) -> Iterator[bytes]:
-    """``blocks`` with their named entities rewritten; the unrewritten rest
-    of a cut-off entity is yielded last."""
-    tail = b""
-    for block in blocks:
-        block = tail + block
-        # A named entity cut off at the block end is rewritten only once
-        # its closing ";" has arrived with the next block.
-        cut = block.rfind(b"&")
-        if cut != -1 and _ENTITY_HEAD_RE.fullmatch(block, cut):
-            block, tail = block[:cut], block[cut:]
-        else:
-            tail = b""
-        yield _rewrite_named_entities(block)
-    yield tail
+# The HTML entities that the DBLP DTD declares, without XML's five
+# built-ins: the external DTD subset that expat reads for every document,
+# in place of any file the document names.
+_HTML_ENTITIES = "".join(
+    f'<!ENTITY {name} "&#{codepoint};">'
+    for name, codepoint in name2codepoint.items()
+    if name not in {"amp", "lt", "gt", "quot", "apos"}
+).encode("ascii")
 
 
 def iter_corpus(stream: BinaryIO) -> Iterator[CorpusPublication]:
     """Yield the publications of a corpus XML file in document order.
 
-    The file is read in blocks of ``BLOCK_SIZE`` bytes, and only the
-    current record's fields are kept.
     Each record of a publication type gives one publication; other
     record types are skipped, unknown ones with a warning.  A field is the
     first direct child of its tag, with the text of nested markup joined
@@ -183,21 +157,31 @@ def iter_corpus(stream: BinaryIO) -> Iterator[CorpusPublication]:
             )
 
     def skipped(name: str, is_parameter_entity: bool) -> None:
-        # An undeclared entity under an external DTD, which expat would drop.
-        error = expat.error(
-            f"undefined entity &{name};: line {parser.ErrorLineNumber}, "
-            f"column {parser.ErrorColumnNumber}"
-        )
-        error.code = 11  # XML_ERROR_UNDEFINED_ENTITY
-        error.lineno, error.offset = parser.ErrorLineNumber, parser.ErrorColumnNumber
-        raise error
+        # An undeclared entity: under an external DTD subset a validity
+        # error, not a well-formedness one (XML 1.0, 4.1).
+        reference = f"{'%' if is_parameter_entity else '&'}{name};"
+        log.warning("unknown entity %s left undecoded", reference)
+        if not is_parameter_entity:
+            text.append(reference)
+
+    def external(context: str | None, base, system_id: str | None, public_id) -> int:
+        # The DTD subset and parameter entities get the HTML declarations;
+        # an external general entity is left out.  No file is opened.
+        if context is None:
+            parser.ExternalEntityParserCreate(None).Parse(_HTML_ENTITIES, True)
+        else:
+            log.warning("external entity %s not read", system_id)
+        return 1
 
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.CharacterDataHandler = text.append
     parser.SkippedEntityHandler = skipped
+    parser.ExternalEntityRefHandler = external
+    parser.UseForeignDTD(True)
+    parser.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_UNLESS_STANDALONE)
     try:
-        for block in _entity_safe(iter(partial(stream.read, BLOCK_SIZE), b"")):
+        for block in iter(partial(stream.read, BLOCK_SIZE), b""):
             parser.Parse(block, False)
             yield from done
             done.clear()

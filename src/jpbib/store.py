@@ -14,10 +14,12 @@ that fails partway leaves the previous tables and their index as they
 were.  ``replace_names`` and ``replace_corpus`` insert the records or
 publications as an iterator yields them, and ``load_name_records``
 decodes each row as it is read, so none holds the whole data set.
-``replace_corpus`` then fills ``dblpauthors`` from the stored author lists
-with one ``INSERT ... SELECT`` over ``json_each``.  A harvested identifier
-that arrives again replaces its earlier rows and keeps its publication id;
-``harvested`` reads the publications back in id order.
+``replace_corpus`` keeps the first publication under each key, and skips
+the others with one warning.  It then fills ``dblpauthors`` from the
+stored author lists with one ``INSERT ... SELECT`` over ``json_each``.  A
+harvested identifier that arrives again replaces its earlier rows and
+keeps its publication id; ``harvested`` reads the publications back in id
+order.
 
 Each connection registers the SQL function ``jpbib_title``, which is
 ``dblp.normalize_title``.  The index ``dblp_title`` on
@@ -32,6 +34,7 @@ functions, built in since SQLite 3.38.0.
 """
 
 import json
+import logging
 import os
 import sqlite3
 from contextlib import contextmanager
@@ -44,6 +47,8 @@ from .matching import AuthorResolution, NameStatus, PersonName
 from .oai import HarvestedPublication
 
 __all__ = ["SqliteStore"]
+
+log = logging.getLogger(__name__)
 
 
 # The stored code string of every combination of name types, codes in
@@ -265,10 +270,14 @@ class SqliteStore:
         return stored, edges
 
     def add_corpus_publications(self, rows: Iterable[CorpusPublication]) -> int:
-        return self.connection.executemany(
-            self._inserts[self.dblp],
-            (
-                (
+        """Insert ``rows`` and return how many were stored: a publication
+        whose key an earlier one has is skipped, with one warning."""
+        given = 0
+
+        def values() -> Iterator[tuple]:
+            nonlocal given
+            for given, p in enumerate(rows, 1):
+                yield (
                     p.id,
                     p.key,
                     _to_json(p.authors),
@@ -278,9 +287,14 @@ class SqliteStore:
                     p.pages,
                     p.volume,
                 )
-                for p in rows
-            ),
+
+        stored = self.connection.executemany(
+            self._inserts[self.dblp] + " ON CONFLICT(key) DO NOTHING", values()
         ).rowcount
+        skipped = given - stored
+        if skipped:
+            log.warning("skipped %d records whose key an earlier record has", skipped)
+        return stored
 
     def add_coauthor_edges(self) -> int:
         return self.connection.execute(self._edges_sql).rowcount

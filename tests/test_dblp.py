@@ -3,7 +3,9 @@ store that -d fills."""
 
 import io
 import logging
+import re
 import xml.etree.ElementTree as ET
+from html.entities import name2codepoint
 from pathlib import Path
 from unittest.mock import patch
 
@@ -360,10 +362,39 @@ def test_fuzzy_title_normalization(corpus):
 # -- the streaming parser against an ElementTree reference ---------------------
 
 
-def reference_corpus(data: bytes) -> tuple[list[CorpusPublication], list[str]]:
-    """The publications of a whole corpus document by ``ET.fromstring``,
-    after the entity rewrite, and the unknown record types it skips."""
-    root = ET.fromstring(dblp._rewrite_named_entities(data))
+# A named entity reference; "#" leaves out character references.
+_ENTITY_RE = re.compile(rb"&([^\s&;#<>]+);")
+_CDATA_RE = re.compile(rb"<!\[CDATA\[.*?\]\]>", re.DOTALL)
+_XML_BUILTINS = {b"amp", b"lt", b"gt", b"quot", b"apos"}
+
+
+def reference_corpus(
+    data: bytes,
+) -> tuple[list[CorpusPublication], list[str], list[str]]:
+    """The publications of a whole corpus document by ``ET.fromstring``, the
+    unknown record types it skips and the warnings for the undeclared
+    entities of its text outside CDATA.
+
+    An internal subset declares every HTML entity, and each other name as
+    ``&#38;#38;name;``, which reads as the literal ``&name;`` (XML 1.0,
+    Appendix D).  The document must have no DOCTYPE of its own.
+    """
+    names = set(_ENTITY_RE.findall(data)) - _XML_BUILTINS
+    declarations = b"".join(
+        b'<!ENTITY %s "&#%d;">' % (name, name2codepoint[name.decode()])
+        if name.decode() in name2codepoint
+        else b'<!ENTITY %s "&#38;#38;%s;">' % (name, name)
+        for name in sorted(names)
+    )
+    declaration = re.match(rb"<\?xml.*?\?>", data)
+    at = declaration.end() if declaration else 0
+    doctype = b"<!DOCTYPE dblp [" + declarations + b"]>"
+    root = ET.fromstring(data[:at] + doctype + data[at:])
+    entity_warnings = [
+        f"unknown entity &{name.decode()}; left undecoded"
+        for name in _ENTITY_RE.findall(_CDATA_RE.sub(b"", data))
+        if name not in _XML_BUILTINS and name.decode() not in name2codepoint
+    ]
     publications: list[CorpusPublication] = []
     unknown = []
     for record in root:
@@ -395,12 +426,12 @@ def reference_corpus(data: bytes) -> tuple[list[CorpusPublication], list[str]]:
                 volume=text("volume"),
             )
         )
-    return publications, unknown
+    return publications, unknown, entity_warnings
 
 
 def test_iter_corpus_equals_the_reference_on_the_fixture(corpus):
     data = FIXTURE.read_bytes()
-    publications, _ = reference_corpus(data)
+    publications, _, _ = reference_corpus(data)
     assert list(dblp.iter_corpus(io.BytesIO(data))) == publications
     assert stored_publications(corpus) == publications
 
@@ -425,18 +456,56 @@ def test_iter_corpus_yields_before_the_stream_ends():
     assert (first.id, first.key, first.authors) == (1, "a/1", ("Ann",))
 
 
-def test_undeclared_entity_under_an_external_dtd_raises_positioned_error():
-    # With an external DTD expat would drop the reference; ElementTree raises.
+def parsed_with_warnings(xml: bytes) -> tuple[list[CorpusPublication], list[str]]:
+    return logged_warnings(list, dblp.iter_corpus(io.BytesIO(xml)))
+
+
+def test_cdata_text_is_kept_literally_without_a_warning():
     xml = (
-        b'<?xml version="1.0"?>\n<!DOCTYPE dblp SYSTEM "dblp.dtd">\n<dblp>\n'
-        b'<article key="x"><title>a &odd_name; b</title></article>\n</dblp>\n'
+        b"<dblp><article><title><![CDATA[M&auml;rz &bogus;]]></title></article>"
+        b"</dblp>"
     )
-    with pytest.raises(ET.ParseError) as reference:
-        reference_corpus(xml)
-    with pytest.raises(ET.ParseError) as info:
-        list(dblp.iter_corpus(io.BytesIO(xml)))
-    assert info.value.position == reference.value.position == (4, 26)
-    assert str(info.value) == str(reference.value)
+    parsed, warnings = parsed_with_warnings(xml)
+    assert [p.title for p in parsed] == ["M&auml;rz &bogus;"]
+    assert warnings == []
+
+
+def test_an_internal_subset_declaration_wins_over_the_html_entity():
+    xml = (
+        b'<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+        b'<!DOCTYPE dblp [<!ENTITY auml "ae">]>\n'
+        b"<dblp><article key='m'><title>M&auml;rz &eacute;</title></article></dblp>"
+    )
+    parsed, warnings = parsed_with_warnings(xml)
+    assert [p.title for p in parsed] == ["Maerz \u00e9"]
+    assert warnings == []
+
+
+def test_an_undeclared_entity_in_an_attribute_value_is_dropped():
+    # expat reports no skipped entity inside an attribute value.
+    xml = b'<dblp><article key="a&bogus;b"><title>T</title></article></dblp>'
+    parsed, warnings = parsed_with_warnings(xml)
+    assert [p.key for p in parsed] == ["ab"]
+    assert warnings == []
+
+
+def test_an_external_entity_is_never_read(tmp_path):
+    secret = tmp_path / "secret.txt"
+    secret.write_text("private words")
+    xml = (
+        b'<!DOCTYPE dblp [<!ENTITY secret SYSTEM "%s">]>\n'
+        b"<dblp><article key='s'><title>a &secret; b</title>"
+        b"<author>&secret;</author></article></dblp>" % str(secret).encode()
+    )
+    store, warnings = logged_warnings(corpus_store, tmp_path, io.BytesIO(xml))
+    with store:
+        assert [(p.title, p.authors) for p in stored_publications(store)] == [
+            ("a  b", ("",))
+        ]
+        for table in (store.dblp, store.edges):
+            rows = store.connection.execute(f"SELECT * FROM {table}").fetchall()
+            assert "private" not in repr(rows)
+    assert warnings == [f"external entity {secret} not read"] * 2
 
 
 # Latin-1 text, escaped; named entities known, unknown and built in, and
@@ -447,7 +516,11 @@ _plain = st.text(alphabet="ab Z09é\n\t&<>", max_size=5).map(
 _reference = st.sampled_from(
     ["&auml;", "&sup2;", "&eacute;", "&amp;", "&lt;", "&#65298;", "&#233;", "&bogus;"]
 )
-_inline = st.lists(st.one_of(_plain, _reference), max_size=3).map("".join)
+# CDATA content holds no ">", so no "]]>" ends it early.
+_cdata = st.lists(
+    st.one_of(st.text(alphabet="ab &<]\n", max_size=4), _reference), max_size=3
+).map(lambda parts: "<![CDATA[" + "".join(parts) + "]]>")
+_inline = st.lists(st.one_of(_plain, _reference, _cdata), max_size=3).map("".join)
 _markup = st.builds(
     "<{0}>{1}</{0}>{2}".format, st.sampled_from(["i", "sub", "sup"]), _inline, _inline
 )
@@ -497,7 +570,7 @@ def logged_warnings(function, *args):
 @settings(max_examples=200, deadline=None)
 @given(_document, st.integers(1, 40))
 def test_iter_corpus_equals_the_reference(data, block_size):
-    (publications, unknown), entity_warnings = logged_warnings(reference_corpus, data)
+    publications, unknown, entity_warnings = reference_corpus(data)
     with patch.object(dblp, "BLOCK_SIZE", block_size):
         parsed, warnings = logged_warnings(list, dblp.iter_corpus(io.BytesIO(data)))
     assert parsed == publications

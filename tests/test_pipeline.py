@@ -427,26 +427,94 @@ def test_parse_dblp_of_a_corpus_that_breaks_late_keeps_the_previous_corpus(
     assert all(count * min(map(len, lines)) > dblp.BLOCK_SIZE for count in taken)
 
 
-def test_parse_dblp_stores_a_year_of_more_than_18_digits_as_null(tmp_path, capsys):
-    # An SQLite INTEGER holds 18 digits but not every 19-digit number.
-    corpus = tmp_path / "years.xml"
-    corpus.write_text(
-        "<dblp>"
-        + "".join(
-            f'<article key="y/{len(year)}"><year>{year}</year></article>'
-            for year in ("9" * 18, "9" * 20)
-        )
-        + "</dblp>"
-    )
+def config_with_corpus(tmp_path: Path, data: bytes) -> Path:
+    """A config file in ``tmp_path`` whose corpus file holds ``data``."""
+    corpus = tmp_path / "corpus.xml"
+    corpus.write_bytes(data)
     config = make_config_file(tmp_path)
     config.write_text(
         config.read_text().replace(str(FIXTURES / "corpus_fixture.xml"), str(corpus))
     )
+    return config
+
+
+def test_parse_dblp_stores_a_year_of_more_than_18_digits_as_null(tmp_path, capsys):
+    # An SQLite INTEGER holds 18 digits but not every 19-digit number.
+    years = "".join(
+        f'<article key="y/{len(year)}"><year>{year}</year></article>'
+        for year in ("9" * 18, "9" * 20)
+    )
+    config = config_with_corpus(tmp_path, f"<dblp>{years}</dblp>".encode())
     assert run(["--config", str(config), "-d"]) == 0
     assert capsys.readouterr().err == ""
     with SqliteStore(parse_config(str(config))) as opened:
         years = [p.year for p in stored_publications(opened)]
     assert years == [999_999_999_999_999_999, None]
+
+
+def test_parse_dblp_keeps_an_undeclared_entity_under_an_external_dtd(
+    tmp_path, capsys, caplog
+):
+    # No dblp.dtd is on disk.  Under an external DTD subset an undeclared
+    # entity is a validity error, not a well-formedness one (XML 1.0, 4.1).
+    config = config_with_corpus(
+        tmp_path,
+        b'<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+        b'<!DOCTYPE dblp SYSTEM "dblp.dtd">\n<dblp>\n'
+        b'<article key="x"><title>a &odd_name; &eacute; b</title></article>\n'
+        b"</dblp>\n",
+    )
+    with caplog.at_level(logging.WARNING, logger="jpbib"):
+        assert run(["--config", str(config), "-d"]) == 0
+    assert capsys.readouterr().err == ""
+    assert "unknown entity &odd_name; left undecoded" in caplog.messages
+    with SqliteStore(parse_config(str(config))) as opened:
+        titles = [p.title for p in stored_publications(opened)]
+    assert titles == ["a &odd_name; \u00e9 b"]
+
+
+def test_parse_dblp_of_a_standalone_document_with_an_html_entity_fails(
+    tmp_path, capsys
+):
+    # A standalone document reads no external DTD subset, so its HTML
+    # entities are undeclared, which breaks well-formedness.
+    config = config_with_corpus(
+        tmp_path,
+        b'<?xml version="1.0" standalone="yes"?>\n'
+        b'<dblp><article key="s"><title>&eacute;</title></article></dblp>\n',
+    )
+    assert run(["--config", str(config), "-d"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("xml parse error: undefined entity")
+    assert err.count("\n") == 1
+
+
+def test_parse_dblp_keeps_the_first_record_under_a_repeated_key(
+    tmp_path, capsys, caplog
+):
+    # The third record's generated key is the first record's literal one.
+    config = config_with_corpus(
+        tmp_path,
+        b'<dblp><article key="generated/3"><author>Ann</author><author>Bo</author>'
+        b'</article><article key="a/1"><author>Cy</author><author>Di</author>'
+        b"</article><article><author>Ed</author><author>Fay</author></article>"
+        b'<article key="a/1"><author>Gus</author><author>Hal</author></article>'
+        b'<article key="a/2"><author>Bo</author><author>Ann</author></article>'
+        b"</dblp>",
+    )
+    with caplog.at_level(logging.WARNING, logger="jpbib"):
+        assert run(["--config", str(config), "-d"]) == 0
+    assert capsys.readouterr().err == ""
+    assert caplog.messages == ["skipped 2 records whose key an earlier record has"]
+    with SqliteStore(parse_config(str(config))) as opened:
+        publications = stored_publications(opened)
+        edges = stored_edges(opened)
+    assert [(p.id, p.key, p.authors) for p in publications] == [
+        (1, "generated/3", ("Ann", "Bo")),
+        (2, "a/1", ("Cy", "Di")),
+        (5, "a/2", ("Bo", "Ann")),
+    ]
+    assert edges == coauthor_edges(publications)
 
 
 # Few letters, so that names repeat within and across publications;
@@ -2034,6 +2102,123 @@ def test_sql_interrupted_anywhere_in_a_harvest_leaves_store_and_tree_agreeing(
         capsys.readouterr()
         assert harvest_outputs(interrupted) == after
     assert False in outcomes and True in outcomes
+
+
+def names_state(config: Path) -> list:
+    """The dictionary table's rows."""
+    with SqliteStore(parse_config(str(config))) as opened:
+        return opened.connection.execute(f"SELECT * FROM {opened.names}").fetchall()
+
+
+def test_sql_interrupted_anywhere_in_d_or_e_keeps_the_previous_tables(
+    tmp_path, capsys
+):
+    start = tmp_path / "start"
+    start.mkdir()
+    config = make_config_file(start)
+    assert run(["--config", str(config), "-d", "-e"]) == 0
+    before = corpus_state(config), names_state(config)
+    # New inputs for the runs below: three-author articles, and half the
+    # dictionary.
+    corpus = start / "new.xml"
+    corpus.write_bytes(
+        corpus_document([("Ann", "Bo", "Cy"), ("Bo", "Cy", "Di"), ("Di", "Ed", "Ann")])
+    )
+    names = start / "names.txt"
+    lines = (FIXTURES / "names_fixture.txt").read_text(encoding="utf-8").splitlines()
+    names.write_text("\n".join(lines[:20]) + "\n", encoding="utf-8")
+    config.write_text(
+        config.read_text()
+        .replace(str(FIXTURES / "corpus_fixture.xml"), str(corpus))
+        .replace(str(FIXTURES / "names_fixture.txt"), str(names))
+    )
+
+    def copy(name: str) -> Path:
+        shutil.copytree(start, tmp_path / name)
+        return tmp_path / name / config.name
+
+    def state(config: Path) -> tuple:
+        return corpus_state(config), names_state(config)
+
+    steps = [0]
+
+    def count():
+        steps[0] += 1
+        return False
+
+    def marked(name: str):
+        # ``name`` that notes the instruction count when it begins and ends.
+        method = getattr(SqliteStore, name)
+
+        def counted(*args):
+            steps.append(steps[0])
+            try:
+                return method(*args)
+            finally:
+                steps.append(steps[0])
+
+        return name, counted
+
+    # An uninterrupted -d and -e, each counting its instructions in all and
+    # up to and past its inserts and its commit.
+    clean = copy("clean")
+    with progress_handler(count), pytest.MonkeyPatch.context() as patch:
+        for name in (
+            "add_corpus_publications",
+            "add_coauthor_edges",
+            "add_name_records",
+            "flush",
+        ):
+            patch.setattr(SqliteStore, *marked(name))
+        assert run(["--config", str(clean), "-d"]) == 0
+        total, insert_start, insert_end, edges_start, edges_end, commit, _ = steps
+        steps = [0]
+        assert run(["--config", str(clean), "-e"]) == 0
+        names_total, names_start, names_end, _, _ = steps
+    after = state(clean)
+    assert after[0][1:] != before[0][1:] and after[1] != before[1]
+    capsys.readouterr()
+
+    def spread(first: int, last: int, count: int) -> set[int]:
+        return {first + n * (last - first) // (count - 1) for n in range(count)}
+
+    # The edge INSERT ... SELECT follows the insert, and the title index the
+    # edges.  SQLite's last progress call of a statement comes after the
+    # statement has run, so aborting the COMMIT there reports "interrupted"
+    # for a commit that took effect: the sweep stops one instruction short.
+    assert insert_start < insert_end == edges_start < edges_end < commit < total
+    sweeps = {
+        "-d": sorted(
+            spread(1, insert_start, 2)
+            | spread(insert_start + 1, insert_end, 3)
+            | spread(edges_start + 1, edges_end, 3)
+            | spread(edges_end + 1, commit, 3)
+            | spread(commit + 1, total - 1, 2)
+        ),
+        "-e": sorted(
+            spread(1, names_start, 2)
+            | spread(names_start + 1, names_end, 3)
+            | spread(names_end + 1, names_total - 1, 2)
+        ),
+    }
+    for flag, points in sweeps.items():
+        for point in points:
+            interrupted = copy(f"abort{flag}-{point}")
+            steps = [0]
+
+            def abort():
+                steps[0] += 1
+                return steps[0] == point
+
+            with progress_handler(abort):
+                assert run(["--config", str(interrupted), flag]) == 1, (flag, point)
+            out, err = capsys.readouterr()
+            assert err == "error: interrupted\n"
+            assert "Traceback" not in out
+            assert state(interrupted) == before, (flag, point)
+            assert run(["--config", str(interrupted), "-d", "-e"]) == 0
+            capsys.readouterr()
+            assert state(interrupted) == after
 
 
 def test_export_refuses_a_path_outside_the_bht_root(tmp_path, capsys, monkeypatch):
