@@ -100,11 +100,14 @@ class NameDictionary:
     spellings of apostrophe-bearing names; readings keep dictionary
     order, which defines the candidate ordering downstream.
 
-    The records are read one at a time, so an iterator over the store's
-    rows builds the dictionary without a record list beside it.  Each
-    kind (family or given) keeps one dict from surface to a tuple of its
-    readings, and every type set is the parser's shared frozenset of its
-    combination (``TYPE_COMBINATIONS``), unions included.
+    It is built from ``(surface, latin, types)`` rows, as
+    ``SqliteStore.load_name_records`` yields them, read one at a time: the
+    store's iterator builds the dictionary with no record object per row
+    and no row list beside it.  Each kind (family or given) keeps one dict
+    from surface to a tuple of its readings; which kinds a row joins is
+    looked up once per type combination.  Every type set is the parser's
+    shared frozenset of its combination (``TYPE_COMBINATIONS``), unions
+    included.
 
     ``probe`` expands a Latin name part into its transcription variants
     once and memoizes, per lowercased part, the variants the dictionary
@@ -114,7 +117,7 @@ class NameDictionary:
     a key, so no other variant can ever match a reading.
     """
 
-    def __init__(self, records):
+    def __init__(self, rows):
         self._types: dict[str, frozenset[NameType]] = {}
         # Per kind, FAMILY_TYPES or GIVEN_TYPES: surface -> its readings.
         self._readings: dict[frozenset[NameType], dict[str, tuple[str, ...]]] = {
@@ -122,21 +125,30 @@ class NameDictionary:
             GIVEN_TYPES: {},
         }
         self._probes: dict[str, tuple[tuple[str, ...], frozenset[NameType]]] = {}
-        kinds = tuple(self._readings.items())
-        for record in records:
-            latin = record.latin.lower()
-            for key in {latin, latin.replace("'", "")}:
-                known = self._types.get(key)
-                self._types[key] = (
-                    record.types
-                    if known is None
-                    else TYPE_COMBINATIONS[known | record.types]
+        # Each type combination's readings dicts: those of the kinds it meets.
+        joins = {
+            types: tuple(
+                readings
+                for kind, readings in self._readings.items()
+                if not kind.isdisjoint(types)
+            )
+            for types in TYPE_COMBINATIONS
+        }
+        index = self._types
+        for surface, latin, types in rows:
+            key = latin.lower()
+            known = index.get(key)
+            index[key] = types if known is None else TYPE_COMBINATIONS[known | types]
+            if "'" in key:
+                key = key.replace("'", "")
+                known = index.get(key)
+                index[key] = (
+                    types if known is None else TYPE_COMBINATIONS[known | types]
                 )
-            for kind, readings in kinds:
-                if not kind.isdisjoint(record.types):
-                    held = readings.get(record.surface, ())
-                    if record.latin not in held:
-                        readings[record.surface] = (*held, record.latin)
+            for readings in joins[types]:
+                held = readings.get(surface, ())
+                if latin not in held:
+                    readings[surface] = (*held, latin)
 
     def surface_readings(
         self, surface: str, kind: frozenset[NameType]

@@ -174,7 +174,14 @@ def stage_harvest(config: Config, store: SqliteStore, fetch: Fetch) -> RunStatis
     tables with the results in one transaction.  It writes no BHT file;
     with ``[harvester] filespath`` set, it saves each response there, and
     removes the later responses that an earlier run saved."""
-    dictionary = NameDictionary(store.load_name_records())
+    try:
+        dictionary = NameDictionary(store.load_name_records())
+    except KeyError as exc:
+        # Only a type code that -e did not write gets here.
+        raise PrerequisiteError(
+            f"the name dictionary table holds the unknown type code {exc.args[0]!r}; "
+            "run --enamdict again"
+        ) from None
     match_config = MatchConfig(config.lev_threshold, config.match_threshold)
     mode = "list" if config.use_list_records else (config.min_id, config.max_id)
     saving = (

@@ -13,7 +13,9 @@ recreate and fill their tables in one transaction, so a load or harvest
 that fails partway leaves the previous tables and their index as they
 were.  ``replace_names`` and ``replace_corpus`` insert the records or
 publications as an iterator yields them, and ``load_name_records``
-decodes each row as it is read, so none holds the whole data set.
+yields each row as a plain ``(surface, latin, types)`` tuple as it is
+read, so none holds the whole data set.  No stage reads the names
+table's ``reading`` column.
 ``replace_corpus`` keeps the first publication under each key, and skips
 the others with one warning.  It then fills ``dblpauthors`` from the
 stored author lists with one ``INSERT ... SELECT`` over ``json_each``.  A
@@ -239,13 +241,15 @@ class SqliteStore:
 
     # It returns a generator instead of being one: the query runs at the
     # call, and perfbench/tracing.py records one span for it, not one per row.
-    def load_name_records(self) -> Iterator[NameRecord]:
-        """The stored records in id order, each decoded from its row as the
-        iterator is read."""
+    def load_name_records(self) -> Iterator[tuple[str, str, frozenset[NameType]]]:
+        """The stored records in id order as ``(surface, latin, types)``
+        rows, ``types`` the shared set of its combination, decoded as the
+        iterator is read.  An unknown type code raises KeyError there.
+        The ``reading`` column is not read."""
         return (
-            NameRecord(surface, reading, latin, _CODE_TYPES[types])
-            for surface, reading, latin, types in self.connection.execute(
-                self._selects[self.names]
+            (surface, latin, _CODE_TYPES[types])
+            for surface, latin, types in self.connection.execute(
+                f"SELECT surface, latin, types FROM {self.names} ORDER BY id"
             )
         )
 

@@ -24,12 +24,17 @@ def name_records(names_fixture_path):
     return fixture_records(names_fixture_path)
 
 
+def dictionary_of(records) -> NameDictionary:
+    """The dictionary of ``records``, built from their (surface, latin,
+    types) rows as -h builds it from the store's."""
+    return NameDictionary((r.surface, r.latin, r.types) for r in records)
+
+
 @pytest.fixture(scope="session")
 def name_dictionary(name_records) -> NameDictionary:
-    return NameDictionary(name_records)
+    return dictionary_of(name_records)
 
 
 @pytest.fixture(scope="session")
 def name_dictionary_with_u(names_fixture_path) -> NameDictionary:
-    records = fixture_records(names_fixture_path, include_unclassified=True)
-    return NameDictionary(records)
+    return dictionary_of(fixture_records(names_fixture_path, include_unclassified=True))

@@ -1,10 +1,11 @@
 """Name splitting, kanji/Latin matching and candidate generation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jpbib.enamdict import NameRecord, NameType
+from jpbib.config import Config
+from jpbib.enamdict import TYPE_COMBINATIONS, NameRecord, NameType
 from jpbib.matching import (
     FAMILY_TYPES,
     GIVEN_TYPES,
@@ -19,6 +20,7 @@ from jpbib.matching import (
     resolve_author,
     split_latin_full_name,
 )
+from jpbib.store import SqliteStore
 
 
 def test_split_fused_uppercase_family(name_dictionary):
@@ -119,9 +121,9 @@ def test_dictionary_apostrophe_free_spelling_keeps_types():
     given = frozenset({NameType.GIVEN})
     dictionary = NameDictionary(
         [
-            NameRecord("純也", "じゅんや", "Jun'ya", given),
-            NameRecord("順谷", None, "Junya", surname),
-            NameRecord("森田", "もりだ", "Morida", surname),
+            ("純也", "Jun'ya", given),
+            ("順谷", "Junya", surname),
+            ("森田", "Morida", surname),
         ]
     )
     assert dictionary.probe("morida") == (("morida",), surname)
@@ -228,12 +230,12 @@ def test_kanji_candidates_multiple_splits():
     # Both 山 | 田太 and 山田 | 太 are accepted splits for 山田太.
     dictionary = NameDictionary(
         [
-            NameRecord("山", None, "Yama", surname),
-            NameRecord("田太", None, "Data", given),
-            NameRecord("山田", None, "Yamada", surname),
-            NameRecord("山田", None, "Yamata", surname),
-            NameRecord("太", None, "Futoshi", given),
-            NameRecord("太", None, "Hiroshi", given),
+            ("山", "Yama", surname),
+            ("田太", "Data", given),
+            ("山田", "Yamada", surname),
+            ("山田", "Yamata", surname),
+            ("太", "Futoshi", given),
+            ("太", "Hiroshi", given),
         ]
     )
     candidates = kanji_name_candidates("山田太", dictionary)
@@ -361,11 +363,8 @@ def test_probe_forms_past_the_cap():
 def test_split_finds_a_name_past_the_cap():
     dictionary = NameDictionary(
         [
-            NameRecord(
-                "青山", None, "Aaooyaamaakaasaamaataanaakaa",
-                frozenset({NameType.SURNAME}),
-            ),
-            NameRecord("太郎", None, "Taroo", frozenset({NameType.GIVEN})),
+            ("青山", "Aaooyaamaakaasaamaataanaakaa", frozenset({NameType.SURNAME})),
+            ("太郎", "Taroo", frozenset({NameType.GIVEN})),
         ]
     )
     person, hint = split_latin_full_name("Taro Aoyamakasamatanaka", dictionary)
@@ -377,52 +376,96 @@ def test_split_finds_a_name_past_the_cap():
 # form, with and without apostrophes, in either case.
 _latin = st.text(alphabet="aAk'", min_size=1, max_size=3)
 _surfaces = ["森", "田", "森田"]
-_records = st.lists(
-    st.builds(
-        NameRecord,
-        surface=st.sampled_from(_surfaces),
-        reading=st.none(),
-        latin=_latin,
-        types=st.frozensets(st.sampled_from(list(NameType)), min_size=1),
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from(_surfaces),
+        _latin,
+        st.frozensets(st.sampled_from(list(NameType)), min_size=1),
     ),
     max_size=8,
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_records, _latin)
-def test_dictionary_indexes_against_brute_force(records, probe):
-    dictionary = NameDictionary(records)
+def check_indexes_against_brute_force(dictionary, rows, probe):
+    """``dictionary``, built from the (surface, latin, types) ``rows``,
+    answers ``probe`` and each row's spellings as a scan of ``rows`` does."""
     probes = [probe] + [
         spelling
-        for record in records
-        for spelling in (record.latin, record.latin.replace("'", "").upper())
+        for _, latin, _ in rows
+        for spelling in (latin, latin.replace("'", "").upper())
     ]
-    for latin in probes:
+    for part in probes:
         # The type index holds each record under its lowercase spelling
         # and that spelling without apostrophes; probe reads it for every
         # spelling variant of the part.
-        forms = _probe_forms(latin)
+        forms = _probe_forms(part)
         expected = frozenset().union(
             *(
-                record.types
-                for record in records
-                if forms
-                & {record.latin.lower(), record.latin.lower().replace("'", "")}
+                types
+                for _, latin, types in rows
+                if forms & {latin.lower(), latin.lower().replace("'", "")}
             )
         )
-        assert dictionary.probe(latin)[1] == expected
+        assert dictionary.probe(part)[1] == expected
     for surface in _surfaces:
         for kind in (FAMILY_TYPES, GIVEN_TYPES):
             expected = []
-            for record in records:
-                if (
-                    record.surface == surface
-                    and record.types & kind
-                    and record.latin not in expected
-                ):
-                    expected.append(record.latin)
+            for row_surface, latin, types in rows:
+                if row_surface == surface and types & kind and latin not in expected:
+                    expected.append(latin)
             assert dictionary.surface_readings(surface, kind) == tuple(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows, _latin)
+def test_dictionary_indexes_against_brute_force(rows, probe):
+    check_indexes_against_brute_force(NameDictionary(rows), rows, probe)
+
+
+@pytest.fixture(scope="module")
+def names_store(tmp_path_factory):
+    config = Config(base_dir=str(tmp_path_factory.mktemp("names")), db_name="names")
+    with SqliteStore(config) as store:
+        yield store
+
+
+# Records as -e stores them: readings or none, apostrophes, a Latin form
+# whose lowercase is longer ("İ".lower() is two characters), surfaces shared
+# by several records with overlapping types, and any type combination,
+# the empty one included.
+_stored_records = st.lists(
+    st.builds(
+        NameRecord,
+        surface=st.sampled_from(_surfaces),
+        reading=st.sampled_from([None, "もり", "た"]),
+        latin=st.text(alphabet="aAk'İ", min_size=1, max_size=3),
+        types=st.sampled_from(list(TYPE_COMBINATIONS)),
+    ),
+    max_size=8,
+)
+_every_combination = [
+    NameRecord("森", None, latin, types)
+    for latin, types in zip(
+        ["Mori", "mori", "Mo'ri", "İmori", "MORİ", "Ta", "ta", "Ta'a"] * 4,
+        TYPE_COMBINATIONS,
+    )
+]
+
+
+@settings(max_examples=300, deadline=None)
+@example(_every_combination, "mori")
+@given(_stored_records, st.text(alphabet="aAk'İ", min_size=1, max_size=3))
+def test_dictionary_from_the_store_indexes_against_brute_force(
+    names_store, records, probe
+):
+    # The path -h takes: the records go in as -e stores them and come back
+    # as the store's (surface, latin, types) rows.
+    names_store.replace_names(records)
+    rows = list(names_store.load_name_records())
+    assert rows == [(r.surface, r.latin, r.types) for r in records]
+    assert all(types is TYPE_COMBINATIONS[types] for _, _, types in rows)
+    dictionary = NameDictionary(names_store.load_name_records())
+    check_indexes_against_brute_force(dictionary, rows, probe)
 
 
 @pytest.mark.parametrize(
@@ -447,13 +490,14 @@ def test_each_part_is_expanded_once_per_dictionary(name_records, monkeypatch):
         return latin_lookup_variants(name)
 
     monkeypatch.setattr("jpbib.matching.latin_lookup_variants", counting)
-    dictionary = NameDictionary(name_records)
+    rows = [(r.surface, r.latin, r.types) for r in name_records]
+    dictionary = NameDictionary(rows)
     for _ in range(10):
         resolution = resolve_author("Shinsuke Mori", "森信介", dictionary)
         assert resolution.status is NameStatus.OK
     assert sorted(expanded) == ["mori", "shinsuke"]
     # No cache outlives its dictionary: a new one expands the parts again.
-    resolve_author("Shinsuke Mori", "森信介", NameDictionary(name_records))
+    resolve_author("Shinsuke Mori", "森信介", NameDictionary(rows))
     assert sorted(expanded) == ["mori", "mori", "shinsuke", "shinsuke"]
 
 
@@ -490,9 +534,8 @@ def _probe_scenarios(draw):
         else:
             latin = draw(_mixed_case_parts())
         records.append(
-            NameRecord(
+            (
                 draw(st.sampled_from(["森", "田", "森田", "信介"])),
-                None,
                 latin,
                 draw(st.frozensets(st.sampled_from(list(NameType)), min_size=1)),
             )
@@ -509,12 +552,12 @@ def test_probe_memo_against_brute_force(scenario):
         forms = _probe_forms(part.lower())  # probing ignores case
         known: set[str] = set()
         types: frozenset[NameType] = frozenset()
-        for record in records:
-            latin = record.latin.lower()
+        for _, latin, record_types in records:
+            latin = latin.lower()
             hits = {latin, latin.replace("'", "")} & forms
             if hits:
                 known |= hits
-                types |= record.types
+                types |= record_types
         probed_forms, probed_types = dictionary.probe(part)
         assert sorted(probed_forms) == sorted(known)
         assert probed_types == types

@@ -219,10 +219,26 @@ def store(tmp_path):
         yield handle
 
 
+def stored_names(store: SqliteStore) -> tuple[list, list]:
+    """The names table in id order: the (surface, latin, types) rows that
+    -h reads, and the reading column, which no stage reads."""
+    readings = store.connection.execute(
+        f"SELECT reading FROM {store.names} ORDER BY id"
+    )
+    return list(store.load_name_records()), [reading for (reading,) in readings]
+
+
+def as_stored(records) -> tuple[list, list]:
+    """``stored_names`` of a store whose names table holds ``records``."""
+    return [(r.surface, r.latin, r.types) for r in records], [
+        r.reading for r in records
+    ]
+
+
 def test_store_names_roundtrip(store, name_records):
     assert store.replace_names(name_records) == len(name_records)
     assert store.has_names()
-    assert list(store.load_name_records()) == name_records
+    assert stored_names(store) == as_stored(name_records)
 
 
 def test_store_name_types_roundtrip_every_subset(store):
@@ -240,7 +256,7 @@ def test_store_name_types_roundtrip_every_subset(store):
         NameRecord("森", None, f"Mori{i}", types) for i, types in enumerate(subsets)
     ]
     store.replace_names(records)
-    assert list(store.load_name_records()) == records
+    assert stored_names(store) == as_stored(records)
     # The stored codes follow NameType order, as before the code tables.
     codes = store.connection.execute(f"SELECT types FROM {store.names} ORDER BY id")
     assert [code for (code,) in codes] == [
@@ -270,7 +286,7 @@ def test_store_names_load_that_fails_partway_keeps_the_previous_names(tmp_path):
         with pytest.raises(OSError):
             reopened.replace_names(records())
     with SqliteStore(config) as reopened:
-        assert list(reopened.load_name_records()) == previous
+        assert stored_names(reopened) == as_stored(previous)
 
 
 def test_store_corpus_roundtrip(store):
@@ -893,6 +909,22 @@ def test_run_harvest_without_the_dictionary_table_fails(tmp_path, capsys):
     assert requests == []
 
 
+def test_run_harvest_over_an_unknown_type_code_names_enamdict(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    assert run(["--config", str(config), "-d", "-e"]) == 0
+    with SqliteStore(parse_config(str(config))) as opened:
+        opened.connection.execute(f"UPDATE {opened.names} SET types='gs' WHERE id=1")
+        opened.flush()
+    capsys.readouterr()
+    requests = []
+    assert run(["--config", str(config), "-h"], fetch=requests.append) == 3
+    assert capsys.readouterr().err == (
+        "prerequisite error: the name dictionary table holds the unknown type "
+        "code 'gs'; run --enamdict again\n"
+    )
+    assert requests == []
+
+
 def test_run_concatenate_without_bht_fails(tmp_path, capsys):
     config = make_config_file(tmp_path)
     assert run(["--config", str(config), "--concatenate-bht"]) == 3
@@ -934,7 +966,7 @@ def test_run_enamdict_that_is_not_utf8_keeps_the_previous_names(tmp_path, capsys
     config = make_config_file(tmp_path)
     assert run(["--config", str(config), "-e"]) == 0
     with SqliteStore(parse_config(str(config))) as opened:
-        previous = list(opened.load_name_records())
+        previous = stored_names(opened)
     # The historical ENAMDICT encoding.
     euc_jp = tmp_path / "enamdict.euc"
     fixture = FIXTURES / "names_fixture.txt"
@@ -947,10 +979,12 @@ def test_run_enamdict_that_is_not_utf8_keeps_the_previous_names(tmp_path, capsys
     assert err.count("\n") == 1
     assert str(euc_jp) in err and "iconv -f EUC-JP -t UTF-8" in err
     with SqliteStore(parse_config(str(config))) as opened:
-        assert list(opened.load_name_records()) == previous
+        assert stored_names(opened) == previous
 
 
 def test_run_enamdict_reads_past_a_byte_order_mark(tmp_path, capsys):
+    from jpbib.enamdict import NameType
+
     config = make_config_file(tmp_path)
     fixture = FIXTURES / "names_fixture.txt"
     # A record on the first line, after the mark.
@@ -961,8 +995,10 @@ def test_run_enamdict_reads_past_a_byte_order_mark(tmp_path, capsys):
     assert run(["--config", str(config), "-e"]) == 0
     capsys.readouterr()
     with SqliteStore(parse_config(str(config))) as opened:
-        [record] = opened.load_name_records()
-    assert (record.surface, record.reading, record.latin) == ("森", "もり", "Mori")
+        assert stored_names(opened) == (
+            [("森", "Mori", frozenset({NameType.SURNAME}))],
+            ["もり"],
+        )
 
 
 def test_run_enamdict_streams_and_rolls_back_a_late_decode_error(
@@ -971,7 +1007,7 @@ def test_run_enamdict_streams_and_rolls_back_a_late_decode_error(
     config = make_config_file(tmp_path)
     assert run(["--config", str(config), "-e"]) == 0
     with SqliteStore(parse_config(str(config))) as opened:
-        previous = list(opened.load_name_records())
+        previous = stored_names(opened)
     # More than 128 KiB of valid lines, then one line that is not UTF-8.
     valid = "".join(f"森{i} [もり] /Mori{i} (s)/\n" for i in range(6000))
     assert len(valid.encode("utf-8")) > 128 * 1024
@@ -1005,7 +1041,7 @@ def test_run_enamdict_streams_and_rolls_back_a_late_decode_error(
     assert iter(records) is records
     assert drawn > 0
     with SqliteStore(parse_config(str(config))) as opened:
-        assert list(opened.load_name_records()) == previous
+        assert stored_names(opened) == previous
 
 
 def test_run_enamdict_logs_each_warning_in_line_order_then_the_counts(
