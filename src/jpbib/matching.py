@@ -97,8 +97,10 @@ class NameDictionary:
     It answers the two questions resolution asks: which name types a
     Latin spelling has, and which family or given readings a kanji
     surface has.  Latin lookups are case-insensitive and succeed for both
-    spellings of apostrophe-bearing names; readings keep dictionary
-    order, which defines the candidate ordering downstream.
+    spellings of apostrophe-bearing names, and so does the kanji match
+    against such a reading: "Shinichi" fits the reading "Shin'ichi".
+    Readings keep dictionary order, which defines the candidate ordering
+    downstream.
 
     It is built from ``(surface, latin, types)`` rows, as
     ``SqliteStore.load_name_records`` yields them, read one at a time: the
@@ -113,8 +115,9 @@ class NameDictionary:
     once and memoizes, per lowercased part, the variants the dictionary
     holds and their types.  The memo lives as long as the dictionary,
     which the harvest builds once per run.  Variants that are no key of
-    the type index are not kept: every reading's lowercase form is such
-    a key, so no other variant can ever match a reading.
+    the type index are not kept: every reading's lowercase form, with
+    and without its apostrophes, is such a key, so no other variant can
+    ever match a reading.
     """
 
     def __init__(self, rows):
@@ -291,11 +294,15 @@ def _categorize_hint(
 def _part_hit(
     readings: tuple[str, ...], forms: tuple[str, ...] | None, initial: str
 ) -> bool:
-    # A reading fits a Latin name part when it is one of the part's probe
-    # forms or, for an abbreviated part (no forms), starts with its initial.
+    # A reading fits a Latin name part when its lowercase form, with or
+    # without its apostrophes, is one of the part's probe forms or, for an
+    # abbreviated part (no forms), starts with its initial.
+    keys = map(str.lower, readings)
     if forms is None:
-        return any(reading.lower().startswith(initial) for reading in readings)
-    return any(reading.lower() in forms for reading in readings)
+        return any(key.startswith(initial) for key in keys)
+    return any(
+        key in forms or ("'" in key and key.replace("'", "") in forms) for key in keys
+    )
 
 
 def match_latin_kanji(

@@ -21,7 +21,9 @@ the others with one warning.  It then fills ``dblpauthors`` from the
 stored author lists with one ``INSERT ... SELECT`` over ``json_each``.  A
 harvested identifier that arrives again replaces its earlier rows and
 keeps its publication id; ``harvested`` reads the publications back in id
-order.
+order, each with its author and title rows, read by ``publication_id``
+through the child tables' indexes.  The contributor and description rows
+are stored but not read back, since the BHT export renders neither.
 
 Each connection registers the SQL function ``jpbib_title``, which is
 ``dblp.normalize_title``.  The index ``dblp_title`` on
@@ -147,11 +149,8 @@ class SqliteStore:
         f"VALUES ({', '.join('?' * len(columns))})"
         for table, columns in _columns.items()
     }
-    # A child table's rows in publication and position order, the others'
-    # in id order.
     _selects = {
-        table: f"SELECT {', '.join(columns)} FROM {table} ORDER BY "
-        + ("publication_id, position" if _TABLES[table].startswith(_CHILD) else "id")
+        table: f"SELECT {', '.join(columns)} FROM {table} ORDER BY id"
         for table, columns in _columns.items()
     }
     title_index = "dblp_title"
@@ -207,8 +206,9 @@ class SqliteStore:
             f"CREATE TABLE {table} (id INTEGER PRIMARY KEY, {_TABLES[table]});"
             for table in tables
         )
-        # remove_harvested deletes a repeated identifier's child rows by
-        # publication_id; without these, each repeat scans the whole table.
+        # remove_harvested deletes a repeated identifier's child rows, and
+        # harvested reads each publication's author and title rows, by
+        # publication_id; without these, each one scans the whole table.
         schema += "".join(
             f"CREATE INDEX {self.child_indexes[table]} ON {table} (publication_id);"
             for table in tables
@@ -395,31 +395,26 @@ class SqliteStore:
         self,
     ) -> Iterator[tuple[HarvestedPublication, list[AuthorResolution], str | None]]:
         """Each stored publication in id order, with its author resolutions
-        and corpus key, as ``add_harvested`` received them.  The rows are
-        read as the items are taken, one publication's worth at a time."""
-        publications = self.connection.execute(self._selects[self.publications])
-        cursors = [
-            self.connection.execute(self._selects[table]) for table in self.child_tables
-        ]
-        # Each cursor's next (publication_id, position, ...) row, read one
-        # ahead; (None,) once it has ended.
-        heads = [next(cursor, (None,)) for cursor in cursors]
-        for publication_id, *values, dblp_key in publications:
-            children = []
-            for index, cursor in enumerate(cursors):
-                rows = []
-                while heads[index][0] == publication_id:
-                    rows.append(heads[index][2:])
-                    heads[index] = next(cursor, (None,))
-                children.append(rows)
-            authors, titles, contributors, descriptions = children
+        and corpus key, as ``add_harvested`` received them, except that its
+        contributors and descriptions are left empty: the BHT export never
+        renders them, so they are stored but not read back.  A
+        publication's author and title rows are read as its item is taken,
+        by ``publication_id`` through each table's index."""
+        authors_sql, titles_sql = (
+            f"SELECT {', '.join(self._columns[table][2:])} FROM {table} "
+            "WHERE publication_id = ? ORDER BY position"
+            for table in (self.authors, self.titles)
+        )
+        execute = self.connection.execute
+        for publication_id, *values, dblp_key in execute(
+            self._selects[self.publications]
+        ):
+            authors = execute(authors_sql, (publication_id,)).fetchall()
             yield (
                 HarvestedPublication(
                     **dict(zip(self.publication_fields, values)),
-                    titles=titles,
+                    titles=execute(titles_sql, (publication_id,)).fetchall(),
                     creators=[author[:2] for author in authors],
-                    contributors=contributors,
-                    descriptions=descriptions,
                 ),
                 [_resolution(*author[2:]) for author in authors],
                 dblp_key,

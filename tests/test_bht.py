@@ -83,6 +83,8 @@ def test_date_label():
     assert date_label("2011-10-15") == "October 2011"
     assert date_label("2011-10") == "October 2011"
     assert date_label("2011") == "2011"
+    # A date with no four-digit year is shown as given.
+    assert date_label("Heisei 23") == "Heisei 23"
     assert date_label(None) is None
 
 

@@ -213,6 +213,24 @@ def test_roundtrip_single_sense_entries():
         assert parsed == [record]
 
 
+@pytest.mark.parametrize(
+    "line, latins, kinds",
+    [
+        # A reading outside brackets leaves a head that is no surface.
+        ("森 もり /Mori (s)/", [], ["malformed-type-block"]),
+        # An unclosed type block names no type.
+        ("森 /Mori (s/", [], ["stray-bracket"]),
+        (" \t \n", [], []),
+        # An empty sense is skipped.
+        ("森 /Mori (s)//Moriya (s)/", ["Mori", "Moriya"], []),
+    ],
+)
+def test_irregular_lines(line, latins, kinds):
+    records, warnings = parse_entry_line(line, False)
+    assert [r.latin for r in records] == latins
+    assert [w.kind for w in warnings] == kinds
+
+
 def test_malformed_line_yields_warning_only():
     records, warnings = parse_entry_line("not a dictionary line", False)
     assert records == []

@@ -256,11 +256,29 @@ def test_kanji_candidates_single_combination(name_dictionary):
     assert candidates == [PersonName("Shinsuke", "Mori")]
 
 
+def test_split_with_only_a_leading_surname_puts_the_family_first(name_dictionary):
+    # "Xyzzy" has no type; the known surname still fixes the orientation.
+    person, hint = split_latin_full_name("Mori Xyzzy", name_dictionary)
+    assert person == PersonName("Xyzzy", "Mori")
+    assert hint is NameStatus.NOT_FOUND_IN_DICTIONARY
+
+
 def test_resolve_author_full_pipeline(name_dictionary):
     resolution = resolve_author("Shinsuke Mori", "森信介", name_dictionary)
     assert resolution.status is NameStatus.OK
     assert resolution.latin == PersonName("Shinsuke", "Mori")
     assert resolution.kanji == PersonName("信介", "森")
+
+
+@pytest.mark.parametrize("latin", ["Shin'ichi Mori", "Shin-ichi Mori", "Shinichi Mori"])
+def test_resolve_author_finds_an_apostrophe_reading_in_any_spelling(
+    name_dictionary, latin
+):
+    # The dictionary reads 真一 as Shin'ichi, and "Shinichi" probes as
+    # "shinichi" alone: the reading fits only without its apostrophe.
+    resolution = resolve_author(latin, "森真一", name_dictionary)
+    assert resolution.status is NameStatus.OK
+    assert resolution.kanji == PersonName("真一", "森")
 
 
 def test_resolve_author_bad_quality_sticks(name_dictionary):

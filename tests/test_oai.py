@@ -399,6 +399,18 @@ def test_parse_junii2_contributors_and_descriptions():
     assert publication.descriptions == [("An abstract.", "en")]
 
 
+def test_parse_junii2_open_page_range_and_identifier_url():
+    payload = junii2_payload(titles=[("T", "en")], creators=[], spage="12")
+    payload = payload.replace(
+        "</junii2>", "<identifier>http://example.org/12</identifier></junii2>"
+    )
+    publication = parse_junii2(ET.fromstring(payload), "x")
+    # A start page alone leaves the range open; with no <URI>, an http
+    # <identifier> is the electronic edition.
+    assert publication.pages == "12-"
+    assert publication.source_url == "http://example.org/12"
+
+
 def test_harvest_list_mode_yields_all(provider):
     results = list(harvest(ENDPOINT, "junii2", "list", fetch=provider.fetch))
     assert len(results) == 250

@@ -9,7 +9,7 @@ import os
 import re
 import shutil
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -655,6 +655,55 @@ def test_store_remove_harvested_finds_the_child_rows_through_an_index(
         )
 
 
+def test_store_harvested_reads_only_the_rendered_rows_through_an_index(
+    store, name_dictionary
+):
+    from jpbib.matching import resolve_author
+
+    # The export renders authors and titles only: the contributor and
+    # description tables are not read, and the other two are read one
+    # publication at a time by its id.
+    publications = [
+        oai.HarvestedPublication(
+            f"oai:mock:{number}", [(f"Title {number}", "en")], [("Jane Doe", None)],
+            contributors=[("Contributor", "en")], descriptions=[("Text", "en")],
+        )
+        for number in (1, 2)
+    ]
+    with store.replace_harvest():
+        for publication in publications:
+            store.add_harvested(
+                publication, [resolve_author("Jane Doe", None, name_dictionary)]
+            )
+    statements = []
+    store.connection.set_trace_callback(statements.append)
+    items = list(store.harvested())
+    store.connection.set_trace_callback(None)
+    assert [(p.titles, p.creators) for p, _, _ in items] == [
+        (p.titles, p.creators) for p in publications
+    ]
+    assert not [
+        statement
+        for statement in statements
+        for table in (store.contributors, store.descriptions)
+        if table in statement
+    ]
+    reads = [
+        (table, statement)
+        for statement in statements
+        for table in store.child_indexes
+        if f" FROM {table} " in statement
+    ]
+    assert sorted(table for table, _ in reads) == sorted(
+        [store.authors, store.titles] * len(publications)
+    )
+    for table, read in reads:
+        plan = store.connection.execute(f"EXPLAIN QUERY PLAN {read}").fetchall()
+        assert any(
+            f"USING INDEX {store.child_indexes[table]}" in row[-1] for row in plan
+        )
+
+
 _corpus_titles = st.lists(
     st.tuples(
         st.sampled_from(["One", "one.", " ONE ", "Two", "two..", "Three"]),
@@ -808,7 +857,23 @@ def test_store_harvested_reads_back_many_publications_in_id_order(store):
         assert store.remove_harvested(also_gone[0].identifier) == 5
         assert store.remove_harvested(first[0].identifier) == 1
         assert store.add_harvested(*again, publication_id=1) == 1
-    assert list(store.harvested()) == [again, second, bare, last]
+    kept = [again, second, bare, last]
+    # The export renders no contributor or description, so they are not
+    # read back; their rows are still stored, and read here directly.
+    assert list(store.harvested()) == [
+        (replace(publication, contributors=[], descriptions=[]), resolutions, key)
+        for publication, resolutions, key in kept
+    ]
+    for publication, _, _ in kept:
+        stored = stored_rows(store, publication.identifier)
+        assert stored["contributors"] == publication.contributors
+        assert stored["descriptions"] == publication.descriptions
+    for table, field in (
+        (store.contributors, "contributors"),
+        (store.descriptions, "descriptions"),
+    ):
+        count = store.connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
+        assert count[0] == sum(len(getattr(p, field)) for p, _, _ in kept)
 
 
 def stored_rows(store, identifier):
@@ -1922,6 +1987,27 @@ def test_a_shorter_harvest_leaves_no_response_of_a_longer_one(tmp_path, capsys):
 
     assert run(["--config", str(config), "-h"], fetch=failing) == 1
     assert saved_responses(config) == sorted([*responses[:1], *others])
+    capsys.readouterr()
+
+
+def test_an_empty_filespath_saves_and_removes_no_response(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    responses = ["000001.xml", "000002.xml", "000003.xml"]
+    assert run(["--config", str(config), "--all"], fetch=build_provider().fetch) == 0
+    saved = {
+        name: (tmp_path / "files-harvester" / name).read_bytes() for name in responses
+    }
+    config.write_text(
+        config.read_text().replace("filespath=./files-harvester\n", "filespath=\n")
+    )
+    # One ListRecords page, which a saving run would write as 000001.xml
+    # and then remove the other two.
+    shorter = build_provider(page_size=1000).fetch
+    assert run(["--config", str(config), "-h"], fetch=shorter) == 0
+    assert sorted(path.name for path in tmp_path.rglob("*.xml")) == responses
+    assert {
+        name: (tmp_path / "files-harvester" / name).read_bytes() for name in responses
+    } == saved
     capsys.readouterr()
 
 
