@@ -4,8 +4,11 @@ A harvested author usually arrives as a kanji string without separators
 plus a Latin transcription.  The dictionary tells us which readings are
 surnames and which are given names, so the kanji string is tried at
 every split point until a (family, given) pair is found whose readings
-match some transcription variant of the Latin name.  Every author ends
-up with exactly one status describing how well that worked.
+match some transcription variant of the Latin name: each Latin name part
+is probed in every spelling ``latin_lookup_variants`` gives it.  A name
+in another script (Hangul, Cyrillic ...) that comes without a kanji form
+is kept as written.  Every author ends up with exactly one status
+describing how well that worked.
 """
 
 import enum
@@ -16,9 +19,7 @@ from dataclasses import dataclass, field
 from .enamdict import TYPE_COMBINATIONS, NameType
 from .transcription import (
     EmptyNameError,
-    NormalizedLatin,
     VariantExplosionError,
-    consonant_variants,
     expand_double_vowels,
     fully_doubled,
     normalize_latin,
@@ -166,7 +167,9 @@ class NameDictionary:
         key = part.lower()
         probed = self._probes.get(key)
         if probed is None:
-            forms = tuple(form for form in _probe_forms(key) if form in self._types)
+            forms = tuple(
+                form for form in latin_lookup_variants(key) if form in self._types
+            )
             # The memo keeps the shared set of the union's combination.
             types = TYPE_COMBINATIONS[
                 frozenset().union(*(self._types[form] for form in forms))
@@ -183,34 +186,23 @@ def detect_abbreviated(raw: str) -> bool:
     return any(_ABBREV_TOKEN_RE.match(token) for token in raw.split())
 
 
-def latin_lookup_variants(name: str) -> list[str]:
-    """All spellings probed against the dictionary for one name token.
+def latin_lookup_variants(name: str) -> set[str]:
+    """All lowercase spellings probed against the dictionary for one
+    name part.
 
-    Composition: Hepburn conversion, length-h removal, separator and
-    nasal-consonant alternatives, then vowel doubling; the input itself
-    always comes first.  Propagates VariantExplosionError.
+    The part itself, and the product of ``expand_double_vowels`` over
+    each separator form of its Hepburn base with length h's removed.
+    Past ``VOWEL_SITE_CAP`` only the part, that base and the base fully
+    doubled.  The part is lowercased first: the Hepburn table knows
+    lowercase and capitalized spellings only, and no other step depends
+    on case.
     """
-    base = strip_length_h(to_hepburn(name))
-    out = {name: None}
-    for form in separator_forms(base):
-        for candidate in consonant_variants(form.text):
-            variants = expand_double_vowels(
-                NormalizedLatin(candidate, form.lengthening_positions)
-            )
-            out.update(dict.fromkeys(variants))
-    return list(out)
-
-
-def _probe_forms(name: str) -> set[str]:
-    # Lowercase first: the Hepburn table knows lowercase and capitalized
-    # spellings only, and no other step depends on case.
     name = name.lower()
+    base = strip_length_h(to_hepburn(name))
     try:
-        return set(latin_lookup_variants(name))
+        return {name}.union(*map(expand_double_vowels, separator_forms(base)))
     except VariantExplosionError:
-        # Past the cap only the unmodified and fully doubled spellings.
-        base = strip_length_h(to_hepburn(name)).text
-        return {name, base, fully_doubled(base)}
+        return {name, base.text, fully_doubled(base.text)}
 
 
 def split_latin_full_name(
@@ -416,7 +408,11 @@ def resolve_author(
         try:
             latin_text = normalize_latin(latin_raw)
         except EmptyNameError:
-            latin_text = None  # nothing usable survives normalization
+            # Nothing Latin survives: a name in another script.  With no
+            # kanji form beside it, it stands as the unsplit original.
+            if not kanji_raw:
+                original = " ".join(latin_raw.split())
+                return AuthorResolution(None, PersonName("", original))
 
     if latin_text is None:
         resolution = match_latin_kanji(None, kanji_raw or "", dictionary)

@@ -3,9 +3,12 @@
 Japanese names reach us romanized in inconsistent ways: kunrei-style
 spellings (zi, si, tu ...), vowel length marked with a macron, with a
 trailing h, or dropped entirely, separators written as apostrophe or
-hyphen or omitted, and occasionally fullwidth Latin codepoints.  The
-name dictionary stores Hepburn spellings with explicit double vowels and
-apostrophe separators, so every probe goes through the converters here.
+hyphen or omitted, ん before b, m or p written as m or n, and
+occasionally fullwidth Latin codepoints.  The name dictionary stores
+Hepburn spellings with explicit double vowels and apostrophe separators,
+so every probe goes through the converters here.  One walk over a name
+lists its vowel and nasal sites with their spellings, and
+``expand_double_vowels`` is the product over them.
 """
 
 import itertools
@@ -17,7 +20,6 @@ __all__ = [
     "EmptyNameError",
     "NormalizedLatin",
     "VariantExplosionError",
-    "consonant_variants",
     "expand_double_vowels",
     "fully_doubled",
     "normalize_latin",
@@ -162,21 +164,25 @@ _DOUBLINGS = {
     "o": ("o", "oo", "ou"),
 }
 _DIGRAPHS = {"aa", "ii", "uu", "ee", "ei", "oo", "ou"}
+# The nasal ん before b, m or p is heard as m and written either way.
+_NASALS = {"m": ("m", "n"), "n": ("n", "m"), "M": ("M", "N"), "N": ("N", "M")}
 
 
 def _vowel_segments(
     text: str, lengthened: list[int]
 ) -> tuple[list[tuple[str, ...]], int]:
     # The spellings of each piece of ``text`` in order, and how many
-    # pieces are single vowels with more than one spelling.
+    # pieces are single vowels with more than one spelling.  An m or n
+    # before b, m or p has two spellings too, but is not counted.
     segments: list[tuple[str, ...]] = []
     site_count = 0
     i = 0
     while i < len(text):
         ch = text[i]
         low = ch.lower()
+        following = text[i + 1:i + 2].lower()
         if low in _VOWELS:
-            if i + 1 < len(text) and low + text[i + 1].lower() in _DIGRAPHS:
+            if low + following in _DIGRAPHS:
                 segments.append((text[i:i + 2],))
                 i += 2
                 continue
@@ -186,6 +192,8 @@ def _vowel_segments(
             # Rebuild each option on the original character to keep case.
             segments.append(tuple(ch + opt[1:] for opt in options))
             site_count += 1
+        elif ch in _NASALS and following in ("b", "m", "p"):
+            segments.append(_NASALS[ch])
         else:
             segments.append((ch,))
         i += 1
@@ -196,11 +204,13 @@ def expand_double_vowels(base: NormalizedLatin) -> list[str]:
     """Enumerate the spellings a name takes under vowel doubling.
 
     Every single vowel may also appear doubled (o and e each have two
-    doublings: oo/ou resp. ee/ei); the variants are the cartesian product
-    over all such sites.  Sites listed in ``lengthening_positions`` are
-    known to be long, so their undoubled spelling is omitted.  Existing
-    double vowels are kept as-is.  More than ``VOWEL_SITE_CAP``
-    expandable sites raises VariantExplosionError.
+    doublings: oo/ou resp. ee/ei), and an m or n before b, m or p may
+    also appear as the other nasal; the variants are the cartesian
+    product over all such sites.  Sites listed in
+    ``lengthening_positions`` are known to be long, so their undoubled
+    spelling is omitted.  Existing double vowels are kept as-is.  More
+    than ``VOWEL_SITE_CAP`` expandable vowel sites raises
+    VariantExplosionError; nasal sites do not count toward the cap.
     """
     segments, site_count = _vowel_segments(base.text, base.lengthening_positions)
     if site_count > VOWEL_SITE_CAP:
@@ -211,28 +221,16 @@ def expand_double_vowels(base: NormalizedLatin) -> list[str]:
 def fully_doubled(text: str) -> str:
     """``text`` with every single vowel doubled (aa, ii, uu, ee, oo).
 
-    Existing double vowels are kept.  This is the one doubled spelling
-    probed for a name past ``VOWEL_SITE_CAP``.
+    Existing double vowels and every nasal are kept.  This is the one
+    doubled spelling probed for a name past ``VOWEL_SITE_CAP``.
     """
     segments, _ = _vowel_segments(text, [])
+    # A single vowel's first spelling is a key of _DOUBLINGS; that of a
+    # double vowel ("ou") or a nasal is not.
     return "".join(
-        options[1] if len(options) > 1 else options[0] for options in segments
+        options[1] if options[0].lower() in _DOUBLINGS else options[0]
+        for options in segments
     )
-
-
-def consonant_variants(name: str) -> list[str]:
-    """The input plus every m/n swap before b or p.
-
-    The nasal before b or p is heard as m and written either way, so each
-    such site yields both spellings; all combinations are returned, input
-    first.
-    """
-    swaps = {"m": "n", "n": "m", "M": "N", "N": "M"}
-    options = [
-        (ch, swaps[ch]) if ch in swaps and following in "bBpP" else (ch,)
-        for ch, following in zip(name, name[1:] + " ")
-    ]
-    return ["".join(chars) for chars in itertools.product(*options)]
 
 
 def separator_forms(base: NormalizedLatin) -> list[NormalizedLatin]:

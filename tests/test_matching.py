@@ -1,5 +1,7 @@
 """Name splitting, kanji/Latin matching and candidate generation."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,6 @@ from jpbib.matching import (
     NameDictionary,
     NameStatus,
     PersonName,
-    _probe_forms,
     detect_abbreviated,
     kanji_name_candidates,
     latin_lookup_variants,
@@ -21,6 +22,13 @@ from jpbib.matching import (
     split_latin_full_name,
 )
 from jpbib.store import SqliteStore
+from jpbib.transcription import (
+    VOWEL_SITE_CAP,
+    separator_forms,
+    strip_length_h,
+    to_hepburn,
+)
+from test_transcription import swap_consonants, vowel_pieces
 
 
 def test_split_fused_uppercase_family(name_dictionary):
@@ -85,24 +93,68 @@ def test_detect_abbreviated():
 
 def test_latin_lookup_variants_gotoh():
     variants = latin_lookup_variants("Gotoh")
-    assert variants[0] == "Gotoh"
-    assert "Gotou" in variants and "Gotoo" in variants
-    assert "Goto" not in variants  # the removed h marked the vowel long
+    assert "gotoh" in variants  # the part itself, lowercased
+    assert "gotou" in variants and "gotoo" in variants
+    assert "goto" not in variants  # the removed h marked the vowel long
 
 
 def test_latin_lookup_variants_mori():
     variants = latin_lookup_variants("Mori")
-    assert variants[0] == "Mori"
-    assert {"Mori", "Moori", "Mouri"} <= set(variants)
+    assert {"mori", "moori", "mouri"} <= variants
+    assert "Mori" not in variants
 
 
 def test_latin_lookup_variants_kai():
-    assert latin_lookup_variants("Kai")[0] == "Kai"
+    assert latin_lookup_variants("KAI") == {"kai", "kaai", "kaii", "kaaii"}
 
 
 def test_latin_lookup_variants_deduplicated():
-    variants = latin_lookup_variants("Shin'ichi")
-    assert len(variants) == len(set(variants))
+    variants = latin_lookup_variants("Shin-ichi")
+    assert isinstance(variants, set)
+    assert {"shin'ichi", "shin-ichi", "shinichi"} <= variants
+
+
+def reference_lookup_variants(part: str) -> set[str]:
+    """The reference for ``latin_lookup_variants``, composed as separate
+    steps: separator forms, then the m/n swaps of ``swap_consonants``,
+    then vowel doubling by ``vowel_pieces``.  Past the cap, the part, its
+    Hepburn base and that base with every single vowel doubled."""
+    part = part.lower()
+    base = strip_length_h(to_hepburn(part))
+    variants = {part}
+    for form in separator_forms(base):
+        for candidate in swap_consonants(form.text):
+            pieces = vowel_pieces(candidate, form.lengthening_positions)
+            if sum(len(spellings) > 1 for spellings in pieces) > VOWEL_SITE_CAP:
+                doubled = "".join(
+                    spellings[1] if len(spellings) > 1 else spellings[0]
+                    for spellings in vowel_pieces(base.text)
+                )
+                return {part, base.text, doubled}
+            variants.update(map("".join, itertools.product(*pieces)))
+    return variants
+
+
+# Vowels, nasal sites, length h's and separators.  The second strategy
+# joins nine to twelve one-vowel syllables, so its parts are mostly past
+# VOWEL_SITE_CAP.
+_walk_parts = st.one_of(
+    st.text(alphabet="aeiouAEIOUmnbpMNBPhHyY'-", max_size=12),
+    st.lists(
+        st.sampled_from(["ka", "Mi", "nbu", "pe", "ho", "y'o", "-a", "mmU", "oh"]),
+        min_size=9,
+        max_size=12,
+    ).map("".join),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@example("Sambamatakayamada")  # eight vowel sites and a nasal site
+@example("Aoyamakasamatanaka")
+@example("Homma")
+@given(_walk_parts)
+def test_latin_lookup_variants_equal_the_reference(part):
+    assert latin_lookup_variants(part) == reference_lookup_variants(part)
 
 
 def test_dictionary_lookup_succeeds_for_both_apostrophe_spellings(name_dictionary):
@@ -186,8 +238,31 @@ def test_match_latin_kanji_self_consistency(name_dictionary):
     )
     assert resolution.status is NameStatus.OK
     readings = name_dictionary.surface_readings(resolution.kanji.family, FAMILY_TYPES)
-    forms = {v.lower() for v in latin_lookup_variants("Nakamura")}
+    forms = latin_lookup_variants("Nakamura")
     assert any(reading.lower() in forms for reading in readings)
+
+
+def test_abbreviated_without_a_unique_split_keeps_the_unsplit_kanji(
+    name_dictionary,
+):
+    # No given reading of any split starts with x.
+    resolution = resolve_author("X. Mori", "森信介", name_dictionary)
+    assert resolution.status is NameStatus.ABBREVIATED
+    assert resolution.kanji == PersonName("", "森信介")
+
+
+def test_n_before_m_matches_either_spelling():
+    # Traditional Hepburn writes ん as m before m too: 本間 is "Homma",
+    # and the dictionary spells it "Honma".
+    dictionary = NameDictionary(
+        [
+            ("本間", "Honma", frozenset({NameType.SURNAME})),
+            ("和彦", "Kazuhiko", frozenset({NameType.MALE_GIVEN})),
+        ]
+    )
+    resolution = resolve_author("Kazuhiko Homma", "本間和彦", dictionary)
+    assert resolution.status is NameStatus.OK
+    assert resolution.kanji == PersonName("和彦", "本間")
 
 
 def test_abbreviated_with_unique_kanji_split(name_dictionary):
@@ -366,12 +441,12 @@ def test_resolution_invariants_over_mock_corpus(name_dictionary):
 def test_probe_forms_past_the_cap():
     # Ten expandable vowel sites: only the input and the fully doubled
     # spelling are probed.
-    assert _probe_forms("Aoyamakasamatanaka") == {
+    assert latin_lookup_variants("Aoyamakasamatanaka") == {
         "aoyamakasamatanaka",
         "aaooyaamaakaasaamaataanaakaa",
     }
     # The length-h site doubles to "oo", not "ou".
-    assert _probe_forms("Ohtakasamatanakaya") == {
+    assert latin_lookup_variants("Ohtakasamatanakaya") == {
         "ohtakasamatanakaya",
         "otakasamatanakaya",
         "ootaakaasaamaataanaakaayaa",
@@ -416,7 +491,7 @@ def check_indexes_against_brute_force(dictionary, rows, probe):
         # The type index holds each record under its lowercase spelling
         # and that spelling without apostrophes; probe reads it for every
         # spelling variant of the part.
-        forms = _probe_forms(part)
+        forms = latin_lookup_variants(part)
         expected = frozenset().union(
             *(
                 types
@@ -539,7 +614,7 @@ def _probe_scenarios(draw):
     # Name parts, and records whose Latin forms are often probe forms of
     # those parts, in any case, with or without an inserted apostrophe.
     parts = draw(st.lists(_mixed_case_parts(), min_size=1, max_size=3))
-    pool = sorted(set().union(*(_probe_forms(part) for part in parts)))
+    pool = sorted(set().union(*map(latin_lookup_variants, parts)))
     records = []
     for _ in range(draw(st.integers(0, 8))):
         if draw(st.booleans()):
@@ -567,7 +642,7 @@ def test_probe_memo_against_brute_force(scenario):
     parts, records = scenario
     dictionary = NameDictionary(records)
     for part in parts + [part.swapcase() for part in parts]:
-        forms = _probe_forms(part.lower())  # probing ignores case
+        forms = latin_lookup_variants(part)  # probing ignores case
         known: set[str] = set()
         types: frozenset[NameType] = frozenset()
         for _, latin, record_types in records:

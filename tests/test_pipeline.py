@@ -1820,6 +1820,25 @@ def test_run_repeated_identifier_keeps_its_first_file_name(tmp_path, capsys):
     assert "B." in files["article/volume-1/oai-b-7.bht"]
 
 
+def test_run_keeps_a_creator_written_in_another_script(tmp_path, capsys):
+    # Hangul and Cyrillic hold neither Latin letters nor kanji: each name
+    # is kept as written, as the author's unsplit original-script name.
+    config = make_config_file(tmp_path)
+    creators = ["김철수", "Shinsuke Mori", "Иван  Петров"]
+    fetch = one_page_fetch(("oai:x:1", article("Scripts", "1", creators)))
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+
+    (text,) = written_bht(tmp_path / "bht").values()
+    hangul = bht.escape_non_ascii("김철수")
+    cyrillic = bht.escape_non_ascii("Иван Петров")
+    assert f"<li>{hangul}, Shinsuke Mori, {cyrillic}:" in text
+    assert f"<originalname>{cyrillic},</originalname>" in text
+    assert f'<status name="{hangul}">undefined</status>' in text
+    assert f'<status name="{cyrillic}">undefined</status>' in text
+    assert 'name=""' not in text
+
+
 def test_run_long_provider_fields_fit_the_file_name_limit(tmp_path, capsys):
     # OAI-PMH bounds none of these; each one used to make a path
     # component too long for the file system, which ended -h with exit 4.

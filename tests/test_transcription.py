@@ -2,10 +2,11 @@
 
 import itertools
 import random
+import re
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jpbib.transcription import (
@@ -13,7 +14,6 @@ from jpbib.transcription import (
     EmptyNameError,
     NormalizedLatin,
     VariantExplosionError,
-    consonant_variants,
     expand_double_vowels,
     fully_doubled,
     normalize_latin,
@@ -248,23 +248,46 @@ def test_expand_double_vowels_cap():
 
 
 def test_consonant_variants():
-    assert set(consonant_variants("Kambe")) == {"Kambe", "Kanbe"}
-    assert consonant_variants("Mori") == ["Mori"]
-    assert set(consonant_variants("Kampo")) == {"Kampo", "Kanpo"}
+    # ん before b, m or p is written m or n, and either spelling gives both.
+    assert set(expand_double_vowels(NormalizedLatin("Kaambee"))) == {
+        "Kaambee",
+        "Kaanbee",
+    }
+    assert expand_double_vowels(NormalizedLatin("Moorii")) == ["Moorii"]
+    assert set(expand_double_vowels(NormalizedLatin("Kaanpoo"))) == {
+        "Kaampoo",
+        "Kaanpoo",
+    }
+    assert set(expand_double_vowels(NormalizedLatin("Hoommaa"))) == {
+        "Hoommaa",
+        "Hoonmaa",
+    }
 
 
 def test_consonant_variants_all_combinations():
-    variants = set(consonant_variants("nbmp"))
+    variants = set(expand_double_vowels(NormalizedLatin("nbmp")))
     assert variants == {"nbmp", "mbmp", "nbnp", "mbnp"}
+    variants = set(expand_double_vowels(NormalizedLatin("NMm")))
+    assert variants == {"NMm", "MMm", "NNm", "MNm"}
+
+
+def test_nasal_sites_are_not_capped_or_doubled():
+    # Eight vowel sites and three nasal sites: the cap counts vowels only.
+    variants = expand_double_vowels(NormalizedLatin("xa" * 8 + "mb" * 3))
+    assert len(variants) == 2**8 * 2**3
+    assert fully_doubled("Kambe") == "Kaambee"
+    assert fully_doubled("Homma") == "Hoommaa"
+    assert fully_doubled("Kyouko") == "Kyoukoo"
 
 
 def swap_consonants(name: str) -> list[str]:
-    """The reference for ``consonant_variants``: each combination of
-    swapped sites, written into a copy of the name, repeats dropped."""
+    """The reference for the nasal sites of ``expand_double_vowels``: each
+    combination of m/n swaps before b, m or p, written into a copy of the
+    name, repeats dropped."""
     sites = [
         i
         for i, ch in enumerate(name[:-1])
-        if ch.lower() in "mn" and name[i + 1].lower() in "bp"
+        if ch.lower() in "mn" and name[i + 1].lower() in "bmp"
     ]
     if not sites:
         return [name]
@@ -281,10 +304,45 @@ def swap_consonants(name: str) -> list[str]:
     return variants
 
 
+_VOWEL_SPELLINGS = {
+    "a": ("a", "aa"),
+    "i": ("i", "ii"),
+    "u": ("u", "uu"),
+    "e": ("e", "ee", "ei"),
+    "o": ("o", "oo", "ou"),
+}
+
+
+def vowel_pieces(text: str, lengthened=()) -> list[tuple[str, ...]]:
+    """The reference for the vowel sites of ``expand_double_vowels``:
+    ``text`` cut, left to right, into double vowels and single
+    characters, each with its spellings.  A single vowel's doublings keep
+    its case, and a lengthened one loses its undoubled spelling."""
+    pieces = []
+    start = 0
+    for token in re.findall("aa|ii|uu|ee|ei|oo|ou|.", text, re.I | re.S):
+        spellings = (token,)
+        if token.lower() in _VOWEL_SPELLINGS:
+            spellings = tuple(token + s[1:] for s in _VOWEL_SPELLINGS[token.lower()])
+            if start in lengthened:
+                spellings = spellings[1:]
+        pieces.append(spellings)
+        start += len(token)
+    return pieces
+
+
 @settings(max_examples=2000, deadline=None)
+@example("Homma")
 @given(st.text(alphabet=st.sampled_from("mnbpMNBPaA'- "), max_size=12))
-def test_consonant_variants_equal_the_reference_in_order(name):
-    assert consonant_variants(name) == swap_consonants(name)
+def test_consonant_variants_equal_the_reference(name):
+    expected = {
+        "".join(spellings)
+        for candidate in swap_consonants(name)
+        for spellings in itertools.product(*vowel_pieces(candidate))
+    }
+    variants = expand_double_vowels(NormalizedLatin(name))
+    assert set(variants) == expected
+    assert len(variants) == len(expected)
 
 
 def _texts(forms):
@@ -318,7 +376,7 @@ def test_variant_lists_contain_input_and_are_distinct():
     for _ in range(500):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 8)))
         for variants in (
-            consonant_variants(text),
+            expand_double_vowels(NormalizedLatin(text)),
             _texts(separator_forms(NormalizedLatin(text))),
         ):
             assert text in variants
