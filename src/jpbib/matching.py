@@ -23,7 +23,6 @@ from .transcription import (
     expand_double_vowels,
     fully_doubled,
     normalize_latin,
-    separator_forms,
     strip_length_h,
     to_hepburn,
 )
@@ -39,6 +38,7 @@ __all__ = [
     "latin_names",
     "match_latin_kanji",
     "resolve_author",
+    "spelling_key",
     "split_latin_full_name",
 ]
 
@@ -87,6 +87,13 @@ class AuthorResolution:
     status: NameStatus = NameStatus.UNDEFINED_LATIN_MISSING
 
 
+def spelling_key(latin: str) -> str:
+    """The key a Latin spelling is filed and probed under: lowercased,
+    with every syllable separator (apostrophe or hyphen) removed, so that
+    "Shin'ichi", "Shin-ichi" and "Shinichi" are one spelling."""
+    return latin.lower().replace("'", "").replace("-", "")
+
+
 def latin_names(resolutions: list[AuthorResolution]) -> list[str]:
     """The non-empty Latin display names of ``resolutions``, in order."""
     return [r.latin.display() for r in resolutions if r.latin and r.latin.display()]
@@ -97,11 +104,12 @@ class NameDictionary:
 
     It answers the two questions resolution asks: which name types a
     Latin spelling has, and which family or given readings a kanji
-    surface has.  Latin lookups are case-insensitive and succeed for both
-    spellings of apostrophe-bearing names, and so does the kanji match
-    against such a reading: "Shinichi" fits the reading "Shin'ichi".
-    Readings keep dictionary order, which defines the candidate ordering
-    downstream.
+    surface has.  Each record is filed under one key, its
+    ``spelling_key``, and every lookup goes through that key too, so
+    case and separators never matter: "Shin-ichi" and "Shinichi" find
+    the spelling "Shin'ichi", and fit it as a kanji reading.  Readings
+    keep dictionary order and their own spelling, which defines the
+    candidate ordering downstream.
 
     It is built from ``(surface, latin, types)`` rows, as
     ``SqliteStore.load_name_records`` yields them, read one at a time: the
@@ -113,12 +121,11 @@ class NameDictionary:
     included.
 
     ``probe`` expands a Latin name part into its transcription variants
-    once and memoizes, per lowercased part, the variants the dictionary
-    holds and their types.  The memo lives as long as the dictionary,
-    which the harvest builds once per run.  Variants that are no key of
-    the type index are not kept: every reading's lowercase form, with
-    and without its apostrophes, is such a key, so no other variant can
-    ever match a reading.
+    once and memoizes, per spelling key of the part, the variants the
+    dictionary holds and their types.  The memo lives as long as the
+    dictionary, which the harvest builds once per run.  Variants that are
+    no key of the type index are not kept: every reading's spelling key
+    is such a key, so no other variant can ever match a reading.
     """
 
     def __init__(self, rows):
@@ -141,14 +148,11 @@ class NameDictionary:
         index = self._types
         for surface, latin, types in rows:
             key = latin.lower()
+            # Most spellings hold no separator: skip the call for them.
+            if "'" in key or "-" in key:
+                key = spelling_key(key)
             known = index.get(key)
             index[key] = types if known is None else TYPE_COMBINATIONS[known | types]
-            if "'" in key:
-                key = key.replace("'", "")
-                known = index.get(key)
-                index[key] = (
-                    types if known is None else TYPE_COMBINATIONS[known | types]
-                )
             for readings in joins[types]:
                 held = readings.get(surface, ())
                 if latin not in held:
@@ -162,9 +166,10 @@ class NameDictionary:
         return self._readings[kind].get(surface, ())
 
     def probe(self, part: str) -> tuple[tuple[str, ...], frozenset[NameType]]:
-        """The lowercase variants of a Latin name part that the dictionary
-        holds, and the union of their types; case is ignored."""
-        key = part.lower()
+        """The variants of a Latin name part that the dictionary holds, as
+        spelling keys, and the union of their types; case and separators
+        are ignored."""
+        key = spelling_key(part)
         probed = self._probes.get(key)
         if probed is None:
             forms = tuple(
@@ -187,22 +192,22 @@ def detect_abbreviated(raw: str) -> bool:
 
 
 def latin_lookup_variants(name: str) -> set[str]:
-    """All lowercase spellings probed against the dictionary for one
-    name part.
+    """All spellings probed against the dictionary for one name part, as
+    spelling keys.
 
-    The part itself, and the product of ``expand_double_vowels`` over
-    each separator form of its Hepburn base with length h's removed.
-    Past ``VOWEL_SITE_CAP`` only the part, that base and the base fully
-    doubled.  The part is lowercased first: the Hepburn table knows
-    lowercase and capitalized spellings only, and no other step depends
-    on case.
+    The part's ``spelling_key``, and ``expand_double_vowels`` of that
+    key's Hepburn base with length h's removed.  Past ``VOWEL_SITE_CAP``
+    only the key, that base and the base fully doubled.  The key is
+    lowercase and holds no separator, so the Hepburn table's lowercase
+    rows and the walk's sites apply across a dropped separator
+    (``Koh-ji`` is ``kohji``, whose h marks a long o).
     """
-    name = name.lower()
-    base = strip_length_h(to_hepburn(name))
+    key = spelling_key(name)
+    base = strip_length_h(to_hepburn(key))
     try:
-        return {name}.union(*map(expand_double_vowels, separator_forms(base)))
+        return {key, *expand_double_vowels(base)}
     except VariantExplosionError:
-        return {name, base.text, fully_doubled(base.text)}
+        return {key, base.text, fully_doubled(base.text)}
 
 
 def split_latin_full_name(
@@ -286,14 +291,16 @@ def _categorize_hint(
 def _part_hit(
     readings: tuple[str, ...], forms: tuple[str, ...] | None, initial: str
 ) -> bool:
-    # A reading fits a Latin name part when its lowercase form, with or
-    # without its apostrophes, is one of the part's probe forms or, for an
-    # abbreviated part (no forms), starts with its initial.
+    # A reading fits a Latin name part when its spelling key is one of the
+    # part's probe forms or, for an abbreviated part (no forms), starts
+    # with its initial.  Most readings hold no separator: their lowercase
+    # form is their key, and no call is made for them.
     keys = map(str.lower, readings)
     if forms is None:
         return any(key.startswith(initial) for key in keys)
     return any(
-        key in forms or ("'" in key and key.replace("'", "") in forms) for key in keys
+        (spelling_key(key) if "'" in key or "-" in key else key) in forms
+        for key in keys
     )
 
 

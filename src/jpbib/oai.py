@@ -29,6 +29,7 @@ import itertools
 import logging
 import re
 import time
+import unicodedata
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -241,8 +242,17 @@ _LANGUAGE_CODES = {"jpn": "ja", "ja": "ja", "eng": "en", "en": "en"}
 _CJK_RE = re.compile("[\u3000-\u30ff\u4e00-\u9fff]")
 
 
+# A letter that normalize_latin keeps: basic Latin once compatibility
+# decomposition has split off accents and mapped fullwidth forms.
+_LATIN_RE = re.compile("[A-Za-z]")
+
+
 def _has_cjk(text: str) -> bool:
     return _CJK_RE.search(text) is not None
+
+
+def _has_latin(text: str) -> bool:
+    return _LATIN_RE.search(unicodedata.normalize("NFKD", text)) is not None
 
 
 def _language(code: str) -> str:
@@ -260,16 +270,17 @@ def _language_tag(elem: ET.Element, text: str) -> str:
 
 def _pair_creators(raw: list[str]) -> list[tuple[str | None, str | None]]:
     # A kanji form and a Latin form next to each other describe the same
-    # person; anything unpaired stands alone.
+    # person; anything unpaired stands alone.  A creator in another script
+    # (no CJK character and no Latin letter) is no Latin form of a kanji
+    # neighbour.
     creators: list[tuple[str | None, str | None]] = []
     i = 0
     while i < len(raw):
         current = raw[i]
         current_kanji = _has_cjk(current)
-        if i + 1 < len(raw) and _has_cjk(raw[i + 1]) != current_kanji:
-            latin, kanji = (
-                (raw[i + 1], current) if current_kanji else (current, raw[i + 1])
-            )
+        following = raw[i + 1] if i + 1 < len(raw) else ""
+        latin, kanji = (following, current) if current_kanji else (current, following)
+        if _has_cjk(kanji) and not _has_cjk(latin) and _has_latin(latin):
             creators.append((latin, kanji))
             i += 2
         else:

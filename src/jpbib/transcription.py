@@ -2,13 +2,14 @@
 
 Japanese names reach us romanized in inconsistent ways: kunrei-style
 spellings (zi, si, tu ...), vowel length marked with a macron, with a
-trailing h, or dropped entirely, separators written as apostrophe or
-hyphen or omitted, ん before b, m or p written as m or n, and
-occasionally fullwidth Latin codepoints.  The name dictionary stores
-Hepburn spellings with explicit double vowels and apostrophe separators,
-so every probe goes through the converters here.  One walk over a name
-lists its vowel and nasal sites with their spellings, and
-``expand_double_vowels`` is the product over them.
+trailing h, or dropped entirely, ん before b, m or p written as m or n,
+and occasionally fullwidth Latin codepoints.  The name dictionary stores
+Hepburn spellings with explicit double vowels, so every probe goes
+through the converters here.  One walk over a name lists its vowel and
+nasal sites with their spellings, and ``expand_double_vowels`` is the
+product over them.  Syllable separators (apostrophe or hyphen) never
+reach this module: ``matching.spelling_key`` drops them from both the
+dictionary's spellings and the probed name first.
 """
 
 import itertools
@@ -23,7 +24,6 @@ __all__ = [
     "expand_double_vowels",
     "fully_doubled",
     "normalize_latin",
-    "separator_forms",
     "strip_length_h",
     "to_hepburn",
 ]
@@ -232,32 +232,3 @@ def fully_doubled(text: str) -> str:
         for options in segments
     )
 
-
-def separator_forms(base: NormalizedLatin) -> list[NormalizedLatin]:
-    """Spellings of a name under separator-symbol substitution.
-
-    Separators appear as apostrophe, hyphen, or not at all; the dictionary
-    convention is the apostrophe, so that form comes first, followed by
-    the input, the hyphenated form and the separator-free form, without
-    repeats.  Lengthening positions are shifted to follow the separators
-    the last form drops.
-    """
-    text = base.text
-    if "'" not in text and "-" not in text:
-        return [base]
-    positions = base.lengthening_positions
-    forms = [
-        NormalizedLatin(form, list(positions))
-        for form in dict.fromkeys(
-            (text.replace("-", "'"), text, text.replace("'", "-"))
-        )
-    ]
-    shifted = []
-    removed = 0
-    for i, ch in enumerate(text):
-        if ch in "'-":
-            removed += 1
-        elif i in positions:
-            shifted.append(i - removed)
-    forms.append(NormalizedLatin(text.replace("'", "").replace("-", ""), shifted))
-    return forms

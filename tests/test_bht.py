@@ -150,6 +150,24 @@ def test_render_namecandidates(name_dictionary):
     assert ">undefined</status>" in rendered
 
 
+def test_namecandidates_keep_the_dictionary_spelling(name_dictionary):
+    # Separators are dropped for lookups only: the dictionary reads 真一
+    # as Shin'ichi, and so does the candidate.
+    resolution = resolve_author(None, "森真一", name_dictionary)
+    assert resolution.candidates == [PersonName("Shin'ichi", "Mori")]
+    entry = BhtEntry(
+        volume="1",
+        number="2",
+        date="2011-01-01",
+        authors=[resolution],
+        title="T",
+        pages=None,
+    )
+    kanji = escape_non_ascii("森真一")
+    rendered = render_spf(entry)
+    assert f'<namecandidates kanji="{kanji}">Shin\'ichi Mori</' in rendered
+
+
 def test_render_plain_entry_has_no_extension_elements():
     entry = BhtEntry(
         volume="1",

@@ -19,15 +19,11 @@ from jpbib.matching import (
     latin_lookup_variants,
     match_latin_kanji,
     resolve_author,
+    spelling_key,
     split_latin_full_name,
 )
 from jpbib.store import SqliteStore
-from jpbib.transcription import (
-    VOWEL_SITE_CAP,
-    separator_forms,
-    strip_length_h,
-    to_hepburn,
-)
+from jpbib.transcription import VOWEL_SITE_CAP, strip_length_h, to_hepburn
 from test_transcription import swap_consonants, vowel_pieces
 
 
@@ -109,29 +105,41 @@ def test_latin_lookup_variants_kai():
 
 
 def test_latin_lookup_variants_deduplicated():
+    # Each separator spelling is one spelling key, probed without its
+    # separators.
     variants = latin_lookup_variants("Shin-ichi")
     assert isinstance(variants, set)
-    assert {"shin'ichi", "shin-ichi", "shinichi"} <= variants
+    assert variants == latin_lookup_variants("Shin'ichi")
+    assert variants == latin_lookup_variants("Shinichi")
+    assert "shinichi" in variants
+    assert not any("'" in form or "-" in form for form in variants)
+
+
+def test_spelling_key():
+    assert spelling_key("Shin'ichi") == "shinichi"
+    assert spelling_key("SHIN-ICHI") == "shinichi"
+    assert spelling_key("a'b-c'-") == "abc"
+    assert spelling_key("Mori") == "mori"
 
 
 def reference_lookup_variants(part: str) -> set[str]:
     """The reference for ``latin_lookup_variants``, composed as separate
-    steps: separator forms, then the m/n swaps of ``swap_consonants``,
-    then vowel doubling by ``vowel_pieces``.  Past the cap, the part, its
-    Hepburn base and that base with every single vowel doubled."""
-    part = part.lower()
-    base = strip_length_h(to_hepburn(part))
-    variants = {part}
-    for form in separator_forms(base):
-        for candidate in swap_consonants(form.text):
-            pieces = vowel_pieces(candidate, form.lengthening_positions)
-            if sum(len(spellings) > 1 for spellings in pieces) > VOWEL_SITE_CAP:
-                doubled = "".join(
-                    spellings[1] if len(spellings) > 1 else spellings[0]
-                    for spellings in vowel_pieces(base.text)
-                )
-                return {part, base.text, doubled}
-            variants.update(map("".join, itertools.product(*pieces)))
+    steps: the part lowercased without apostrophes and hyphens, then the
+    m/n swaps of ``swap_consonants``, then vowel doubling by
+    ``vowel_pieces``.  Past the cap, that key, its Hepburn base and that
+    base with every single vowel doubled."""
+    key = part.lower().replace("'", "").replace("-", "")
+    base = strip_length_h(to_hepburn(key))
+    variants = {key}
+    for candidate in swap_consonants(base.text):
+        pieces = vowel_pieces(candidate, base.lengthening_positions)
+        if sum(len(spellings) > 1 for spellings in pieces) > VOWEL_SITE_CAP:
+            doubled = "".join(
+                spellings[1] if len(spellings) > 1 else spellings[0]
+                for spellings in vowel_pieces(base.text)
+            )
+            return {key, base.text, doubled}
+        variants.update(map("".join, itertools.product(*pieces)))
     return variants
 
 
@@ -152,6 +160,8 @@ _walk_parts = st.one_of(
 @example("Sambamatakayamada")  # eight vowel sites and a nasal site
 @example("Aoyamakasamatanaka")
 @example("Homma")
+@example("Koh-ji")  # the h marks a long o once the hyphen is gone
+@example("Shin-'ichi")
 @given(_walk_parts)
 def test_latin_lookup_variants_equal_the_reference(part):
     assert latin_lookup_variants(part) == reference_lookup_variants(part)
@@ -179,10 +189,11 @@ def test_dictionary_apostrophe_free_spelling_keeps_types():
         ]
     )
     assert dictionary.probe("morida") == (("morida",), surname)
-    # "junya" holds the types of both records; "jun'ya" also probes "junya".
+    # Both records are filed under the one key "junya", whichever the
+    # spelling probed.
     assert dictionary.probe("junya") == (("junya",), given | surname)
-    forms, types = dictionary.probe("Jun'ya")
-    assert sorted(forms) == ["jun'ya", "junya"] and types == given | surname
+    assert dictionary.probe("Jun'ya") == (("junya",), given | surname)
+    assert dictionary.probe("Jun-ya") == (("junya",), given | surname)
     assert dictionary.surface_readings("純也", GIVEN_TYPES) == ("Jun'ya",)
     assert dictionary.surface_readings("純也", FAMILY_TYPES) == ()
 
@@ -349,11 +360,31 @@ def test_resolve_author_full_pipeline(name_dictionary):
 def test_resolve_author_finds_an_apostrophe_reading_in_any_spelling(
     name_dictionary, latin
 ):
-    # The dictionary reads 真一 as Shin'ichi, and "Shinichi" probes as
-    # "shinichi" alone: the reading fits only without its apostrophe.
+    # The dictionary reads 真一 as Shin'ichi; each spelling probes the
+    # key "shinichi", which is that reading's key too.
     resolution = resolve_author(latin, "森真一", name_dictionary)
     assert resolution.status is NameStatus.OK
     assert resolution.kanji == PersonName("真一", "森")
+
+
+@pytest.mark.parametrize("written", ["Shin'ichi", "Shin-ichi", "Shinichi"])
+@pytest.mark.parametrize("stored", ["Shin'ichi", "Shin-ichi", "Shinichi"])
+def test_separators_are_optional_in_the_dictionary_and_the_author(stored, written):
+    dictionary = NameDictionary(
+        [
+            ("森", "Mori", frozenset({NameType.SURNAME})),
+            ("真一", stored, frozenset({NameType.MALE_GIVEN})),
+        ]
+    )
+    resolution = resolve_author(f"{written} Mori", "森真一", dictionary)
+    assert resolution.status is NameStatus.OK
+    assert resolution.kanji == PersonName("真一", "森")
+
+
+def test_a_length_h_before_a_separator_marks_a_long_vowel():
+    dictionary = NameDictionary([("浩二", "Kouji", frozenset({NameType.MALE_GIVEN}))])
+    assert dictionary.probe("Koh-ji") == (("kouji",), frozenset({NameType.MALE_GIVEN}))
+    assert dictionary.probe("Koh-ji") == dictionary.probe("Kohji")
 
 
 def test_resolve_author_bad_quality_sticks(name_dictionary):
@@ -466,8 +497,8 @@ def test_split_finds_a_name_past_the_cap():
 
 
 # Short spellings over few letters, so that records often share a Latin
-# form, with and without apostrophes, in either case.
-_latin = st.text(alphabet="aAk'", min_size=1, max_size=3)
+# form, with and without separators, in either case.
+_latin = st.text(alphabet="aAk'-", min_size=1, max_size=3)
 _surfaces = ["森", "田", "森田"]
 _rows = st.lists(
     st.tuples(
@@ -488,16 +519,11 @@ def check_indexes_against_brute_force(dictionary, rows, probe):
         for spelling in (latin, latin.replace("'", "").upper())
     ]
     for part in probes:
-        # The type index holds each record under its lowercase spelling
-        # and that spelling without apostrophes; probe reads it for every
-        # spelling variant of the part.
+        # The type index holds each record under its spelling key; probe
+        # reads it for every spelling variant of the part.
         forms = latin_lookup_variants(part)
         expected = frozenset().union(
-            *(
-                types
-                for _, latin, types in rows
-                if forms & {latin.lower(), latin.lower().replace("'", "")}
-            )
+            *(types for _, latin, types in rows if spelling_key(latin) in forms)
         )
         assert dictionary.probe(part)[1] == expected
     for surface in _surfaces:
@@ -522,7 +548,7 @@ def names_store(tmp_path_factory):
         yield store
 
 
-# Records as -e stores them: readings or none, apostrophes, a Latin form
+# Records as -e stores them: readings or none, separators, a Latin form
 # whose lowercase is longer ("İ".lower() is two characters), surfaces shared
 # by several records with overlapping types, and any type combination,
 # the empty one included.
@@ -531,7 +557,7 @@ _stored_records = st.lists(
         NameRecord,
         surface=st.sampled_from(_surfaces),
         reading=st.sampled_from([None, "もり", "た"]),
-        latin=st.text(alphabet="aAk'İ", min_size=1, max_size=3),
+        latin=st.text(alphabet="aAk'-İ", min_size=1, max_size=3),
         types=st.sampled_from(list(TYPE_COMBINATIONS)),
     ),
     max_size=8,
@@ -547,7 +573,7 @@ _every_combination = [
 
 @settings(max_examples=300, deadline=None)
 @example(_every_combination, "mori")
-@given(_stored_records, st.text(alphabet="aAk'İ", min_size=1, max_size=3))
+@given(_stored_records, st.text(alphabet="aAk'-İ", min_size=1, max_size=3))
 def test_dictionary_from_the_store_indexes_against_brute_force(
     names_store, records, probe
 ):
@@ -612,7 +638,7 @@ def _mixed_case_parts(draw):
 @st.composite
 def _probe_scenarios(draw):
     # Name parts, and records whose Latin forms are often probe forms of
-    # those parts, in any case, with or without an inserted apostrophe.
+    # those parts, in any case, with or without an inserted separator.
     parts = draw(st.lists(_mixed_case_parts(), min_size=1, max_size=3))
     pool = sorted(set().union(*map(latin_lookup_variants, parts)))
     records = []
@@ -623,7 +649,7 @@ def _probe_scenarios(draw):
                 latin = latin.upper()
             if len(latin) > 1 and draw(st.booleans()):
                 cut = draw(st.integers(1, len(latin) - 1))
-                latin = latin[:cut] + "'" + latin[cut:]
+                latin = latin[:cut] + draw(st.sampled_from("'-")) + latin[cut:]
         else:
             latin = draw(_mixed_case_parts())
         records.append(
@@ -646,10 +672,8 @@ def test_probe_memo_against_brute_force(scenario):
         known: set[str] = set()
         types: frozenset[NameType] = frozenset()
         for _, latin, record_types in records:
-            latin = latin.lower()
-            hits = {latin, latin.replace("'", "")} & forms
-            if hits:
-                known |= hits
+            if spelling_key(latin) in forms:
+                known.add(spelling_key(latin))
                 types |= record_types
         probed_forms, probed_types = dictionary.probe(part)
         assert sorted(probed_forms) == sorted(known)

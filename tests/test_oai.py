@@ -357,6 +357,25 @@ def test_parse_junii2_english_only():
     assert publication.creators == [("Jane Doe", None)]
 
 
+def test_parse_junii2_pairs_kanji_only_with_a_latin_neighbour():
+    # A Cyrillic creator is no Latin form of the kanji after it: the kanji
+    # pairs with the Latin name on its other side.  Accented and fullwidth
+    # letters count as Latin.
+    payload = junii2_payload(
+        titles=[("T", "en")],
+        creators=[
+            "Иван Петров", "森信介", "Shinsuke Mori", "Ｅｍｉ", "森", "Ōta", "太田"
+        ],
+    )
+    publication = parse_junii2(ET.fromstring(payload), "oai:mock:1")
+    assert publication.creators == [
+        ("Иван Петров", None),
+        ("Shinsuke Mori", "森信介"),
+        ("Ｅｍｉ", "森"),
+        ("Ōta", "太田"),
+    ]
+
+
 def test_parse_junii2_reads_the_primary_subtag_of_a_language_tag():
     from jpbib.bht import build_entry
 

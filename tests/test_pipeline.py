@@ -1839,6 +1839,25 @@ def test_run_keeps_a_creator_written_in_another_script(tmp_path, capsys):
     assert 'name=""' not in text
 
 
+def test_run_pairs_kanji_with_the_latin_name_past_another_script(tmp_path, capsys):
+    # The Cyrillic name comes before the kanji, and the Latin name after
+    # it: the kanji and Latin forms describe one author, and the Cyrillic
+    # name stands alone.
+    config = make_config_file(tmp_path)
+    creators = ["Иван Петров", "森信介", "Shinsuke Mori"]
+    fetch = one_page_fetch(("oai:x:1", article("Scripts", "1", creators)))
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+
+    (text,) = written_bht(tmp_path / "bht").values()
+    cyrillic = bht.escape_non_ascii("Иван Петров")
+    mori = bht.escape_non_ascii("森,信介")
+    assert f"<li>{cyrillic}, Shinsuke Mori:" in text
+    assert f'<originalname latin="Shinsuke Mori">{mori}</originalname>' in text
+    assert '<status name="Shinsuke Mori">ok</status>' in text
+    assert f'<status name="{cyrillic}">undefined</status>' in text
+
+
 def test_run_long_provider_fields_fit_the_file_name_limit(tmp_path, capsys):
     # OAI-PMH bounds none of these; each one used to make a path
     # component too long for the file system, which ended -h with exit 4.

@@ -17,7 +17,6 @@ from jpbib.transcription import (
     expand_double_vowels,
     fully_doubled,
     normalize_latin,
-    separator_forms,
     strip_length_h,
     to_hepburn,
 )
@@ -345,61 +344,11 @@ def test_consonant_variants_equal_the_reference(name):
     assert len(variants) == len(expected)
 
 
-def _texts(forms):
-    return [form.text for form in forms]
-
-
-def test_separator_spellings():
-    shin = separator_forms(NormalizedLatin("Shin-ichi"))
-    # Dictionary spelling probed first, the input next.
-    assert _texts(shin) == ["Shin'ichi", "Shin-ichi", "Shinichi"]
-    assert _texts(separator_forms(NormalizedLatin("Shinichi"))) == ["Shinichi"]
-    moto = separator_forms(NormalizedLatin("Moto'oka"))
-    assert _texts(moto) == ["Moto'oka", "Moto-oka", "Motooka"]
-    both = separator_forms(NormalizedLatin("a'b-c"))
-    assert _texts(both) == ["a'b'c", "a'b-c", "a-b-c", "abc"]
-
-
-def test_separator_spellings_shift_lengthening_positions():
-    # "Yu-ichi" with a long u and a long final i.
-    forms = separator_forms(NormalizedLatin("Yu-ichi", [1, 6]))
-    assert [(f.text, f.lengthening_positions) for f in forms] == [
-        ("Yu'ichi", [1, 6]),
-        ("Yu-ichi", [1, 6]),
-        ("Yuichi", [1, 5]),
-    ]
-
-
 def test_variant_lists_contain_input_and_are_distinct():
     rng = random.Random(13)
     alphabet = "mnbpa'-"
     for _ in range(500):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 8)))
-        for variants in (
-            expand_double_vowels(NormalizedLatin(text)),
-            _texts(separator_forms(NormalizedLatin(text))),
-        ):
-            assert text in variants
-            assert len(variants) == len(set(variants))
-
-
-@st.composite
-def _lengthened_names(draw):
-    text = draw(st.text(alphabet="aiukn'-", min_size=1, max_size=8))
-    vowels = [i for i, ch in enumerate(text) if ch in "aiu"]
-    chosen = draw(st.sets(st.sampled_from(vowels))) if vowels else set()
-    return NormalizedLatin(text, sorted(chosen))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_lengthened_names())
-def test_separator_spellings_keep_lengthened_vowels(base):
-    kept = [i for i, ch in enumerate(base.text) if ch not in "'-"]
-    for form in separator_forms(base):
-        # Index in the input of each character of the form.
-        origin = range(len(base.text)) if len(form.text) == len(base.text) else kept
-        assert [origin[p] for p in form.lengthening_positions] == (
-            base.lengthening_positions
-        )
-        for p in form.lengthening_positions:
-            assert form.text[p] == base.text[origin[p]]
+        variants = expand_double_vowels(NormalizedLatin(text))
+        assert text in variants
+        assert len(variants) == len(set(variants))
