@@ -5,10 +5,12 @@ plus a Latin transcription.  The dictionary tells us which readings are
 surnames and which are given names, so the kanji string is tried at
 every split point until a (family, given) pair is found whose readings
 match some transcription variant of the Latin name: each Latin name part
-is probed in every spelling ``latin_lookup_variants`` gives it.  A name
-in another script (Hangul, Cyrillic ...) that comes without a kanji form
-is kept as written.  Every author ends up with exactly one status
-describing how well that worked.
+is probed in every spelling ``transcription.latin_lookup_variants``
+gives it, and every reading and dictionary spelling is compared by its
+``transcription.spelling_key``; how a part is spelled is decided there
+alone.  A name in another script (Hangul, Cyrillic ...: letters, none of
+them Latin) that comes without a kanji form is kept as written.  Every
+author ends up with exactly one status describing how well that worked.
 """
 
 import enum
@@ -19,12 +21,10 @@ from dataclasses import dataclass, field
 from .enamdict import TYPE_COMBINATIONS, NameType
 from .transcription import (
     EmptyNameError,
-    VariantExplosionError,
-    expand_double_vowels,
-    fully_doubled,
+    has_latin,
+    latin_lookup_variants,
     normalize_latin,
-    strip_length_h,
-    to_hepburn,
+    spelling_key,
 )
 
 __all__ = [
@@ -34,11 +34,9 @@ __all__ = [
     "PersonName",
     "detect_abbreviated",
     "kanji_name_candidates",
-    "latin_lookup_variants",
     "latin_names",
     "match_latin_kanji",
     "resolve_author",
-    "spelling_key",
     "split_latin_full_name",
 ]
 
@@ -85,13 +83,6 @@ class AuthorResolution:
     kanji: PersonName | None
     candidates: list[PersonName] = field(default_factory=list)
     status: NameStatus = NameStatus.UNDEFINED_LATIN_MISSING
-
-
-def spelling_key(latin: str) -> str:
-    """The key a Latin spelling is filed and probed under: lowercased,
-    with every syllable separator (apostrophe or hyphen) removed, so that
-    "Shin'ichi", "Shin-ichi" and "Shinichi" are one spelling."""
-    return latin.lower().replace("'", "").replace("-", "")
 
 
 def latin_names(resolutions: list[AuthorResolution]) -> list[str]:
@@ -147,10 +138,7 @@ class NameDictionary:
         }
         index = self._types
         for surface, latin, types in rows:
-            key = latin.lower()
-            # Most spellings hold no separator: skip the call for them.
-            if "'" in key or "-" in key:
-                key = spelling_key(key)
+            key = spelling_key(latin)
             known = index.get(key)
             index[key] = types if known is None else TYPE_COMBINATIONS[known | types]
             for readings in joins[types]:
@@ -189,25 +177,6 @@ _ABBREV_TOKEN_RE = re.compile(r"^[A-Za-z]\.?$")
 def detect_abbreviated(raw: str) -> bool:
     """True when any name token is a bare initial ("T." or "T")."""
     return any(_ABBREV_TOKEN_RE.match(token) for token in raw.split())
-
-
-def latin_lookup_variants(name: str) -> set[str]:
-    """All spellings probed against the dictionary for one name part, as
-    spelling keys.
-
-    The part's ``spelling_key``, and ``expand_double_vowels`` of that
-    key's Hepburn base with length h's removed.  Past ``VOWEL_SITE_CAP``
-    only the key, that base and the base fully doubled.  The key is
-    lowercase and holds no separator, so the Hepburn table's lowercase
-    rows and the walk's sites apply across a dropped separator
-    (``Koh-ji`` is ``kohji``, whose h marks a long o).
-    """
-    key = spelling_key(name)
-    base = strip_length_h(to_hepburn(key))
-    try:
-        return {key, *expand_double_vowels(base)}
-    except VariantExplosionError:
-        return {key, base.text, fully_doubled(base.text)}
 
 
 def split_latin_full_name(
@@ -293,15 +262,10 @@ def _part_hit(
 ) -> bool:
     # A reading fits a Latin name part when its spelling key is one of the
     # part's probe forms or, for an abbreviated part (no forms), starts
-    # with its initial.  Most readings hold no separator: their lowercase
-    # form is their key, and no call is made for them.
-    keys = map(str.lower, readings)
+    # with its initial.
     if forms is None:
-        return any(key.startswith(initial) for key in keys)
-    return any(
-        (spelling_key(key) if "'" in key or "-" in key else key) in forms
-        for key in keys
-    )
+        return any(reading.lower().startswith(initial) for reading in readings)
+    return any(spelling_key(reading) in forms for reading in readings)
 
 
 def match_latin_kanji(
@@ -412,14 +376,18 @@ def resolve_author(
     """
     latin_text = None
     if latin_raw and latin_raw.strip():
-        try:
-            latin_text = normalize_latin(latin_raw)
-        except EmptyNameError:
-            # Nothing Latin survives: a name in another script.  With no
-            # kanji form beside it, it stands as the unsplit original.
-            if not kanji_raw:
-                original = " ".join(latin_raw.split())
-                return AuthorResolution(None, PersonName("", original))
+        # A name in another script holds letters, none of them Latin; its
+        # digits and punctuation are no Latin name either.
+        if has_latin(latin_raw) or not any(map(str.isalpha, latin_raw)):
+            try:
+                latin_text = normalize_latin(latin_raw)
+            except EmptyNameError:
+                pass
+        # Nothing Latin and no kanji form beside it: the field stands as
+        # the unsplit original.
+        if latin_text is None and not kanji_raw:
+            original = " ".join(latin_raw.split())
+            return AuthorResolution(None, PersonName("", original))
 
     if latin_text is None:
         resolution = match_latin_kanji(None, kanji_raw or "", dictionary)

@@ -1,18 +1,21 @@
 """OAI-PMH client: record listing, single-record retrieval, junii2 parsing.
 
 Transport is a plain callable ``fetch(url) -> bytes`` so tests and replay
-runs can serve canned XML; the default implementation does an HTTP GET,
-and a truncated response counts as a network failure.  Both verbs send
-each request through ``_request``: it builds the URL, fetches through
-the one retry site, ``_fetch_with_retries``, and returns the verb
-element, or None for the verb's "absent" error code (``noRecordsMatch``,
-``idDoesNotExist``); any other error raises ``OaiProtocolError``.  The
-retry site retries network failures (no HTTP status), 429 and 5xx up
+runs can serve canned XML; the default implementation does an HTTP GET
+and raises ``TransportError`` for every network failure, a truncated
+response included.  Both verbs send each request through ``_request``:
+it builds the URL, fetches through the one retry site,
+``_fetch_with_retries``, and returns the verb element, or None for the
+verb's "absent" error code (``noRecordsMatch``, ``idDoesNotExist``); any
+other error raises ``OaiProtocolError``.  The retry site retries only a
+``TransportError``: a network failure (no HTTP status), 429 or 5xx, up
 to ``RETRY_ATTEMPTS`` times, waiting an integer ``Retry-After`` (at most
 ``RETRY_AFTER_CAP_S``) or else an exponential backoff from
-``RETRY_BACKOFF_S``; any other HTTP status fails at once.  Requests follow
-the protocol's two request shapes: the first ListRecords call carries the
-metadata prefix, continuations carry only the resumption token.
+``RETRY_BACKOFF_S``; any other HTTP status fails at once.  Any other
+exception of ``fetch``, such as an ``OSError`` from saving a response,
+passes through at once.  Requests follow the protocol's two request
+shapes: the first ListRecords call carries the metadata prefix,
+continuations carry only the resumption token.
 
 junii2 field mapping (fixed by the fixtures shipped in this repository):
 ``title`` elements carry per-language titles via xml:lang; ``creator``
@@ -29,7 +32,6 @@ import itertools
 import logging
 import re
 import time
-import unicodedata
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -37,6 +39,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 from xml.etree import ElementTree as ET
+
+from .transcription import has_latin
 
 __all__ = [
     "HarvestedPublication",
@@ -62,9 +66,9 @@ RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 0.5
 RETRY_AFTER_CAP_S = 60
 
-# A saved response's file name: its request number in six digits, then
-# ".xml".  pipeline.saving_fetcher writes these, and replay_fetcher
-# serves them and no other file.
+# A saved response's file name: its request number in at least six
+# digits, then ".xml".  pipeline.saving_fetcher writes these, and
+# replay_fetcher serves them and no other file.
 SAVED_RESPONSE_NAME = "{:06d}.xml"
 
 
@@ -145,14 +149,14 @@ def _fetch_with_retries(fetch: Fetch, url: str) -> bytes:
     for attempt in itertools.count(1):
         try:
             return fetch(url)
-        except (TransportError, OSError) as exc:
-            status = getattr(exc, "status", None)
+        except TransportError as exc:
+            status = exc.status
             retryable = not isinstance(exc, _ReplayExhausted) and (
                 status is None or status == 429 or status >= 500
             )
             if attempt == RETRY_ATTEMPTS or not retryable:
                 raise TransportError(url, attempt, status) from exc
-            retry_after = (getattr(exc, "retry_after", None) or "").strip()
+            retry_after = (exc.retry_after or "").strip()
             # Past its leading zeros, a delay with more digits than the cap
             # is over it, so int() reads at most one digit more.
             delay = retry_after.lstrip("0")[: len(str(RETRY_AFTER_CAP_S)) + 1]
@@ -242,17 +246,8 @@ _LANGUAGE_CODES = {"jpn": "ja", "ja": "ja", "eng": "en", "en": "en"}
 _CJK_RE = re.compile("[\u3000-\u30ff\u4e00-\u9fff]")
 
 
-# A letter that normalize_latin keeps: basic Latin once compatibility
-# decomposition has split off accents and mapped fullwidth forms.
-_LATIN_RE = re.compile("[A-Za-z]")
-
-
 def _has_cjk(text: str) -> bool:
     return _CJK_RE.search(text) is not None
-
-
-def _has_latin(text: str) -> bool:
-    return _LATIN_RE.search(unicodedata.normalize("NFKD", text)) is not None
 
 
 def _language(code: str) -> str:
@@ -280,7 +275,7 @@ def _pair_creators(raw: list[str]) -> list[tuple[str | None, str | None]]:
         current_kanji = _has_cjk(current)
         following = raw[i + 1] if i + 1 < len(raw) else ""
         latin, kanji = (following, current) if current_kanji else (current, following)
-        if _has_cjk(kanji) and not _has_cjk(latin) and _has_latin(latin):
+        if _has_cjk(kanji) and not _has_cjk(latin) and has_latin(latin):
             creators.append((latin, kanji))
             i += 2
         else:
@@ -402,7 +397,13 @@ def _parse_payload(record: OaiRecord) -> HarvestedPublication | None:
 def saved_responses(directory: str) -> list[Path]:
     """The files in ``directory`` named as ``SAVED_RESPONSE_NAME`` names
     them, in number order."""
-    return sorted(Path(directory).glob("[0-9]" * 6 + ".xml"))
+    saved = [
+        path
+        for path in Path(directory).glob("*.xml")
+        if path.stem.isdecimal()
+        and path.name == SAVED_RESPONSE_NAME.format(int(path.stem))
+    ]
+    return sorted(saved, key=lambda path: int(path.stem))
 
 
 def replay_fetcher(directory: str) -> Fetch:

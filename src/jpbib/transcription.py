@@ -3,13 +3,16 @@
 Japanese names reach us romanized in inconsistent ways: kunrei-style
 spellings (zi, si, tu ...), vowel length marked with a macron, with a
 trailing h, or dropped entirely, ん before b, m or p written as m or n,
-and occasionally fullwidth Latin codepoints.  The name dictionary stores
+syllable separators (apostrophe or hyphen) written or left out, and
+occasionally fullwidth Latin codepoints.  The name dictionary stores
 Hepburn spellings with explicit double vowels, so every probe goes
-through the converters here.  One walk over a name lists its vowel and
-nasal sites with their spellings, and ``expand_double_vowels`` is the
-product over them.  Syllable separators (apostrophe or hyphen) never
-reach this module: ``matching.spelling_key`` drops them from both the
-dictionary's spellings and the probed name first.
+through the converters here, and this module alone decides how a name
+part is spelled.  ``spelling_key`` is the key both the dictionary's
+spellings and a probed part are filed under: lowercase, with no
+separator.  One walk over a key lists its vowel and nasal sites with
+their spellings, ``expand_double_vowels`` is the product over them, and
+``latin_lookup_variants`` is the set of keys probed for one part.
+``has_latin`` tells a Latin name from a name in another script.
 """
 
 import itertools
@@ -20,31 +23,23 @@ from dataclasses import dataclass, field
 __all__ = [
     "EmptyNameError",
     "NormalizedLatin",
-    "VariantExplosionError",
     "expand_double_vowels",
     "fully_doubled",
+    "has_latin",
+    "latin_lookup_variants",
     "normalize_latin",
+    "spelling_key",
     "strip_length_h",
     "to_hepburn",
 ]
 
-# Most expandable vowel sites expand_double_vowels accepts, which bounds
+# Most expandable vowel sites expand_double_vowels walks, which bounds
 # its output at 3^8 spellings.
 VOWEL_SITE_CAP = 8
 
 
 class EmptyNameError(ValueError):
     """Raised when a name is empty after normalization."""
-
-
-class VariantExplosionError(ValueError):
-    """Raised when a name has more expandable vowel sites than the cap."""
-
-    def __init__(self, sites: int):
-        super().__init__(
-            f"{sites} expandable vowel sites exceed the cap of {VOWEL_SITE_CAP}"
-        )
-        self.sites = sites
 
 
 @dataclass
@@ -116,6 +111,16 @@ _CHAR_MAP = str.maketrans({
 })
 
 
+# A letter that normalize_latin keeps: basic Latin once compatibility
+# decomposition has split off accents and mapped fullwidth forms.
+_LATIN_RE = re.compile("[A-Za-z]")
+
+
+def has_latin(text: str) -> bool:
+    """True when ``text`` holds a letter that ``normalize_latin`` keeps."""
+    return _LATIN_RE.search(unicodedata.normalize("NFKD", text)) is not None
+
+
 def normalize_latin(raw: str) -> str:
     """Map a raw Latin name onto plain ASCII.
 
@@ -131,6 +136,13 @@ def normalize_latin(raw: str) -> str:
     if not text:
         raise EmptyNameError(f"name is empty after normalization: {raw!r}")
     return text
+
+
+def spelling_key(latin: str) -> str:
+    """The key a Latin spelling is filed and probed under: lowercased,
+    with every syllable separator (apostrophe or hyphen) removed, so that
+    "Shin'ichi", "Shin-ichi" and "Shinichi" are one spelling."""
+    return latin.lower().replace("'", "").replace("-", "")
 
 
 _VOWELS = "aeiou"
@@ -208,13 +220,14 @@ def expand_double_vowels(base: NormalizedLatin) -> list[str]:
     also appear as the other nasal; the variants are the cartesian
     product over all such sites.  Sites listed in
     ``lengthening_positions`` are known to be long, so their undoubled
-    spelling is omitted.  Existing double vowels are kept as-is.  More
-    than ``VOWEL_SITE_CAP`` expandable vowel sites raises
-    VariantExplosionError; nasal sites do not count toward the cap.
+    spelling is omitted.  Existing double vowels are kept as-is.  Past
+    ``VOWEL_SITE_CAP`` expandable vowel sites only two spellings are
+    given, ``base.text`` and ``fully_doubled(base.text)``; nasal sites do
+    not count toward the cap.
     """
     segments, site_count = _vowel_segments(base.text, base.lengthening_positions)
     if site_count > VOWEL_SITE_CAP:
-        raise VariantExplosionError(site_count)
+        return [base.text, fully_doubled(base.text)]
     return ["".join(parts) for parts in itertools.product(*segments)]
 
 
@@ -222,7 +235,8 @@ def fully_doubled(text: str) -> str:
     """``text`` with every single vowel doubled (aa, ii, uu, ee, oo).
 
     Existing double vowels and every nasal are kept.  This is the one
-    doubled spelling probed for a name past ``VOWEL_SITE_CAP``.
+    doubled spelling ``expand_double_vowels`` gives past
+    ``VOWEL_SITE_CAP``.
     """
     segments, _ = _vowel_segments(text, [])
     # A single vowel's first spelling is a key of _DOUBLINGS; that of a
@@ -232,3 +246,16 @@ def fully_doubled(text: str) -> str:
         for options in segments
     )
 
+
+def latin_lookup_variants(name: str) -> set[str]:
+    """All spellings probed against the dictionary for one name part, as
+    spelling keys.
+
+    The part's ``spelling_key``, and ``expand_double_vowels`` of that
+    key's Hepburn base with length h's removed.  The key is lowercase and
+    holds no separator, so the Hepburn table's lowercase rows and the
+    walk's sites apply across a dropped separator (``Koh-ji`` is
+    ``kohji``, whose h marks a long o).
+    """
+    key = spelling_key(name)
+    return {key, *expand_double_vowels(strip_length_h(to_hepburn(key)))}

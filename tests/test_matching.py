@@ -414,6 +414,18 @@ def test_resolve_author_unusable_latin_field(name_dictionary):
     assert resolution.status is NameStatus.NAME_ANOMALY
 
 
+@pytest.mark.parametrize("raw", ["Петров, Иван, 1950-", "김철수 (1)"])
+def test_resolve_author_keeps_another_script_with_digits_and_punctuation(
+    name_dictionary, raw
+):
+    # Letters, none of them Latin: the digits and punctuation beside them
+    # are no Latin name, and the field stands as written.
+    resolution = resolve_author(raw, None, name_dictionary)
+    assert resolution.latin is None
+    assert resolution.kanji == PersonName("", raw)
+    assert resolution.status is NameStatus.UNDEFINED_LATIN_MISSING
+
+
 def test_resolve_author_candidates_only_when_latin_missing(name_dictionary):
     resolution = resolve_author("Shinsuke Mori", "森信介", name_dictionary)
     assert resolution.candidates == []

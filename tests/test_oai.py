@@ -243,7 +243,8 @@ def test_transport_retry_recovers(provider, sleeps):
     def flaky(url: str) -> bytes:
         calls["n"] += 1
         if calls["n"] < 3:
-            raise OSError("connection reset")
+            # As http_fetch reports a reset connection.
+            raise TransportError(url, 1)
         return provider.fetch(url)
 
     record = get_record(
@@ -552,6 +553,15 @@ def test_save_and_replay(tmp_path, provider):
         )
     ]
     assert first == replayed
+
+
+def test_saved_responses_past_six_digits_are_listed_in_number_order(tmp_path):
+    # The writer's name for response 1,000,000 has seven digits; a name
+    # padded past six digits is none of the writer's names.
+    names = ["000002.xml", "999999.xml", "1000000.xml", "0000004.xml", "notes.xml"]
+    for name in names:
+        (tmp_path / name).write_bytes(name.encode())
+    assert [path.name for path in oai.saved_responses(str(tmp_path))] == names[:3]
 
 
 def test_replay_serves_only_saved_responses_in_number_order(tmp_path, sleeps):

@@ -2028,6 +2028,34 @@ def test_a_shorter_harvest_leaves_no_response_of_a_longer_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_response_that_cannot_be_saved_ends_the_harvest_at_once(
+    tmp_path, capsys, monkeypatch
+):
+    # Saving is no network failure: the first response that cannot be
+    # saved ends -h with an i/o error, and is neither fetched again nor
+    # waited for.
+    config = make_config_file(tmp_path)
+    assert run(["--config", str(config), "-d", "-e"]) == 0
+    (tmp_path / "files-harvester").mkdir()
+    dangling = tmp_path / "files-harvester" / "000001.xml"
+    dangling.symlink_to(tmp_path / "missing" / "000001.xml")
+    provider = build_provider()
+    requests = []
+
+    def fetch(url):
+        requests.append(url)
+        return provider.fetch(url)
+
+    sleeps = []
+    monkeypatch.setattr(oai.time, "sleep", sleeps.append)
+    capsys.readouterr()
+    assert run(["--config", str(config), "-h"], fetch=fetch) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("i/o error:")
+    assert len(requests) == 1
+    assert sleeps == []
+
+
 def test_an_empty_filespath_saves_and_removes_no_response(tmp_path, capsys):
     config = make_config_file(tmp_path)
     responses = ["000001.xml", "000002.xml", "000003.xml"]

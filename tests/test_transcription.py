@@ -13,7 +13,6 @@ from jpbib.transcription import (
     _HEPBURN_TABLE,
     EmptyNameError,
     NormalizedLatin,
-    VariantExplosionError,
     expand_double_vowels,
     fully_doubled,
     normalize_latin,
@@ -240,10 +239,12 @@ def test_expand_double_vowels_predoubled_left_alone():
 
 def test_expand_double_vowels_cap():
     assert len(expand_double_vowels(NormalizedLatin("xa" * 8))) == 2**8
-    with pytest.raises(VariantExplosionError) as info:
-        expand_double_vowels(NormalizedLatin("xa" * 9))
-    assert info.value.sites == 9
-    assert "cap of 8" in str(info.value)
+    # Past the cap: the text as written and the text fully doubled.
+    assert expand_double_vowels(NormalizedLatin("xa" * 9)) == ["xa" * 9, "xaa" * 9]
+    assert expand_double_vowels(NormalizedLatin("Xamba" * 5)) == [
+        "Xamba" * 5,
+        "Xaambaa" * 5,
+    ]
 
 
 def test_consonant_variants():
