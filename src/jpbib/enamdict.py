@@ -12,17 +12,26 @@ instead of patched by hand.
 and reports each warning as its line comes, and keeps only the keys
 that drop duplicate records.  It is the one parse of a whole stream:
 ``-e`` feeds it straight into the store, so no record or warning list is
-ever held, and ``load_enamdict`` only collects it.  Every combination of name
-types is one shared frozenset (``TYPE_COMBINATIONS``), so the records
-of one combination carry the same object.
+ever held, and ``load_enamdict`` only collects it.  Records are named
+tuples.  Every combination of name types is one shared frozenset
+(``TYPE_COMBINATIONS``), so the records of one combination carry the
+same object.
+
+``parse_entry_line`` reads a plain line, ``SURFACE [READING] /LATIN
+(TYPES)/`` or the type-first ``SURFACE [READING] /(TYPES) LATIN/`` with
+one sense and no other bracket, slash or backslash, by one regex match,
+and decodes each distinct type block once.  Every other line goes
+through the full parser, which reports its warnings; it is also the
+reference the tests hold the one-match path to.
 """
 
 import enum
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 __all__ = [
     "DictionaryEncodingError",
@@ -71,8 +80,7 @@ _VALID_TYPES_RE = re.compile("(,|%s)*" % "|".join(_ALL_TYPE_CODES))
 _TYPE_TOKEN_RE = re.compile("|".join(_ALL_TYPE_CODES) + "|,")
 
 
-@dataclass(frozen=True)
-class NameRecord:
+class NameRecord(NamedTuple):
     """One dictionary name: written form, optional kana reading, Latin form."""
 
     surface: str
@@ -138,6 +146,26 @@ def _parse_sense(
     return latin, TYPE_COMBINATIONS[frozenset(types)]
 
 
+# A plain line's surface, reading and Latin words hold no whitespace,
+# slash, bracket or backslash, and its Latin words are one space apart,
+# so the full parser would yield them verbatim and warn of nothing.
+_PLAIN = r"[^\s/()\[\]\\]"
+_PLAIN_LATIN = rf"{_PLAIN}+(?: {_PLAIN}+)*"
+_PLAIN_LINE_RE = re.compile(
+    rf"\s*({_PLAIN}+)(?:\s+\[({_PLAIN}*)\])?\s*/\s*"
+    rf"(?:({_PLAIN_LATIN})\s*\(([^()/]*)\)|\(([^()/]*)\)\s*({_PLAIN_LATIN}))\s*/\s*"
+)
+
+
+@lru_cache(maxsize=1024)
+def _block_types(block: str, include_unclassified: bool) -> frozenset[NameType]:
+    """The kept person types of one type block, as their shared set."""
+    types = filter_types(block)
+    if not include_unclassified:
+        types -= {NameType.UNCLASSIFIED}
+    return TYPE_COMBINATIONS[types]
+
+
 def parse_entry_line(
     line: str, include_unclassified: bool, line_number: int = 0
 ) -> tuple[list[NameRecord], list[ParseWarning]]:
@@ -145,8 +173,25 @@ def parse_entry_line(
 
     Each slash-delimited sense yields one record when its type set still
     holds person types after filtering.  Malformed lines yield warnings
-    and whatever could be salvaged.
+    and whatever could be salvaged.  A plain line (one sense, one type
+    block before or after its Latin text) is read by one regex match;
+    every other line goes through the full parser.
     """
+    plain = _PLAIN_LINE_RE.fullmatch(line)
+    if plain is None:
+        return _parse_full_line(line, include_unclassified, line_number)
+    surface, reading, latin, block, first_block, first_latin = plain.groups()
+    if latin is None:
+        latin, block = first_latin, first_block
+    types = _block_types(block, include_unclassified)
+    return ([NameRecord(surface, reading, latin, types)] if types else []), []
+
+
+def _parse_full_line(
+    line: str, include_unclassified: bool, line_number: int
+) -> tuple[list[NameRecord], list[ParseWarning]]:
+    """``parse_entry_line`` for any line shape, with its warnings; the
+    tests hold the one-match path to it."""
     raw = line.rstrip("\n")
     stripped = raw.strip()
     records: list[NameRecord] = []

@@ -193,7 +193,9 @@ def stage_harvest(config: Config, store: SqliteStore, fetch: Fetch) -> RunStatis
     outcomes: dict[str, RecordOutcome] = {}
 
     log.info("harvesting %s (mode=%s)", config.endpoint or "<injected>", mode)
-    with saving as fetch, store.replace_harvest():
+    # The prune runs inside the transaction, so a prune that fails rolls
+    # the harvest back.
+    with store.replace_harvest(), saving as fetch:
         for record, publication in harvest(
             config.endpoint,
             "junii2",

@@ -3,7 +3,10 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jpbib import enamdict
 from jpbib.enamdict import (
     NameRecord,
     NameType,
@@ -235,3 +238,75 @@ def test_malformed_line_yields_warning_only():
     records, warnings = parse_entry_line("not a dictionary line", False)
     assert records == []
     assert len(warnings) == 1
+
+
+@pytest.mark.parametrize(
+    "line, plain",
+    [
+        ("森田 [もりだ] /Morida (s)/", True),
+        ("純 [じゅん] /(g) Jun/", True),
+        # The eight irregular and dropped shapes of perfbench's noise lines.
+        ("甲乙丙 [こうおつへい] /Kouotsu (s)", False),
+        ("甲乙丙 [こうおつへい] /Kouotsu Ko) (g)/", False),
+        ("甲乙丙 [こうおつへい\\ /(p) Kouotsu/Heiko/", False),
+        ("甲乙丙 /(f) Kouotsu/(u) Heiko/Kouotsuko (m)/", False),
+        ("甲乙丙 [こうおつへい] /Kouotsu Heiko (h)/", True),
+        ("甲乙丙 /Kouotsu (u)/", True),
+        ("甲乙丙 [こうおつへい] /Kouotsu (st)/", True),
+        ("甲乙丙 [こうおつへい] /Kouotsu (s,m)/", True),
+        ("森 [もり] /Mori (s)/\r\n", True),
+        ("\u3000森\u3000[もり] /(s)\u3000Mori/\u3000\n", True),
+        ("森\x1c[もり]\x1c/Mori\x1c(s)\x1c/\x85", True),
+        # Whitespace inside the Latin text is folded to one space.
+        ("森 [もり] /Mori\x85Taro (s)/", False),
+        ("森 [もり] /Mori  Taro (s)/", False),
+        ("森 [もり] / (s)/", False),
+        ("東京 [とうきょう] /Tokyo (p)/", True),
+        ("スターウォーズ /Star Wars (film)/", True),
+        ("スターウォーズ /(u) Star Wars (film)/", False),
+        ("森 [もり] /Mori (s)//", False),
+        ("森 [も[り] /Mori (s)/", False),
+    ],
+)
+def test_parse_entry_line_equals_the_full_parser(line, plain):
+    assert (enamdict._PLAIN_LINE_RE.fullmatch(line) is not None) == plain
+    for include_unclassified in (False, True):
+        assert parse_entry_line(line, include_unclassified, 7) == (
+            enamdict._parse_full_line(line, include_unclassified, 7)
+        )
+
+
+_space = st.sampled_from(["", " ", "  ", "\t", "\u3000", "\x85", "\x1c", "\r\n"])
+_word = st.text(alphabet="aMo'-森も,", min_size=1, max_size=4)
+_field = st.one_of(
+    _word,
+    st.lists(
+        st.one_of(_word, st.sampled_from(["(", ")", "[", "]", "/", "\\"]), _space),
+        max_size=3,
+    ).map("".join),
+)
+_block = st.one_of(st.sampled_from(["s", "u", "g", "f,m", "u,s", "p", "st", "film"]), _field)
+
+
+@st.composite
+def _entry_lines(draw):
+    """Lines of both plain shapes, their fields drawn with brackets,
+    slashes, backslashes and Unicode whitespace mixed in."""
+    head = draw(_field)
+    reading = draw(st.none() | _field)
+    if reading is not None:
+        head += f"{draw(_space)}[{reading}]"
+    latin, block = draw(_field), f"({draw(_block)})"
+    if draw(st.booleans()):
+        sense = f"{latin}{draw(_space)}{block}"
+    else:
+        sense = f"{block}{draw(_space)}{latin}"
+    return f"{draw(_space)}{head}{draw(_space)}/{draw(_space)}{sense}{draw(_space)}/{draw(_space)}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_entry_lines(), st.booleans())
+def test_parse_entry_line_equals_the_full_parser_on_any_line(line, include_unclassified):
+    assert parse_entry_line(line, include_unclassified, 7) == (
+        enamdict._parse_full_line(line, include_unclassified, 7)
+    )

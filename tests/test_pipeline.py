@@ -2028,6 +2028,23 @@ def test_a_shorter_harvest_leaves_no_response_of_a_longer_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_prune_that_fails_rolls_the_harvest_back(tmp_path, capsys):
+    # A directory with a saved response's name cannot be removed; the
+    # harvest then ends with an i/o error and leaves the earlier run's
+    # rows, BHT tree and statistics as they were.
+    config = make_config_file(tmp_path)
+    assert run(["--config", str(config), "--all"], fetch=build_provider().fetch) == 0
+    previous = harvest_outputs(config)
+    assert harvested_row_counts(config)[0] > 1
+    (tmp_path / "files-harvester" / "000009.xml").mkdir()
+    one = one_page_fetch(("oai:mock:1", article("New One", "5", ["Jane Doe"])))
+    capsys.readouterr()
+    assert run(["--config", str(config), "-h"], fetch=one) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert harvest_outputs(config) == previous
+
+
 def test_a_response_that_cannot_be_saved_ends_the_harvest_at_once(
     tmp_path, capsys, monkeypatch
 ):
