@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Benchmark the edit-distance kernel, exact and bounded, and names_match.
+"""Benchmark the edit-distance kernel, exact and bounded, names_match, and
+the coauthor vocabulary's ``near`` over the tokens of the pairs.
 
 The kernel sits in the inner loop of fuzzy coauthor matching, where every
 harvested author is compared against every corpus author, so a corpus of
@@ -12,6 +13,7 @@ import argparse
 import random
 import time
 
+from jpbib.dblp import TokenVocabulary
 from jpbib.similarity import MatchConfig, levenshtein, names_match
 
 SYLLABLES = [
@@ -71,6 +73,23 @@ def main() -> None:
     cfg = MatchConfig()
     elapsed = bench(lambda a, b: names_match(a, b, cfg), sample, args.repeat)
     print(f"names_match : {len(sample) / elapsed:>12,.0f} comparisons/s (full names)")
+
+    # The first call builds the segment index; the sample's tokens are then
+    # looked up in the vocabulary of every pair.
+    vocabulary = TokenVocabulary(name for pair in pairs for name in pair)
+    started = time.perf_counter()
+    vocabulary.near("", cfg.lev_threshold)
+    built = time.perf_counter() - started
+    queries = [
+        (token, cfg.lev_threshold)
+        for token in dict.fromkeys(name.casefold() for pair in pairs[:2_000] for name in pair)
+    ]
+    elapsed = bench(vocabulary.near, queries, args.repeat)
+    print(
+        f"near        : {len(queries) / elapsed:>12,.0f} tokens/s"
+        f" ({len(queries)} tokens in a vocabulary of {len(vocabulary.names)},"
+        f" index built in {built * 1e3:.1f} ms)"
+    )
 
 
 if __name__ == "__main__":

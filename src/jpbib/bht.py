@@ -316,10 +316,11 @@ def export(
     made: set[str] = set()
     try:
         for publication, resolutions, dblp_key in harvested:
-            names = latin_names(resolutions)
             shared: list[str] = []
-            if coauthors is not None and names:
-                shared = common_coauthors(names, coauthors, match_config)
+            if coauthors is not None:
+                names = latin_names(resolutions)
+                if names:
+                    shared = common_coauthors(names, coauthors, match_config)
             relative = claim_spf_path(publication, claimed)
             target = os.path.join(root, relative)
             if os.path.commonpath([root, os.path.abspath(target)]) != root:

@@ -24,13 +24,13 @@ shares a token within the edit budget with the author, or if neither
 has a token; with a threshold of 0 every name matches an input author,
 so the final exclusion of those leaves the result empty.  The vocabulary
 maps each casefolded token to the names that contain it, so those names
-are found by dictionary lookups: the token itself, and with the default
-budget of 2 every deletion, substitution and insertion of one character,
-drawn from the vocabulary's alphabet (Norvig, "How to Write a Spelling
-Corrector").
-A budget of 3 or more scans the vocabulary's tokens with
-``levenshtein`` instead.  ``names_match`` still decides every
-candidate, so the result is the one a scan of every name gives.
+are found by dictionary lookups.  With a budget of 1 that is the token
+itself.  With a budget of 2 or more, the tokens near it come from a
+segment index (the partition filter of Pass-Join): a token of the right
+length that shares one of its segments with the query, where the budget
+allows, is a candidate, and ``levenshtein`` checks each one.
+``names_match`` still decides every candidate name, so the result is the
+one a scan of every name gives.
 """
 
 import logging
@@ -217,6 +217,13 @@ class TokenVocabulary:
 
     Names are split into tokens as ``names_match`` splits them.  Names
     without a token are filed under "", which ``str.split`` never yields.
+
+    ``near`` finds the tokens within an edit budget through a segment
+    index, built at its first call for each budget and kept (Li, Deng,
+    Wang and Feng, "Pass-Join", PVLDB 5(3), 2011).  When a token is
+    within tau = ``lev_threshold`` - 1 edits of a query, one of its tau + 1
+    segments appears unchanged in the query, shifted by no more than the
+    edits on either side of it account for.
     """
 
     def __init__(self, names: Iterable[str]) -> None:
@@ -225,26 +232,22 @@ class TokenVocabulary:
             for token in set(name.casefold().split()) or {""}:
                 found.setdefault(token, []).append(name)
         self.names = {token: tuple(listed) for token, listed in found.items()}
-        # A token one edit away from a query uses only these characters.
-        self.alphabet = frozenset("".join(self.names))
+        self._indexes: dict[int, _SegmentIndex] = {}
 
     def near(self, token: str, lev_threshold: int) -> list[str]:
         """Vocabulary tokens within edit distance < ``lev_threshold``."""
-        if lev_threshold >= 3:
-            return [
-                other
-                for other in self.names
-                if other and levenshtein(token, other, lev_threshold) < lev_threshold
-            ]
-        variants = {token} if lev_threshold else set()
-        if lev_threshold == 2:
-            for i in range(len(token) + 1):
-                head, tail = token[:i], token[i:]
-                variants.update(head + c + tail for c in self.alphabet)
-                if tail:
-                    variants.add(head + tail[1:])
-                    variants.update(head + c + tail[1:] for c in self.alphabet)
-        return [variant for variant in variants if variant and variant in self.names]
+        if lev_threshold <= 1:
+            return [token] if lev_threshold and token and token in self.names else []
+        index = self._indexes.get(lev_threshold)
+        if index is None:
+            index = self._indexes[lev_threshold] = _SegmentIndex(
+                self.names, lev_threshold - 1
+            )
+        return [
+            other
+            for other in index.candidates(token)
+            if levenshtein(token, other, lev_threshold) < lev_threshold
+        ]
 
     def candidates(self, name: str, lev_threshold: int) -> set[str]:
         """The names that share a token within the edit budget with ``name``.
@@ -261,6 +264,61 @@ class TokenVocabulary:
             for near in self.near(token, lev_threshold)
             for candidate in self.names[near]
         }
+
+
+class _SegmentIndex:
+    """The non-empty tokens of a vocabulary, cut for an edit budget ``tau``.
+
+    A token of length l is cut into tau + 1 segments whose lengths differ
+    by at most one, the longer ones last, and filed under (l, segment
+    number, segment text).  A token of length tau or less has empty
+    segments, which every query of a length within tau of l shares.
+    """
+
+    def __init__(self, tokens: Iterable[str], tau: int) -> None:
+        self.tau = tau
+        # Length -> for each segment: its start, its length, text -> tokens.
+        self.segments: dict[int, list[tuple[int, int, dict[str, list[str]]]]] = {}
+        for token in tokens:
+            length = len(token)
+            if not length:
+                continue
+            cuts = self.segments.get(length)
+            if cuts is None:
+                size, longer = divmod(length, tau + 1)
+                shorter = tau + 1 - longer
+                cuts = self.segments[length] = [
+                    (i * size + max(i - shorter, 0), size + (i >= shorter), {})
+                    for i in range(tau + 1)
+                ]
+            for start, size, table in cuts:
+                table.setdefault(token[start : start + size], []).append(token)
+
+    def candidates(self, token: str) -> set[str]:
+        """The tokens that share a segment with ``token`` where tau edits
+        allow it.
+
+        A token within tau edits of ``token`` has a segment i (from 0) that
+        appears unchanged in ``token`` with at most i edits before it and
+        tau - i after it, so it starts within i of its own start and within
+        tau - i of that start moved by the length difference.
+        """
+        tau = self.tau
+        n = len(token)
+        found: set[str] = set()
+        for length in range(max(n - tau, 1), n + tau + 1):
+            cuts = self.segments.get(length)
+            if cuts is None:
+                continue
+            shift = n - length
+            for i, (start, size, table) in enumerate(cuts):
+                first = max(start - i, start + shift - tau + i, 0)
+                last = min(start + i, start + shift + tau - i, n - size)
+                for position in range(first, last + 1):
+                    listed = table.get(token[position : position + size])
+                    if listed:
+                        found.update(listed)
+        return found
 
 
 def normalize_title(title: str) -> str:

@@ -23,7 +23,9 @@ def levenshtein(s: str, t: str, limit: int | None = None) -> int:
     and ``limit`` otherwise.  Only cells with ``|i - j| < limit`` can hold a
     value below it, so the dynamic program fills just that band and stops
     once a whole row reaches ``limit`` (Ukkonen 1985).  Without ``limit``
-    the band covers the whole table and the result is exact.
+    the band covers the whole table and the result is exact.  A ``limit``
+    of 2, the default coauthor budget, needs no table: two strings one
+    edit apart agree again just past their first mismatch.
     """
     if s == t:
         return 0
@@ -32,6 +34,17 @@ def levenshtein(s: str, t: str, limit: int | None = None) -> int:
         limit = len(s) + m + 1
     elif abs(len(s) - m) >= limit:
         return limit
+    if limit == 2:
+        # One edit at most: past the first mismatch the rest must agree,
+        # with one character skipped in the longer string, or in both.
+        if len(s) > m:
+            s, t = t, s
+        i = 0
+        for cs, ct in zip(s, t):
+            if cs != ct:
+                break
+            i += 1
+        return 1 if s[i + (len(s) == len(t)) :] == t[i + 1 :] else 2
     if not s or not t:
         return len(s) + m
     band = limit - 1

@@ -293,16 +293,77 @@ def test_common_coauthors_equals_the_scan(author_lists, authors, cfg):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(names, max_size=12), names, st.integers(0, 3))
-def test_near_tokens_are_the_tokens_within_the_edit_budget(corpus_names, name, lev):
+# A token of up to 16 characters and corpus names made from it by up to
+# five edits, so that every length the segment windows cover is reached.
+letters = st.sampled_from("abßİS")
+edits = st.lists(
+    st.tuples(st.sampled_from("ids"), st.integers(0, 16), letters), max_size=5
+)
+
+
+def edited(token: str, steps) -> str:
+    chars = list(token)
+    for kind, position, char in steps:
+        position %= len(chars) + 1
+        if kind == "i":
+            chars.insert(position, char)
+        elif position < len(chars):
+            if kind == "d":
+                del chars[position]
+            else:
+                chars[position] = char
+    return "".join(chars)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(letters, max_size=16),
+    st.lists(edits, max_size=10),
+    st.lists(names, max_size=6),
+    st.integers(0, 4),
+)
+def test_near_tokens_are_the_tokens_within_the_edit_budget(token, variants, others, lev):
+    corpus_names = [edited(token, steps) for steps in variants] + others
     vocabulary = TokenVocabulary(corpus_names)
-    for token in set(name.casefold().split()):
-        assert sorted(vocabulary.near(token, lev)) == sorted(
+    for query in {token.casefold(), *" ".join(corpus_names).casefold().split()}:
+        assert sorted(vocabulary.near(query, lev)) == sorted(
             other
             for other in vocabulary.names
-            if other and levenshtein(token, other) < lev
+            if other and levenshtein(query, other) < lev
         )
+
+
+@pytest.mark.parametrize(
+    "corpus_names, token, lev, expected",
+    [
+        # Tokens shorter than lev cannot fill their lev segments.
+        (["a", "ab", "b", "abc", "abcd"], "b", 3, ["a", "ab", "abc", "b"]),
+        (["a", "ab", "xyz"], "xy", 4, ["a", "ab", "xyz"]),
+        (["a", "ab", "b"], "", 2, ["a", "b"]),
+        # A transposition is two edits.
+        (["ba"], "ab", 1, []),
+        (["ba"], "ab", 2, []),
+        (["ba"], "ab", 3, ["ba"]),
+        (["ab"], "ab", 1, ["ab"]),
+        (["ab"], "ab", 0, []),
+        # An insertion at the first and at the last position, both ways.
+        (["xkatsuhiko", "katsuhikox", "katsuhiko"], "katsuhiko", 2,
+         ["katsuhiko", "katsuhikox", "xkatsuhiko"]),
+        (["katsuhiko"], "xkatsuhiko", 2, ["katsuhiko"]),
+        (["katsuhiko"], "katsuhikox", 2, ["katsuhiko"]),
+        (["xykatsuhiko", "katsuhikoxy"], "katsuhiko", 2, []),
+        (["xykatsuhiko", "katsuhikoxy"], "katsuhiko", 3,
+         ["katsuhikoxy", "xykatsuhiko"]),
+        # "ß" casefolds to "ss" and "İ" to "i" and a combining dot above.
+        (["Straße"], "strase", 2, ["strasse"]),
+        (["Straße"], "straße", 2, []),
+        (["İsa"], "isa", 2, ["i\u0307sa"]),
+        (["İsa"], "sa", 2, []),
+        (["İsa"], "sa", 3, ["i\u0307sa"]),
+    ],
+)
+def test_near_tokens_at_the_edges_of_the_segments(corpus_names, token, lev, expected):
+    assert sorted(TokenVocabulary(corpus_names).near(token, lev)) == expected
 
 
 def test_common_coauthors_compares_only_candidates(monkeypatch, tmp_path):
@@ -322,6 +383,32 @@ def test_common_coauthors_compares_only_candidates(monkeypatch, tmp_path):
     assert common_coauthors([far[10], far[12]], coauthors) == [far[11]]
     assert len(coauthors) == len(far)
     assert len(calls) < len(far) // 10
+
+
+def test_near_checks_only_tokens_that_share_a_segment(monkeypatch, tmp_path):
+    # Three doubled-letter pairs per token, each from its own permutation of
+    # 0..399: no two tokens share a segment, and they are 5 or more edits
+    # apart.
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    far = [
+        "".join(2 * letters[x // 20] + 2 * letters[x % 20] for x in codes)
+        for n in range(400)
+        for codes in [(n, (7 * n + 3) % 400, (13 * n + 5) % 400)]
+    ]
+    document = io.BytesIO(corpus_document(zip(far, far[1:])))
+    with corpus_store(tmp_path, document) as store:
+        coauthors = store.load_coauthors()
+    calls = []
+
+    def counting(a, b, limit=None):
+        calls.append((a, b))
+        return levenshtein(a, b, limit)
+
+    monkeypatch.setattr(dblp, "levenshtein", counting)
+    cfg = MatchConfig(lev_threshold=3)
+    assert common_coauthors([far[10], far[12]], coauthors, cfg) == [far[11]]
+    assert len(coauthors) == len(far)
+    assert 0 < len(calls) < len(far) // 10
 
 
 def test_malformed_xml_raises_positioned_error(tmp_path):

@@ -205,6 +205,33 @@ def test_bounded_levenshtein_against_oracle(s, t, limit):
     assert levenshtein(s, t) == exact
 
 
+@pytest.mark.parametrize(
+    "s, t, expected",
+    [
+        ("shinsuke", "shinsuke", 0),
+        ("shinsuke", "shinsake", 1),
+        ("shinsuke", "xshinsuke", 1),
+        ("shinsuke", "shinsukex", 1),
+        ("xshinsuke", "shinsuke", 1),
+        ("shinsukex", "shinsuke", 1),
+        ("shinsuke", "hsinsuke", 2),
+        ("shinsuke", "shinsuek", 2),
+        ("shinsuke", "xshinsukex", 2),
+        ("shinsuke", "shinsukexy", 2),
+        ("", "", 0),
+        ("", "a", 1),
+        ("a", "", 1),
+        ("", "ab", 2),
+        ("a", "b", 1),
+        ("ab", "b", 1),
+        ("ab", "ba", 2),
+    ],
+)
+def test_levenshtein_with_limit_two(s, t, expected):
+    assert levenshtein(s, t, 2) == expected
+    assert min(edit_distance_oracle(s, t), 2) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(name, name, thresholds)
 def test_names_match_against_oracle(a, b, cfg):
