@@ -21,7 +21,6 @@ from typing import Container, Iterable
 from .dblp import Coauthors, common_coauthors
 from .matching import AuthorResolution, latin_names
 from .oai import HarvestedPublication
-from .similarity import MatchConfig
 
 __all__ = [
     "BhtEntry",
@@ -300,7 +299,6 @@ def export(
     ],
     root: str,
     coauthors: Coauthors | None = None,
-    match_config: MatchConfig | None = None,
 ) -> None:
     """Write one file under ``root`` for each harvested (publication,
     resolutions, corpus key), then remove every other single-publication
@@ -320,7 +318,7 @@ def export(
             if coauthors is not None:
                 names = latin_names(resolutions)
                 if names:
-                    shared = common_coauthors(names, coauthors, match_config)
+                    shared = common_coauthors(names, coauthors)
             relative = claim_spf_path(publication, claimed)
             target = os.path.join(root, relative)
             if os.path.commonpath([root, os.path.abspath(target)]) != root:

@@ -22,20 +22,20 @@ it holds no copy of the corpus.
 name.  With a match threshold above 0, a name can match only if it
 shares a token within the edit budget with the author, or if neither
 has a token; with a threshold of 0 every name matches an input author,
-so the final exclusion of those leaves the result empty.  The vocabulary
-maps each casefolded token to the names that contain it, so those names
-are found by dictionary lookups.  With a budget of 1 that is the token
-itself.  With a budget of 2 or more, the tokens near it come from a
-segment index (the partition filter of Pass-Join): a token of the right
-length that shares one of its segments with the query, where the budget
-allows, is a candidate, and ``levenshtein`` checks each one.
-``names_match`` still decides every candidate name, so the result is the
-one a scan of every name gives.
+so the final exclusion of those leaves the result empty.  -h builds the
+adjacency once for the run's ``MatchConfig``, and with it the vocabulary,
+which maps each casefolded token to the names that contain it and cuts
+each token into segments for the run's edit budget (the partition filter
+of Pass-Join).  A token of a length in range that shares one of its
+segments with the query, where the budget allows, is a candidate, and
+``levenshtein`` checks each one.  With a budget of 1 the one segment is
+the token itself.  ``names_match`` still decides every candidate name,
+so the result is the one a scan of every name gives.
 """
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from html.entities import name2codepoint
 from typing import BinaryIO, Iterable, Iterator, Protocol, Sequence
 from xml.etree import ElementTree as ET
@@ -195,61 +195,96 @@ def iter_corpus(stream: BinaryIO) -> Iterator[CorpusPublication]:
 
 
 class Coauthors(dict[str, set[str]]):
-    """Author -> every author they share a publication with, in pair order.
+    """Author -> every author they share a publication with, in pair order,
+    with the run's match settings and the token vocabulary of its names.
 
     -h fills it from the store's edge table (``SqliteStore.load_coauthors``).
     """
 
-    def __init__(self, pairs: Iterable[tuple[str, str]]) -> None:
+    def __init__(self, pairs: Iterable[tuple[str, str]], cfg: MatchConfig) -> None:
         super().__init__()
         for author_a, author_b in pairs:
             self.setdefault(author_a, set()).add(author_b)
             self.setdefault(author_b, set()).add(author_a)
-
-    @cached_property
-    def tokens(self) -> "TokenVocabulary":
-        """The token vocabulary of the adjacency's names."""
-        return TokenVocabulary(self)
+        self.cfg = cfg
+        self.tokens = TokenVocabulary(self, cfg.lev_threshold)
 
 
 class TokenVocabulary:
-    """Casefolded name token -> the names that contain it.
+    """Casefolded name token -> the names that contain it, with the tokens
+    cut for one edit budget.
 
     Names are split into tokens as ``names_match`` splits them.  Names
     without a token are filed under "", which ``str.split`` never yields.
 
-    ``near`` finds the tokens within an edit budget through a segment
-    index, built at its first call for each budget and kept (Li, Deng,
-    Wang and Feng, "Pass-Join", PVLDB 5(3), 2011).  When a token is
-    within tau = ``lev_threshold`` - 1 edits of a query, one of its tau + 1
-    segments appears unchanged in the query, shifted by no more than the
-    edits on either side of it account for.
+    ``near`` finds the tokens within the edit budget through a segment
+    index (Li, Deng, Wang and Feng, "Pass-Join", PVLDB 5(3), 2011).  A
+    token of length l is cut into min(tau, l) + 1 segments, with tau =
+    ``lev_threshold`` - 1, whose lengths differ by at most one, the longer
+    ones last, and filed under (l, segment number, segment text).  When a
+    token longer than tau is within tau edits of a query, one of its tau +
+    1 segments appears unchanged in the query, shifted by no more than the
+    edits on either side of it account for.  A shorter token has one empty
+    segment, which every query of a length within tau of l shares.  A
+    budget of 1 leaves one segment, the token itself; a budget of 0 cuts
+    nothing.
     """
 
-    def __init__(self, names: Iterable[str]) -> None:
+    def __init__(self, names: Iterable[str], lev_threshold: int) -> None:
         found: dict[str, list[str]] = {}
         for name in names:
             for token in set(name.casefold().split()) or {""}:
                 found.setdefault(token, []).append(name)
         self.names = {token: tuple(listed) for token, listed in found.items()}
-        self._indexes: dict[int, _SegmentIndex] = {}
+        # The lists go before the tokens are cut, so the two never coexist.
+        del found
+        self.lev_threshold = lev_threshold
+        tau = lev_threshold - 1
+        # Length -> for each segment: its start, its length, text -> tokens.
+        self.segments: dict[int, list[tuple[int, int, dict[str, list[str]]]]] = {}
+        for token in self.names if lev_threshold else ():
+            length = len(token)
+            if not length:
+                continue
+            cuts = self.segments.get(length)
+            if cuts is None:
+                parts = min(tau, length) + 1
+                size, longer = divmod(length, parts)
+                shorter = parts - longer
+                cuts = self.segments[length] = [
+                    (i * size + max(i - shorter, 0), size + (i >= shorter), {})
+                    for i in range(parts)
+                ]
+            for start, size, table in cuts:
+                table.setdefault(token[start : start + size], []).append(token)
 
-    def near(self, token: str, lev_threshold: int) -> list[str]:
-        """Vocabulary tokens within edit distance < ``lev_threshold``."""
-        if lev_threshold <= 1:
-            return [token] if lev_threshold and token and token in self.names else []
-        index = self._indexes.get(lev_threshold)
-        if index is None:
-            index = self._indexes[lev_threshold] = _SegmentIndex(
-                self.names, lev_threshold - 1
-            )
-        return [
-            other
-            for other in index.candidates(token)
-            if levenshtein(token, other, lev_threshold) < lev_threshold
-        ]
+    def near(self, token: str) -> list[str]:
+        """Vocabulary tokens within edit distance < ``lev_threshold``.
 
-    def candidates(self, name: str, lev_threshold: int) -> set[str]:
+        A token within tau edits of ``token`` has a segment i (from 0) that
+        appears unchanged in ``token`` with at most i edits before it and
+        tau - i after it, so it starts within i of its own start and within
+        tau - i of that start moved by the length difference.  Every token
+        that shares such a segment is checked with ``levenshtein``.
+        """
+        limit = self.lev_threshold
+        tau = limit - 1
+        n = len(token)
+        found: set[str] = set()
+        for length, cuts in self.segments.items():
+            shift = n - length
+            if abs(shift) > tau:
+                continue
+            for i, (start, size, table) in enumerate(cuts):
+                first = max(start - i, start + shift - tau + i, 0)
+                last = min(start + i, start + shift + tau - i, n - size)
+                for position in range(first, last + 1):
+                    listed = table.get(token[position : position + size])
+                    if listed:
+                        found.update(listed)
+        return [other for other in found if levenshtein(token, other, limit) < limit]
+
+    def candidates(self, name: str) -> set[str]:
         """The names that share a token within the edit budget with ``name``.
 
         A name without a token gets the names without a token.  Under a
@@ -261,64 +296,9 @@ class TokenVocabulary:
         return {
             candidate
             for token in tokens
-            for near in self.near(token, lev_threshold)
+            for near in self.near(token)
             for candidate in self.names[near]
         }
-
-
-class _SegmentIndex:
-    """The non-empty tokens of a vocabulary, cut for an edit budget ``tau``.
-
-    A token of length l is cut into tau + 1 segments whose lengths differ
-    by at most one, the longer ones last, and filed under (l, segment
-    number, segment text).  A token of length tau or less has empty
-    segments, which every query of a length within tau of l shares.
-    """
-
-    def __init__(self, tokens: Iterable[str], tau: int) -> None:
-        self.tau = tau
-        # Length -> for each segment: its start, its length, text -> tokens.
-        self.segments: dict[int, list[tuple[int, int, dict[str, list[str]]]]] = {}
-        for token in tokens:
-            length = len(token)
-            if not length:
-                continue
-            cuts = self.segments.get(length)
-            if cuts is None:
-                size, longer = divmod(length, tau + 1)
-                shorter = tau + 1 - longer
-                cuts = self.segments[length] = [
-                    (i * size + max(i - shorter, 0), size + (i >= shorter), {})
-                    for i in range(tau + 1)
-                ]
-            for start, size, table in cuts:
-                table.setdefault(token[start : start + size], []).append(token)
-
-    def candidates(self, token: str) -> set[str]:
-        """The tokens that share a segment with ``token`` where tau edits
-        allow it.
-
-        A token within tau edits of ``token`` has a segment i (from 0) that
-        appears unchanged in ``token`` with at most i edits before it and
-        tau - i after it, so it starts within i of its own start and within
-        tau - i of that start moved by the length difference.
-        """
-        tau = self.tau
-        n = len(token)
-        found: set[str] = set()
-        for length in range(max(n - tau, 1), n + tau + 1):
-            cuts = self.segments.get(length)
-            if cuts is None:
-                continue
-            shift = n - length
-            for i, (start, size, table) in enumerate(cuts):
-                first = max(start - i, start + shift - tau + i, 0)
-                last = min(start + i, start + shift + tau - i, n - size)
-                for position in range(first, last + 1):
-                    listed = table.get(token[position : position + size])
-                    if listed:
-                        found.update(listed)
-        return found
 
 
 def normalize_title(title: str) -> str:
@@ -359,22 +339,19 @@ def find_publication(
     return None
 
 
-def common_coauthors(
-    authors: list[str],
-    coauthors: Coauthors,
-    cfg: MatchConfig | None = None,
-) -> list[str]:
+def common_coauthors(authors: list[str], coauthors: Coauthors) -> list[str]:
     """Corpus authors that at least two of the given authors worked with.
 
-    All name comparison is fuzzy; authors that are themselves among the
-    inputs are excluded.  Result is sorted lexicographically.  Each
-    author is compared only with the vocabulary's candidates for it.
+    All name comparison is fuzzy, under the adjacency's match settings;
+    authors that are themselves among the inputs are excluded.  Result is
+    sorted lexicographically.  Each author is compared only with the
+    vocabulary's candidates for it.
     """
-    cfg = cfg or MatchConfig()
+    cfg = coauthors.cfg
     counts: dict[str, int] = {}
     for author in dict.fromkeys(authors):
         neighbourhood: set[str] = set()
-        for name in coauthors.tokens.candidates(author, cfg.lev_threshold):
+        for name in coauthors.tokens.candidates(author):
             if names_match(author, name, cfg):
                 neighbourhood |= coauthors[name]
         for neighbour in neighbourhood:

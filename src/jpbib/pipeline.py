@@ -240,8 +240,12 @@ def stage_export(config: Config, store: SqliteStore, stats: RunStatistics) -> No
     stats_path = os.path.join(config.resolve(config.log_path), "statistics.json")
     try:
         overwrite(stats_path, stats.to_json().encode("utf-8"))
-        # The adjacency comes from the edge table.
-        coauthors = store.load_coauthors() if config.show_common_coauthors else None
+        # The adjacency comes from the edge table, and its vocabulary is
+        # built once for the run's match settings.
+        coauthors = None
+        if config.show_common_coauthors:
+            match_config = MatchConfig(config.lev_threshold, config.match_threshold)
+            coauthors = store.load_coauthors(match_config)
     except BaseException:
         # The files of the rows that this harvest replaced go too.
         remove_unclaimed(root, ())
@@ -252,8 +256,7 @@ def stage_export(config: Config, store: SqliteStore, stats: RunStatistics) -> No
         log.warning(
             "bhtexport.matchthreshold=0: the common-coauthor display will be empty"
         )
-    match_config = MatchConfig(config.lev_threshold, config.match_threshold)
-    export(store.harvested(), root, coauthors, match_config)
+    export(store.harvested(), root, coauthors)
 
 
 def stage_concatenate(config: Config) -> int:

@@ -49,6 +49,7 @@ from .dblp import Coauthors, CorpusPublication, normalize_title
 from .enamdict import TYPE_COMBINATIONS, NameRecord, NameType
 from .matching import AuthorResolution, NameStatus, PersonName
 from .oai import HarvestedPublication
+from .similarity import MatchConfig
 
 __all__ = ["SqliteStore"]
 
@@ -315,10 +316,11 @@ class SqliteStore:
             )
         ]
 
-    def load_coauthors(self) -> Coauthors:
-        """The edge table's adjacency, filled in edge (parse) order."""
+    def load_coauthors(self, cfg: MatchConfig) -> Coauthors:
+        """The edge table's adjacency, filled in edge (parse) order, with
+        its vocabulary built for ``cfg``."""
         sql = f"SELECT author_a, author_b FROM {self.edges} ORDER BY id"
-        return Coauthors(self.connection.execute(sql))
+        return Coauthors(self.connection.execute(sql), cfg)
 
     # No stage calls this; perfbench/tracing.py wraps it.  It goes with ROADMAP item 5.
     def load_corpus(self) -> list[CorpusPublication]:

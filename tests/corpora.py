@@ -17,6 +17,7 @@ from xml.sax.saxutils import escape
 
 from jpbib.config import Config
 from jpbib.dblp import Coauthors, CorpusPublication, iter_corpus, normalize_title
+from jpbib.similarity import MatchConfig
 from jpbib.store import SqliteStore
 
 
@@ -71,12 +72,18 @@ def coauthor_edges(
     ]
 
 
-def coauthor_adjacency(publications: Iterable[CorpusPublication]) -> Coauthors:
-    """The adjacency of the publications' author pairs, in pair order."""
+def coauthor_adjacency(
+    publications: Iterable[CorpusPublication], cfg: MatchConfig = MatchConfig()
+) -> Coauthors:
+    """The adjacency of the publications' author pairs, in pair order,
+    with its vocabulary for ``cfg``."""
     return Coauthors(
-        pair
-        for publication in publications
-        for pair in coauthor_pairs(publication.authors)
+        (
+            pair
+            for publication in publications
+            for pair in coauthor_pairs(publication.authors)
+        ),
+        cfg,
     )
 
 

@@ -22,6 +22,7 @@ from jpbib.bht import (
 from jpbib.dblp import common_coauthors
 from jpbib.matching import AuthorResolution, NameStatus, PersonName, resolve_author
 from jpbib.oai import HarvestedPublication, get_record, parse_junii2
+from jpbib.similarity import MatchConfig
 
 from corpora import corpus_store
 from mockrepo import GOLDEN_ID, NO_LATIN_ID, build_provider
@@ -103,7 +104,7 @@ def golden_entry(name_dictionary, tmp_path_factory):
     with open(FIXTURES / "corpus_fixture.xml", "rb") as handle:
         store = corpus_store(tmp_path_factory.mktemp("corpus"), handle)
     with store:
-        coauthors = store.load_coauthors()
+        coauthors = store.load_coauthors(MatchConfig())
     shared = common_coauthors(
         [r.latin.display() for r in resolutions if r.latin], coauthors
     )

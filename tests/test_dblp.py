@@ -4,6 +4,7 @@ store that -d fills."""
 import io
 import logging
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from html.entities import name2codepoint
 from pathlib import Path
@@ -114,7 +115,7 @@ def test_adjacency_skips_repeated_and_single_authors(tmp_path):
         b"</dblp>\n"
     )
     with corpus_store(tmp_path, io.BytesIO(xml)) as store:
-        assert store.load_coauthors() == {"Ann": {"Bo"}, "Bo": {"Ann"}}
+        assert store.load_coauthors(MatchConfig()) == {"Ann": {"Bo"}, "Bo": {"Ann"}}
         assert stored_edges(store) == [("Ann", "Bo", 1), ("Bo", "Ann", 1)]
 
 
@@ -213,43 +214,50 @@ def test_find_publication_self_lookup(corpus):
 
 
 def test_common_coauthors(corpus):
-    cfg = MatchConfig()
     result = common_coauthors(
-        ["Shinsuke Mori", "Graham Neubig", "Yuuta Tsuboi"], corpus.load_coauthors(), cfg
+        ["Shinsuke Mori", "Graham Neubig", "Yuuta Tsuboi"],
+        corpus.load_coauthors(MatchConfig()),
     )
     assert result == ["Masato Mimura"]
 
 
 def test_common_coauthors_single_input(corpus):
-    assert common_coauthors(["Shinsuke Mori"], corpus.load_coauthors()) == []
+    coauthors = corpus.load_coauthors(MatchConfig())
+    assert common_coauthors(["Shinsuke Mori"], coauthors) == []
 
 
 def test_common_coauthors_no_shared_third_party(corpus):
-    coauthors = corpus.load_coauthors()
+    coauthors = corpus.load_coauthors(MatchConfig())
     assert common_coauthors(["E. F. Codd", "Markus Tresch"], coauthors) == []
 
 
 def test_common_coauthors_at_match_threshold_zero_is_empty(corpus):
     # Every corpus name matches the input authors themselves.
-    coauthors = corpus.load_coauthors()
     authors = ["Shinsuke Mori", "Graham Neubig", "Yuuta Tsuboi"]
+    coauthors = corpus.load_coauthors(MatchConfig())
     assert common_coauthors(authors, coauthors) == ["Masato Mimura"]
-    zero = MatchConfig(match_threshold=0.0)
-    assert common_coauthors(authors, coauthors, zero) == []
+    zero = corpus.load_coauthors(MatchConfig(match_threshold=0.0))
+    assert common_coauthors(authors, zero) == []
 
 
-def test_common_coauthors_builds_the_adjacency_and_its_vocabulary(corpus):
-    coauthors = corpus.load_coauthors()
-    assert not vars(coauthors)
-    common_coauthors(["Shinsuke Mori", "Graham Neubig"], coauthors)
-    assert set(vars(coauthors)) == {"tokens"}
+def test_load_coauthors_holds_its_settings_and_their_vocabulary(corpus):
+    # "mory" is one edit from the corpus token "mori".
+    for lev, near in [(2, ["mori"]), (1, [])]:
+        cfg = MatchConfig(lev_threshold=lev)
+        coauthors = corpus.load_coauthors(cfg)
+        assert coauthors.cfg is cfg
+        assert coauthors.tokens.near("mory") == near
+        assert coauthors.tokens.near("mori") == ["mori"]
 
 
-def adjacency_of(author_lists):
+def adjacency_of(author_lists, cfg):
     """The reference adjacency of one publication per author list."""
     return coauthor_adjacency(
-        CorpusPublication(id=n, key=f"k/{n}", authors=tuple(authors), title="")
-        for n, authors in enumerate(author_lists, start=1)
+        (
+            CorpusPublication(id=n, key=f"k/{n}", authors=tuple(authors), title="")
+            for n, authors in enumerate(author_lists, start=1)
+        ),
+        cfg,
     )
 
 
@@ -287,8 +295,8 @@ configs = st.builds(
     configs,
 )
 def test_common_coauthors_equals_the_scan(author_lists, authors, cfg):
-    adjacency = adjacency_of(author_lists)
-    assert common_coauthors(authors, adjacency, cfg) == scan_common_coauthors(
+    adjacency = adjacency_of(author_lists, cfg)
+    assert common_coauthors(authors, adjacency) == scan_common_coauthors(
         authors, adjacency, cfg
     )
 
@@ -320,13 +328,13 @@ def edited(token: str, steps) -> str:
     st.text(letters, max_size=16),
     st.lists(edits, max_size=10),
     st.lists(names, max_size=6),
-    st.integers(0, 4),
+    st.one_of(st.integers(0, 4), st.sampled_from([8, 13, 30, 100])),
 )
 def test_near_tokens_are_the_tokens_within_the_edit_budget(token, variants, others, lev):
     corpus_names = [edited(token, steps) for steps in variants] + others
-    vocabulary = TokenVocabulary(corpus_names)
+    vocabulary = TokenVocabulary(corpus_names, lev)
     for query in {token.casefold(), *" ".join(corpus_names).casefold().split()}:
-        assert sorted(vocabulary.near(query, lev)) == sorted(
+        assert sorted(vocabulary.near(query)) == sorted(
             other
             for other in vocabulary.names
             if other and levenshtein(query, other) < lev
@@ -360,10 +368,33 @@ def test_near_tokens_are_the_tokens_within_the_edit_budget(token, variants, othe
         (["İsa"], "isa", 2, ["i\u0307sa"]),
         (["İsa"], "sa", 2, []),
         (["İsa"], "sa", 3, ["i\u0307sa"]),
+        # Budgets above the token lengths: one empty segment per token.
+        # "a" is 8 edits from "xbcdefgh".
+        (["a", "abcdefgh", "abcdefghijk"], "xbcdefgh", 8,
+         ["abcdefgh", "abcdefghijk"]),
+        (["a", "abcdefgh", "abcdefghijk"], "xbcdefgh", 9,
+         ["a", "abcdefgh", "abcdefghijk"]),
+        (["ab", "katsuhiko", "xykatsuhikoxy"], "", 30,
+         ["ab", "katsuhiko", "xykatsuhikoxy"]),
+        (["ab", "katsuhiko"], "katsuhiko" * 4, 30, ["katsuhiko"]),
     ],
 )
 def test_near_tokens_at_the_edges_of_the_segments(corpus_names, token, lev, expected):
-    assert sorted(TokenVocabulary(corpus_names).near(token, lev)) == expected
+    assert sorted(TokenVocabulary(corpus_names, lev).near(token)) == expected
+
+
+def test_a_large_budget_cuts_each_token_into_at_most_its_length_plus_one():
+    # Each token is cut for its own length: tau + 1 segments per token, and
+    # a window over every length within tau, would grow with the budget.
+    tracemalloc.start()
+    try:
+        vocabulary = TokenVocabulary(["katsuhiko", "katsuhiro", "mori", "neubig"], 10**4)
+        near = vocabulary.near("katsuhiko")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(near) == ["katsuhiko", "katsuhiro", "mori", "neubig"]
+    assert peak < 2**19
 
 
 def test_common_coauthors_compares_only_candidates(monkeypatch, tmp_path):
@@ -372,7 +403,7 @@ def test_common_coauthors_compares_only_candidates(monkeypatch, tmp_path):
     far = ["".join(2 * letters[n // 26**i % 26] for i in range(2)) for n in range(400)]
     document = io.BytesIO(corpus_document(zip(far, far[1:])))
     with corpus_store(tmp_path, document) as store:
-        coauthors = store.load_coauthors()
+        coauthors = store.load_coauthors(MatchConfig())
     calls = []
 
     def counting(a, b, cfg):
@@ -397,7 +428,7 @@ def test_near_checks_only_tokens_that_share_a_segment(monkeypatch, tmp_path):
     ]
     document = io.BytesIO(corpus_document(zip(far, far[1:])))
     with corpus_store(tmp_path, document) as store:
-        coauthors = store.load_coauthors()
+        coauthors = store.load_coauthors(MatchConfig(lev_threshold=3))
     calls = []
 
     def counting(a, b, limit=None):
@@ -405,8 +436,7 @@ def test_near_checks_only_tokens_that_share_a_segment(monkeypatch, tmp_path):
         return levenshtein(a, b, limit)
 
     monkeypatch.setattr(dblp, "levenshtein", counting)
-    cfg = MatchConfig(lev_threshold=3)
-    assert common_coauthors([far[10], far[12]], coauthors, cfg) == [far[11]]
+    assert common_coauthors([far[10], far[12]], coauthors) == [far[11]]
     assert len(coauthors) == len(far)
     assert 0 < len(calls) < len(far) // 10
 

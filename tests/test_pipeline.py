@@ -22,6 +22,7 @@ from jpbib.matching import NameStatus
 from jpbib.oai import OAI_NS, TransportError, get_record, parse_junii2
 from jpbib.oai_mock import junii2_payload
 from jpbib.pipeline import run
+from jpbib.similarity import MatchConfig
 from jpbib.stats import RecordOutcome, RunStatistics
 from jpbib.store import SqliteStore
 
@@ -301,7 +302,7 @@ def test_store_corpus_roundtrip(store):
     assert store.has_corpus()
     assert stored_publications(store) == publications
     assert store.load_corpus() == publications
-    assert store.load_coauthors() == coauthor_adjacency(publications)
+    assert store.load_coauthors(MatchConfig()) == coauthor_adjacency(publications)
     assert stored_edges(store) == edges
 
 
@@ -550,7 +551,7 @@ def test_store_coauthors_equal_the_parsed_corpus(tmp_path_factory, entries, auth
     parsed = coauthor_adjacency(publications)
     directory = tmp_path_factory.getbasetemp()
     with corpus_store(directory, io.BytesIO(document), "edges") as store:
-        loaded = store.load_coauthors()
+        loaded = store.load_coauthors(MatchConfig())
         rows = stored_edges(store)
     assert rows == coauthor_edges(publications)
     assert loaded == parsed
@@ -1700,6 +1701,38 @@ def harvested_row_counts(config: Path) -> list[int]:
             opened.connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
             for table in (opened.publications, opened.authors, opened.titles)
         ]
+
+
+@pytest.mark.parametrize("lev_threshold, found", [(1, False), (2, True)])
+def test_run_all_matches_names_within_the_configured_edit_budget(
+    tmp_path, capsys, lev_threshold, found
+):
+    # "Jane Doa" is one edit from the corpus's "Jane Doe": only a budget
+    # of 2 finds the known publication and the common coauthor.
+    corpus = (
+        b"<dblp>"
+        b'<article key="k/1"><author>Jane Doe</author><author>Ken Sato</author>'
+        b"<title>Mock Title</title></article>"
+        b'<article key="k/2"><author>John Roe</author><author>Ken Sato</author>'
+        b"<title>Other Title</title></article>"
+        b"</dblp>"
+    )
+    config = config_with_corpus(tmp_path, corpus)
+    config.write_text(
+        config.read_text().replace(
+            "showcommoncoauthors=true\n",
+            f"showcommoncoauthors=true\nlevthreshold={lev_threshold}\n",
+        )
+    )
+    fetch = one_page_fetch(
+        ("oai:mock:1", article("Mock Title", "5", ["Jane Doa", "John Roe"]))
+    )
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+    [text] = written_bht(tmp_path / "bht").values()
+    assert ("<dblpkey>k/1</dblpkey>" in text) is found
+    assert ("<commoncoauthors>Ken Sato</commoncoauthors>" in text) is found
+    assert ("<commoncoauthors>" in text) is found
 
 
 def test_run_repeated_identifier_last_copy_wins(tmp_path, capsys):
