@@ -316,9 +316,7 @@ def export(
         for publication, resolutions, dblp_key in harvested:
             shared: list[str] = []
             if coauthors is not None:
-                names = latin_names(resolutions)
-                if names:
-                    shared = common_coauthors(names, coauthors)
+                shared = common_coauthors(latin_names(resolutions), coauthors)
             relative = claim_spf_path(publication, claimed)
             target = os.path.join(root, relative)
             if os.path.commonpath([root, os.path.abspath(target)]) != root:

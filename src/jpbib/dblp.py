@@ -20,17 +20,19 @@ it holds no copy of the corpus.
 
 ``common_coauthors`` does not compare an author with every adjacency
 name.  With a match threshold above 0, a name can match only if it
-shares a token within the edit budget with the author, or if neither
-has a token; with a threshold of 0 every name matches an input author,
-so the final exclusion of those leaves the result empty.  -h builds the
-adjacency once for the run's ``MatchConfig``, and with it the vocabulary,
-which maps each casefolded token to the names that contain it and cuts
-each token into segments for the run's edit budget (the partition filter
-of Pass-Join).  A token of a length in range that shares one of its
-segments with the query, where the budget allows, is a candidate, and
-``levenshtein`` checks each one.  With a budget of 1 the one segment is
-the token itself.  ``names_match`` still decides every candidate name,
-so the result is the one a scan of every name gives.
+shares a token within the edit budget with the author, or if neither has
+a token; with a threshold of 0 every name matches an input author, so
+the result is empty and nothing is compared.  Each (author, name) pair
+is decided once, and the names an input author matched are left out of
+the result; names without a token are never listed.  -h builds the
+adjacency once for the run's ``MatchConfig``, and with it the
+vocabulary, which maps each casefolded token to the names that contain
+it and cuts each token into segments for the run's edit budget (the
+partition filter of Pass-Join).  A token of a length in range that
+shares one of its segments with the query, where the budget allows, is a
+candidate, and ``levenshtein`` checks each one.  With a budget of 1 the
+one segment is the token itself.  ``names_match`` still decides every
+candidate name, so the result is the one a scan of every name gives.
 """
 
 import logging
@@ -342,23 +344,28 @@ def find_publication(
 def common_coauthors(authors: list[str], coauthors: Coauthors) -> list[str]:
     """Corpus authors that at least two of the given authors worked with.
 
-    All name comparison is fuzzy, under the adjacency's match settings;
-    authors that are themselves among the inputs are excluded.  Result is
-    sorted lexicographically.  Each author is compared only with the
-    vocabulary's candidates for it.
+    All name comparison is fuzzy, under the adjacency's match settings.
+    Each author is compared only with the vocabulary's candidates for it,
+    and each (author, name) pair is decided once: a name that matched an
+    input author is left out of the result.  A name without a token is
+    never listed.  At a match threshold of 0 every name matches an input
+    author, so the result is empty.  Result is sorted lexicographically.
     """
     cfg = coauthors.cfg
+    if not cfg.match_threshold:
+        return []
     counts: dict[str, int] = {}
+    matched: set[str] = set()
     for author in dict.fromkeys(authors):
         neighbourhood: set[str] = set()
         for name in coauthors.tokens.candidates(author):
             if names_match(author, name, cfg):
+                matched.add(name)
                 neighbourhood |= coauthors[name]
         for neighbour in neighbourhood:
             counts[neighbour] = counts.get(neighbour, 0) + 1
     return sorted(
         name
         for name, count in counts.items()
-        if count >= 2
-        and not any(names_match(name, author, cfg) for author in authors)
+        if count >= 2 and name not in matched and name.split()
     )

@@ -20,12 +20,13 @@ def levenshtein(s: str, t: str, limit: int | None = None) -> int:
     """Unit-cost edit distance (replacement, insertion, deletion).
 
     With ``limit`` the result is the distance when that is below ``limit``
-    and ``limit`` otherwise.  Only cells with ``|i - j| < limit`` can hold a
-    value below it, so the dynamic program fills just that band and stops
-    once a whole row reaches ``limit`` (Ukkonen 1985).  Without ``limit``
-    the band covers the whole table and the result is exact.  A ``limit``
-    of 2, the default coauthor budget, needs no table: two strings one
-    edit apart agree again just past their first mismatch.
+    and ``limit`` otherwise; without it the result is exact.  Strings
+    whose lengths differ by ``limit`` or more need no table, and neither
+    does a ``limit`` of 2, the default coauthor budget: two strings one
+    edit apart agree again just past their first mismatch.  Every other
+    call fills the whole table, two rows at a time.  Only budgets of 3 or
+    more reach it, and no workload times them; a band (Ukkonen 1985) is
+    worth its code again once one does.
     """
     if s == t:
         return 0
@@ -45,30 +46,19 @@ def levenshtein(s: str, t: str, limit: int | None = None) -> int:
                 break
             i += 1
         return 1 if s[i + (len(s) == len(t)) :] == t[i + 1 :] else 2
-    if not s or not t:
-        return len(s) + m
-    band = limit - 1
-    # Two rows, swapped after each one.  A cell left of the band is reset
-    # per row; cells right of it still hold ``limit`` from the start.
-    prev = list(range(min(m, band) + 1)) + [limit] * (m - band)
-    curr = [limit] * (m + 1)
+    # Two rows, swapped after each one.
+    prev = list(range(m + 1))
+    curr = [0] * (m + 1)
     for i, cs in enumerate(s, start=1):
-        lo = i - band if i > band else 1
-        hi = i + band if i + band < m else m
-        row_min = curr[lo - 1] = i if i <= band else limit
-        for j, ct in enumerate(t[lo - 1 : hi], lo):
+        curr[0] = left = i
+        for j, ct in enumerate(t, start=1):
             d = prev[j - 1] + (cs != ct)
             up = prev[j] + 1
             if up < d:
                 d = up
-            left = curr[j - 1] + 1
-            if left < d:
-                d = left
-            curr[j] = d
-            if d < row_min:
-                row_min = d
-        if row_min >= limit:
-            return limit
+            if left + 1 < d:
+                d = left + 1
+            curr[j] = left = d
         prev, curr = curr, prev
     return prev[m] if prev[m] < limit else limit
 

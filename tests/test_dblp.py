@@ -262,7 +262,8 @@ def adjacency_of(author_lists, cfg):
 
 
 def scan_common_coauthors(authors, adjacency, cfg):
-    """The reference: compare each author with every adjacency name."""
+    """The reference: compare each author with every adjacency name, and
+    list no name without a token."""
     counts: dict[str, int] = {}
     for author in dict.fromkeys(authors):
         neighbourhood: set[str] = set()
@@ -274,7 +275,9 @@ def scan_common_coauthors(authors, adjacency, cfg):
     return sorted(
         name
         for name, count in counts.items()
-        if count >= 2 and not any(names_match(name, a, cfg) for a in authors)
+        if count >= 2
+        and name.split()
+        and not any(names_match(name, a, cfg) for a in authors)
     )
 
 
@@ -397,13 +400,17 @@ def test_a_large_budget_cuts_each_token_into_at_most_its_length_plus_one():
     assert peak < 2**19
 
 
-def test_common_coauthors_compares_only_candidates(monkeypatch, tmp_path):
-    # Tokens of doubled letters: two of them differ in at least two places.
+def far_coauthors(tmp_path):
+    """400 chained names whose tokens of doubled letters differ in at least
+    two places, loaded at the default settings."""
     letters = "abcdefghijklmnopqrstuvwxyz"
     far = ["".join(2 * letters[n // 26**i % 26] for i in range(2)) for n in range(400)]
     document = io.BytesIO(corpus_document(zip(far, far[1:])))
     with corpus_store(tmp_path, document) as store:
-        coauthors = store.load_coauthors(MatchConfig())
+        return far, store.load_coauthors(MatchConfig())
+
+
+def counted_names_match(monkeypatch):
     calls = []
 
     def counting(a, b, cfg):
@@ -411,9 +418,39 @@ def test_common_coauthors_compares_only_candidates(monkeypatch, tmp_path):
         return names_match(a, b, cfg)
 
     monkeypatch.setattr(dblp, "names_match", counting)
+    return calls
+
+
+def test_common_coauthors_compares_only_candidates(monkeypatch, tmp_path):
+    far, coauthors = far_coauthors(tmp_path)
+    calls = counted_names_match(monkeypatch)
     assert common_coauthors([far[10], far[12]], coauthors) == [far[11]]
     assert len(coauthors) == len(far)
     assert len(calls) < len(far) // 10
+
+
+def test_common_coauthors_decides_each_name_pair_once(monkeypatch, tmp_path):
+    # A name that an input author matched is left out by that one decision;
+    # no neighbour is compared with the authors again.
+    far, coauthors = far_coauthors(tmp_path)
+    calls = counted_names_match(monkeypatch)
+    authors = [far[10], far[12], far[14]]
+    assert common_coauthors(authors, coauthors) == [far[11], far[13]]
+    assert calls and all(author in authors for author, _ in calls)
+    assert len(set(calls)) == len(calls)
+
+
+def test_common_coauthors_lists_no_blank_name(tmp_path):
+    # iter_corpus keeps a blank <author> as "", so two authors can share it.
+    document = io.BytesIO(
+        corpus_document(
+            [["Ann Lee", ""], ["Bo Chan", " "], ["Ann Lee", "Cy Ito"], ["Bo Chan", "Cy Ito"]]
+        )
+    )
+    with corpus_store(tmp_path, document) as store:
+        coauthors = store.load_coauthors(MatchConfig())
+    assert "" in coauthors["Ann Lee"] and "" in coauthors["Bo Chan"]
+    assert common_coauthors(["Ann Lee", "Bo Chan"], coauthors) == ["Cy Ito"]
 
 
 def test_near_checks_only_tokens_that_share_a_segment(monkeypatch, tmp_path):

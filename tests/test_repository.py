@@ -99,12 +99,20 @@ def test_traced_run_reports_every_declared_layer_metric(tmp_path, capsys):
 # The seed-1 output digests (BHT tree, statistics.json, harvest tables) of
 # perfbench's workloads; CI's traced benchmark run checks the same file.
 PINNED_DIGESTS = json.loads((ROOT / "tests" / "pinned_digests.json").read_text())
+# Seed-1 harvest-bulk with the coauthor display forced on: 11 of its BHT
+# files list common coauthors.  It is kept out of pinned_digests.json,
+# whose every key names a workload.
+HARVEST_BULK_DISPLAY_DIGEST = (
+    "a36125048f949511f018cda6d1711e4e67961cb43b490b48aa743af6c995514f"
+)
 
 
-@pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
-def test_seed_1_workload_gives_its_pinned_output_digest(
-    workload, tmp_path, monkeypatch, capsys
-):
+def seed_1_output_digest(workload, tmp_path, monkeypatch, capsys, **settings):
+    """Generate a perfbench workload at seed 1, with ``settings`` replacing
+    fields of its harvest configuration, run ``--all`` over it and return
+    the digest of the outputs."""
+    from dataclasses import replace
+
     from jpbib.oai import replay_fetcher
     from jpbib.pipeline import run
 
@@ -116,10 +124,27 @@ def test_seed_1_workload_gives_its_pinned_output_digest(
     bench = _module_at(ROOT / "perfbench" / "run.py")
 
     inputs, run_dir = tmp_path / "inputs", tmp_path / "run"
-    generated = workloads.generate(workload, 1, inputs)
+    generated = replace(workloads.generate(workload, 1, inputs), **settings)
     run_dir.mkdir()
     config = bench.write_config(run_dir, inputs, generated)
     fetch = replay_fetcher(str(inputs / "responses"))
     assert run(["--config", str(config), "--all"], fetch=fetch) == 0
     capsys.readouterr()
-    assert check.output_digest(run_dir) == PINNED_DIGESTS[workload]
+    return check.output_digest(run_dir)
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
+def test_seed_1_workload_gives_its_pinned_output_digest(
+    workload, tmp_path, monkeypatch, capsys
+):
+    digest = seed_1_output_digest(workload, tmp_path, monkeypatch, capsys)
+    assert digest == PINNED_DIGESTS[workload]
+
+
+def test_seed_1_harvest_bulk_with_the_coauthor_display_gives_its_digest(
+    tmp_path, monkeypatch, capsys
+):
+    digest = seed_1_output_digest(
+        "harvest-bulk", tmp_path, monkeypatch, capsys, show_common_coauthors=True
+    )
+    assert digest == HARVEST_BULK_DISPLAY_DIGEST
