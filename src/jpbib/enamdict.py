@@ -116,6 +116,16 @@ _HEAD_BACKSLASH_RE = re.compile(r"^(?P<surface>\S+)\s+\[(?P<reading>[^\]\\]*)\\\
 _BRACKET_BLOCK_RE = re.compile(r"\(([^()]*)\)")
 
 
+@lru_cache(maxsize=1024)
+def _block_types(block: str, include_unclassified: bool) -> frozenset[NameType]:
+    """The kept person types of one type block, as their shared set.  Both
+    parse paths decode every block here, so UNCLASSIFIED is dropped here alone."""
+    types = filter_types(block)
+    if not include_unclassified:
+        types -= {NameType.UNCLASSIFIED}
+    return TYPE_COMBINATIONS[types]
+
+
 def _parse_sense(
     sense: str, include_unclassified: bool, warn: list[str]
 ) -> tuple[str, frozenset[NameType]] | None:
@@ -135,15 +145,13 @@ def _parse_sense(
     if depth > 0:
         warn.append("stray-bracket")
 
-    types: set[NameType] = set()
-    for block in _BRACKET_BLOCK_RE.findall(sense):
-        types |= filter_types(block)
+    blocks = _BRACKET_BLOCK_RE.findall(sense)
+    kept = [_block_types(block, include_unclassified) for block in blocks]
+    types = TYPE_COMBINATIONS[frozenset().union(*kept)]
     latin = " ".join(_BRACKET_BLOCK_RE.sub(" ", sense).split())
-    if not include_unclassified:
-        types.discard(NameType.UNCLASSIFIED)
     if not latin or not types:
         return None
-    return latin, TYPE_COMBINATIONS[frozenset(types)]
+    return latin, types
 
 
 # A plain line's surface, reading and Latin words hold no whitespace,
@@ -155,15 +163,6 @@ _PLAIN_LINE_RE = re.compile(
     rf"\s*({_PLAIN}+)(?:\s+\[({_PLAIN}*)\])?\s*/\s*"
     rf"(?:({_PLAIN_LATIN})\s*\(([^()/]*)\)|\(([^()/]*)\)\s*({_PLAIN_LATIN}))\s*/\s*"
 )
-
-
-@lru_cache(maxsize=1024)
-def _block_types(block: str, include_unclassified: bool) -> frozenset[NameType]:
-    """The kept person types of one type block, as their shared set."""
-    types = filter_types(block)
-    if not include_unclassified:
-        types -= {NameType.UNCLASSIFIED}
-    return TYPE_COMBINATIONS[types]
 
 
 def parse_entry_line(

@@ -268,6 +268,11 @@ def _part_hit(
     return any(spelling_key(reading) in forms for reading in readings)
 
 
+def _kanji_text(kanji_string: str | None) -> str:
+    # A creator's kanji string as it is split and kept: without whitespace.
+    return re.sub(r"\s+", "", kanji_string or "")
+
+
 def match_latin_kanji(
     latin: PersonName | None,
     kanji_string: str,
@@ -282,7 +287,7 @@ def match_latin_kanji(
     "possible name anomaly", and that only when exactly one split fits
     the surviving initial.
     """
-    kanji = re.sub(r"\s+", "", kanji_string or "")
+    kanji = _kanji_text(kanji_string)
     kanji_unsplit = PersonName("", kanji) if kanji else None
 
     if latin is None or (not latin.given and not latin.family):
@@ -350,7 +355,7 @@ def kanji_name_candidates(
     (family reading x given reading) pair is emitted, given varying
     fastest, in dictionary order, deduplicated.
     """
-    kanji = re.sub(r"\s+", "", kanji_string or "")
+    kanji = _kanji_text(kanji_string)
     return list(dict.fromkeys(
         PersonName(given, family)
         for i in range(1, len(kanji))

@@ -9,10 +9,10 @@ Hepburn spellings with explicit double vowels, so every probe goes
 through the converters here, and this module alone decides how a name
 part is spelled.  ``spelling_key`` is the key both the dictionary's
 spellings and a probed part are filed under: lowercase, with no
-separator.  One walk over a key lists its vowel and nasal sites with
-their spellings, ``expand_double_vowels`` is the product over them, and
-``latin_lookup_variants`` is the set of keys probed for one part.
-``has_latin`` tells a Latin name from a name in another script.
+separator.  The walk reads a lowercase key and lists its vowel and nasal
+sites with their spellings, ``expand_double_vowels`` is the product over
+them, and ``latin_lookup_variants`` is the set of keys probed for one
+part.  ``has_latin`` tells a Latin name from a name in another script.
 """
 
 import itertools
@@ -145,23 +145,20 @@ def spelling_key(latin: str) -> str:
     return latin.lower().replace("'", "").replace("-", "")
 
 
-_VOWELS = "aeiou"
-
-
 def strip_length_h(name: str) -> NormalizedLatin:
     """Drop h's that mark vowel length and remember where they were.
 
-    An h counts as a length marker when it directly follows o or u and is
-    followed by a consonant or the end of the word; the position of the
-    lengthened vowel (in the output text) is recorded.  An h before a
-    vowel is never touched.
+    ``name`` is lowercase, as a spelling key is.  An h counts as a length
+    marker when it directly follows o or u and is followed by a consonant
+    or the end of the word; the position of the lengthened vowel (in the
+    output text) is recorded.  An h before a vowel is never touched.
     """
     out: list[str] = []
     positions: list[int] = []
     for i, ch in enumerate(name):
-        if ch in "hH" and i > 0 and name[i - 1].lower() in "ou":
-            nxt = name[i + 1] if i + 1 < len(name) else ""
-            if not nxt or (nxt.isalpha() and nxt.lower() not in _VOWELS):
+        if ch == "h" and i > 0 and name[i - 1] in "ou":
+            nxt = name[i + 1:i + 2]
+            if not nxt or (nxt.isalpha() and nxt not in "aeiou"):
                 positions.append(len(out) - 1)
                 continue
         out.append(ch)
@@ -177,32 +174,28 @@ _DOUBLINGS = {
 }
 _DIGRAPHS = {"aa", "ii", "uu", "ee", "ei", "oo", "ou"}
 # The nasal ん before b, m or p is heard as m and written either way.
-_NASALS = {"m": ("m", "n"), "n": ("n", "m"), "M": ("M", "N"), "N": ("N", "M")}
+_NASALS = {"m": ("m", "n"), "n": ("n", "m")}
 
 
 def _vowel_segments(
     text: str, lengthened: list[int]
 ) -> tuple[list[tuple[str, ...]], int]:
-    # The spellings of each piece of ``text`` in order, and how many
-    # pieces are single vowels with more than one spelling.  An m or n
-    # before b, m or p has two spellings too, but is not counted.
+    # The spellings of each piece of the lowercase ``text`` in order, and
+    # how many pieces are single vowels with more than one spelling.  An
+    # m or n before b, m or p has two spellings too, but is not counted.
     segments: list[tuple[str, ...]] = []
     site_count = 0
     i = 0
     while i < len(text):
         ch = text[i]
-        low = ch.lower()
-        following = text[i + 1:i + 2].lower()
-        if low in _VOWELS:
-            if low + following in _DIGRAPHS:
-                segments.append((text[i:i + 2],))
+        following = text[i + 1:i + 2]
+        if ch in _DOUBLINGS:
+            if ch + following in _DIGRAPHS:
+                segments.append((ch + following,))
                 i += 2
                 continue
-            options = _DOUBLINGS[low]
-            if i in lengthened:
-                options = options[1:]
-            # Rebuild each option on the original character to keep case.
-            segments.append(tuple(ch + opt[1:] for opt in options))
+            options = _DOUBLINGS[ch]
+            segments.append(options[1:] if i in lengthened else options)
             site_count += 1
         elif ch in _NASALS and following in ("b", "m", "p"):
             segments.append(_NASALS[ch])
@@ -213,7 +206,7 @@ def _vowel_segments(
 
 
 def expand_double_vowels(base: NormalizedLatin) -> list[str]:
-    """Enumerate the spellings a name takes under vowel doubling.
+    """Enumerate the spellings a lowercase name takes under vowel doubling.
 
     Every single vowel may also appear doubled (o and e each have two
     doublings: oo/ou resp. ee/ei), and an m or n before b, m or p may
@@ -232,7 +225,7 @@ def expand_double_vowels(base: NormalizedLatin) -> list[str]:
 
 
 def fully_doubled(text: str) -> str:
-    """``text`` with every single vowel doubled (aa, ii, uu, ee, oo).
+    """The lowercase ``text`` with every single vowel doubled.
 
     Existing double vowels and every nasal are kept.  This is the one
     doubled spelling ``expand_double_vowels`` gives past
@@ -242,7 +235,7 @@ def fully_doubled(text: str) -> str:
     # A single vowel's first spelling is a key of _DOUBLINGS; that of a
     # double vowel ("ou") or a nasal is not.
     return "".join(
-        options[1] if options[0].lower() in _DOUBLINGS else options[0]
+        options[1] if options[0] in _DOUBLINGS else options[0]
         for options in segments
     )
 

@@ -10,6 +10,7 @@ from jpbib import enamdict
 from jpbib.enamdict import (
     NameRecord,
     NameType,
+    TYPE_COMBINATIONS,
     filter_types,
     iter_records,
     parse_entry_line,
@@ -113,6 +114,25 @@ def test_backslash_for_bracket_warns():
     records, warnings = parse_entry_line(line, False)
     assert records == []
     assert any(w.kind == "stray-bracket" for w in warnings)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # Several senses; the last has two type blocks, whose union is a
+        # combination no single block names.
+        "イブ /(f) Eve/(u) Ib/Ibu (f)/(m) Yves (f)/",
+        "甲乙丙 [こうおつへい] /Kouotsu Ko) (g)/",
+        "甲子太郎 [かしたろう] /Kashitarou (m)",
+    ],
+)
+def test_irregular_line_records_carry_the_shared_type_set(line):
+    assert enamdict._PLAIN_LINE_RE.fullmatch(line) is None
+    for include_unclassified in (False, True):
+        records, _ = parse_entry_line(line, include_unclassified)
+        assert records
+        for record in records:
+            assert record.types is TYPE_COMBINATIONS[record.types]
 
 
 def parse_lines(lines, include_unclassified=False):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpbib import bht, dblp, oai, pipeline
+from jpbib import bht, dblp, oai, pipeline, transcription
 from jpbib.config import Config, ConfigError, parse_config
 from jpbib.matching import NameStatus
 from jpbib.oai import OAI_NS, TransportError, get_record, parse_junii2
@@ -989,6 +989,27 @@ def test_run_harvest_over_an_unknown_type_code_names_enamdict(tmp_path, capsys):
         "code 'gs'; run --enamdict again\n"
     )
     assert requests == []
+
+
+def test_all_over_the_mock_repository_walks_only_lowercase_text(
+    tmp_path, monkeypatch, capsys
+):
+    # The spelling walk keeps no case, so every text a run hands it must
+    # be lowercase.  The mock repository's names come capitalized
+    # ("Midori Ohta"), in capitals ("NobukazuYOSHIOKA"), fullwidth and
+    # with separators ("Shin'ichi").
+    walked = []
+    for name in ("strip_length_h", "expand_double_vowels"):
+        def spy(arg, walk=getattr(transcription, name)):
+            walked.append(arg if isinstance(arg, str) else arg.text)
+            return walk(arg)
+
+        monkeypatch.setattr(transcription, name, spy)
+    config = make_config_file(tmp_path)
+    assert run(["--config", str(config), "--all"], fetch=build_provider().fetch) == 0
+    capsys.readouterr()
+    assert {"ohta", "yoshioka", "shinichi"} <= set(walked)
+    assert [text for text in walked if text != text.lower()] == []
 
 
 def test_run_concatenate_without_bht_fails(tmp_path, capsys):

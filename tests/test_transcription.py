@@ -114,8 +114,8 @@ def test_strip_length_h():
     assert result.text == "Hitoshi"
     assert result.lengthening_positions == []
 
-    result = strip_length_h("Ohta")
-    assert result.text == "Ota"
+    result = strip_length_h("ohta")
+    assert result.text == "ota"
     assert result.lengthening_positions == [0]
 
 
@@ -267,8 +267,8 @@ def test_consonant_variants():
 def test_consonant_variants_all_combinations():
     variants = set(expand_double_vowels(NormalizedLatin("nbmp")))
     assert variants == {"nbmp", "mbmp", "nbnp", "mbnp"}
-    variants = set(expand_double_vowels(NormalizedLatin("NMm")))
-    assert variants == {"NMm", "MMm", "NNm", "MNm"}
+    variants = set(expand_double_vowels(NormalizedLatin("nmm")))
+    assert variants == {"nmm", "mmm", "nnm", "mnm"}
 
 
 def test_nasal_sites_are_not_capped_or_doubled():
@@ -287,11 +287,11 @@ def swap_consonants(name: str) -> list[str]:
     sites = [
         i
         for i, ch in enumerate(name[:-1])
-        if ch.lower() in "mn" and name[i + 1].lower() in "bmp"
+        if ch in "mn" and name[i + 1] in "bmp"
     ]
     if not sites:
         return [name]
-    swaps = {"m": "n", "n": "m", "M": "N", "N": "M"}
+    swaps = {"m": "n", "n": "m"}
     variants: list[str] = []
     for choice in itertools.product((False, True), repeat=len(sites)):
         chars = list(name)
@@ -316,14 +316,14 @@ _VOWEL_SPELLINGS = {
 def vowel_pieces(text: str, lengthened=()) -> list[tuple[str, ...]]:
     """The reference for the vowel sites of ``expand_double_vowels``:
     ``text`` cut, left to right, into double vowels and single
-    characters, each with its spellings.  A single vowel's doublings keep
-    its case, and a lengthened one loses its undoubled spelling."""
+    characters, each with its spellings.  A lengthened single vowel loses
+    its undoubled spelling."""
     pieces = []
     start = 0
-    for token in re.findall("aa|ii|uu|ee|ei|oo|ou|.", text, re.I | re.S):
+    for token in re.findall("aa|ii|uu|ee|ei|oo|ou|.", text, re.S):
         spellings = (token,)
-        if token.lower() in _VOWEL_SPELLINGS:
-            spellings = tuple(token + s[1:] for s in _VOWEL_SPELLINGS[token.lower()])
+        if token in _VOWEL_SPELLINGS:
+            spellings = _VOWEL_SPELLINGS[token]
             if start in lengthened:
                 spellings = spellings[1:]
         pieces.append(spellings)
@@ -333,7 +333,7 @@ def vowel_pieces(text: str, lengthened=()) -> list[tuple[str, ...]]:
 
 @settings(max_examples=2000, deadline=None)
 @example("Homma")
-@given(st.text(alphabet=st.sampled_from("mnbpMNBPaA'- "), max_size=12))
+@given(st.text(alphabet=st.sampled_from("mnbpa'- "), max_size=12))
 def test_consonant_variants_equal_the_reference(name):
     expected = {
         "".join(spellings)
