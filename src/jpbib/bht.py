@@ -56,12 +56,22 @@ class BhtEntry:
 
 
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+_LINE_BREAK_RE = re.compile(r"\s*[\r\n]\s*")
 
 
 def escape_non_ascii(text: str) -> str:
-    """ASCII-safe form: XML specials named, all else as &#xHEX; references."""
-    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """ASCII-safe form: XML specials named, all else as &#xHEX; references.
+    Each step runs only on a text that holds what it replaces."""
+    if "&" in text or "<" in text or ">" in text:
+        text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if text.isascii():
+        return text
     return _NON_ASCII_RE.sub(lambda match: f"&#x{ord(match[0]):X};", text)
+
+
+def _one_line(text: str) -> str:
+    # Each whitespace run (U+3000 too) that holds a CR or LF becomes one space.
+    return _LINE_BREAK_RE.sub(" ", text) if "\n" in text or "\r" in text else text
 
 
 def date_label(date: str | None) -> str | None:
@@ -95,7 +105,12 @@ def _display_name(resolution: AuthorResolution) -> str:
 
 
 def render_spf(entry: BhtEntry) -> str:
-    """Render one publication in single publication format (LF endings)."""
+    """Render one publication in single publication format (LF endings).
+
+    In the header's volume, number and raw date, the title, the pages, the
+    ``ee`` URL and the original title and its type, each whitespace run
+    that holds a CR or LF is written as one space; other whitespace, U+3000
+    included, stays as written."""
     lines: list[str] = []
 
     header_parts = []
@@ -106,7 +121,8 @@ def render_spf(entry: BhtEntry) -> str:
     label = date_label(entry.date)
     if label:
         header_parts.append(label)
-    lines.append(f"<h2>{escape_non_ascii(', '.join(header_parts))}</h2>")
+    header = _one_line(", ".join(header_parts))
+    lines.append(f"<h2>{escape_non_ascii(header)}</h2>")
     lines.append("<ul>")
 
     if not entry.authors:
@@ -116,13 +132,13 @@ def render_spf(entry: BhtEntry) -> str:
     )
     lines.append(f"<li>{author_list}:")
 
-    title = entry.title.strip()
+    title = _one_line(entry.title.strip())
     if title and title[-1] not in ".?!":
         title += "."
     lines.append(escape_non_ascii(title))
-    lines.append(escape_non_ascii(entry.pages or "0-"))
+    lines.append(escape_non_ascii(_one_line(entry.pages or "0-")))
     if entry.ee_url:
-        lines.append(f"<ee>{escape_non_ascii(entry.ee_url)}</ee>")
+        lines.append(f"<ee>{escape_non_ascii(_one_line(entry.ee_url))}</ee>")
 
     for author in entry.authors:
         display = _attr(_display_name(author))
@@ -152,8 +168,8 @@ def render_spf(entry: BhtEntry) -> str:
     if entry.original_title:
         text, lang, pub_type = entry.original_title
         lines.append(
-            f'<originaltitle lang="{lang}" type="{_attr(pub_type)}">'
-            f"{escape_non_ascii(text)}</originaltitle>"
+            f'<originaltitle lang="{lang}" type="{_attr(_one_line(pub_type))}">'
+            f"{escape_non_ascii(_one_line(text))}</originaltitle>"
         )
     if entry.common_coauthors:
         lines.append(
@@ -293,6 +309,11 @@ def overwrite(path: str, data: bytes) -> None:
         handle.truncate()
 
 
+def _within(root: str, target: str) -> bool:
+    # ``root`` is absolute and normalised; ``target`` is normalised here.
+    return os.path.normpath(target).startswith(os.path.join(root, ""))
+
+
 def export(
     harvested: Iterable[
         tuple[HarvestedPublication, list[AuthorResolution], str | None]
@@ -319,7 +340,7 @@ def export(
                 shared = common_coauthors(latin_names(resolutions), coauthors)
             relative = claim_spf_path(publication, claimed)
             target = os.path.join(root, relative)
-            if os.path.commonpath([root, os.path.abspath(target)]) != root:
+            if not _within(root, target):
                 raise OSError(f"BHT path {target!r} leaves {root!r}")
             entry = build_entry(publication, resolutions, shared, dblp_key)
             directory = os.path.dirname(target)

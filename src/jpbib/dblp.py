@@ -229,7 +229,7 @@ class TokenVocabulary:
     edits on either side of it account for.  A shorter token has one empty
     segment, which every query of a length within tau of l shares.  A
     budget of 1 leaves one segment, the token itself; a budget of 0 cuts
-    nothing.
+    nothing.  ``near`` keeps each answer as long as the vocabulary.
     """
 
     def __init__(self, names: Iterable[str], lev_threshold: int) -> None:
@@ -259,6 +259,8 @@ class TokenVocabulary:
                 ]
             for start, size, table in cuts:
                 table.setdefault(token[start : start + size], []).append(token)
+        # Query token -> its answer (the vocabulary serves one budget).
+        self._answers: dict[str, list[str]] = {}
 
     def near(self, token: str) -> list[str]:
         """Vocabulary tokens within edit distance < ``lev_threshold``.
@@ -267,8 +269,12 @@ class TokenVocabulary:
         appears unchanged in ``token`` with at most i edits before it and
         tau - i after it, so it starts within i of its own start and within
         tau - i of that start moved by the length difference.  Every token
-        that shares such a segment is checked with ``levenshtein``.
+        that shares such a segment is checked with ``levenshtein``, once:
+        a repeated query returns the first answer, the same list.
         """
+        answer = self._answers.get(token)
+        if answer is not None:
+            return answer
         limit = self.lev_threshold
         tau = limit - 1
         n = len(token)
@@ -284,7 +290,9 @@ class TokenVocabulary:
                     listed = table.get(token[position : position + size])
                     if listed:
                         found.update(listed)
-        return [other for other in found if levenshtein(token, other, limit) < limit]
+        answer = [other for other in found if levenshtein(token, other, limit) < limit]
+        self._answers[token] = answer
+        return answer
 
     def candidates(self, name: str) -> set[str]:
         """The names that share a token within the edit budget with ``name``.

@@ -67,7 +67,10 @@ class PersonName:
     family: str
 
     def display(self) -> str:
-        return " ".join(part for part in (self.given, self.family) if part)
+        """The non-empty parts, given first, joined by one space."""
+        if self.given and self.family:
+            return f"{self.given} {self.family}"
+        return self.given or self.family
 
 
 @dataclass
@@ -334,12 +337,13 @@ def _accepted_splits(
     given_initial = latin.given[0].lower()
     splits: list[PersonName] = []
     for i in range(1, len(kanji)):
-        family, given = kanji[:i], kanji[i:]
+        family = kanji[:i]
+        readings = dictionary.surface_readings(family, FAMILY_TYPES)
+        # Most prefixes are no surname: their given part is never read.
+        if not readings or not _part_hit(readings, family_forms, family_initial):
+            continue
+        given = kanji[i:]
         if _part_hit(
-            dictionary.surface_readings(family, FAMILY_TYPES),
-            family_forms,
-            family_initial,
-        ) and _part_hit(
             dictionary.surface_readings(given, GIVEN_TYPES), given_forms, given_initial
         ):
             splits.append(PersonName(given, family))
@@ -364,6 +368,15 @@ def kanji_name_candidates(
             dictionary.surface_readings(kanji[i:], GIVEN_TYPES),
         )
     ))
+
+
+# Split verdicts that outlast a kanji match.  A tuple: a member compares by
+# identity in C, but hashes through a Python call.
+_STICKY = (
+    NameStatus.BAD_DATA_QUALITY,
+    NameStatus.NAME_ANOMALY,
+    NameStatus.POSSIBLE_NAME_ANOMALY,
+)
 
 
 def resolve_author(
@@ -401,12 +414,7 @@ def resolve_author(
 
     split, hint = split_latin_full_name(latin_text, dictionary)
     resolution = match_latin_kanji(split, kanji_raw or "", dictionary)
-    sticky = {
-        NameStatus.BAD_DATA_QUALITY,
-        NameStatus.NAME_ANOMALY,
-        NameStatus.POSSIBLE_NAME_ANOMALY,
-    }
-    if hint in sticky and resolution.status not in (
+    if hint in _STICKY and resolution.status not in (
         NameStatus.ABBREVIATED,
         NameStatus.POSSIBLE_NAME_ANOMALY,
     ):

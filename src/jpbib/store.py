@@ -64,6 +64,8 @@ _TYPE_CODES = {
     for types in TYPE_COMBINATIONS
 }
 _CODE_TYPES = {codes: types for types, codes in _TYPE_CODES.items()}
+# The stored string of each NameStatus, back to its member.
+_STATUSES = {status.value: status for status in NameStatus}
 # json.dumps(value, ensure_ascii=False) for -d's author lists and -h's
 # name candidates, without a new encoder per call.
 _to_json = json.JSONEncoder(ensure_ascii=False).encode
@@ -71,27 +73,30 @@ _to_json = json.JSONEncoder(ensure_ascii=False).encode
 
 def _resolution_row(resolution: AuthorResolution) -> tuple:
     """The ``oai_authors`` columns after the raw names that store
-    ``resolution``; ``_resolution`` reads them back."""
+    ``resolution``; ``_resolution`` reads them back.  Most authors have no
+    candidates: their column is the literal ``"[]"``, with no encoder call."""
     latin, kanji = resolution.latin, resolution.kanji
+    candidates = resolution.candidates
     return (
         latin.given if latin else None,
         latin.family if latin else None,
         kanji.given if kanji else None,
         kanji.family if kanji else None,
         resolution.status.value,
-        _to_json([[c.given, c.family] for c in resolution.candidates]),
+        _to_json([[c.given, c.family] for c in candidates]) if candidates else "[]",
     )
 
 
 def _resolution(
     latin_given, latin_family, kanji_given, kanji_family, status, candidates
 ) -> AuthorResolution:
-    """The resolution that ``add_harvested`` stored as these columns."""
+    """The resolution that ``add_harvested`` stored as these columns: ``"[]"``
+    is read with no decoder call, and an unknown status raises KeyError."""
     return AuthorResolution(
         None if latin_given is None else PersonName(latin_given, latin_family),
         None if kanji_given is None else PersonName(kanji_given, kanji_family),
-        [PersonName(*pair) for pair in json.loads(candidates)],
-        NameStatus(status),
+        [] if candidates == "[]" else [PersonName(*p) for p in json.loads(candidates)],
+        _STATUSES[status],
     )
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jpbib import bht
 from jpbib.bht import (
     BhtEntry,
     build_entry,
@@ -15,6 +16,7 @@ from jpbib.bht import (
     concatenate,
     date_label,
     escape_non_ascii,
+    export,
     remove_unclaimed,
     render_spf,
     spf_relative_path,
@@ -215,6 +217,42 @@ def test_render_appends_terminal_period_only_when_needed():
     assert "Done.\n" in render_spf(BhtEntry(title="Done", **base))
 
 
+@pytest.mark.parametrize(
+    "field, value, line",
+    [
+        ("volume", "12\n", "<h2>Volume 12 , Number 3, October 2011</h2>"),
+        ("number", "3\r\n\t4", "<h2>Volume 12, Number 3 4, October 2011</h2>"),
+        ("date", "Heisei\n 23", "<h2>Volume 12, Number 3, Heisei 23</h2>"),
+        ("title", "Studies of\n  Kanji Names", "Studies of Kanji Names."),
+        ("title", "Full\u3000\rwidth\u3000space", "Full width&#x3000;space."),
+        ("pages", "1-\n2", "1- 2"),
+        ("ee_url", "http://example.org/\r1", "<ee>http://example.org/ 1</ee>"),
+        (
+            "original_title",
+            ("漢字\n名", "ja", "Journal\nArticle"),
+            '<originaltitle lang="ja" type="Journal Article">'
+            "&#x6F22;&#x5B57; &#x540D;</originaltitle>",
+        ),
+    ],
+)
+def test_render_writes_each_provider_text_on_its_line(field, value, line):
+    # A whitespace run that holds a line break is one space; the list item
+    # keeps its title on one line and its pages on the next.
+    fields = dict(
+        volume="12",
+        number="3",
+        date="2011-10-15",
+        authors=[AuthorResolution(PersonName("Jane", "Doe"), None)],
+        title="A Title",
+        pages="1-2",
+    )
+    entry = BhtEntry(**{**fields, field: value})
+    lines = render_spf(entry).split("\n")
+    assert line in lines
+    title = lines.index("<li>Jane Doe:") + 1
+    assert lines[title].endswith(".") and "-" in lines[title + 1]
+
+
 def test_spf_relative_path(golden_entry):
     provider = build_provider()
     record = get_record(
@@ -242,6 +280,30 @@ def test_spf_relative_path_stays_under_root(tmp_path):
         "volume-tmp-evil",
         "7.bht",
     )
+
+
+@pytest.mark.parametrize(
+    "root, target, inside",
+    [
+        ("/", "/a.bht", True),
+        ("/tmp/bht", "/tmp/bht/a/b.bht", True),
+        ("/tmp/bht", "/tmp/bht2/x.bht", False),
+        ("/tmp/bht", "/tmp/bht/../x.bht", False),
+    ],
+)
+def test_within_holds_only_the_paths_under_the_root(root, target, inside):
+    assert bht._within(root, target) is inside
+
+
+def test_export_refuses_a_claimed_path_that_leaves_the_root(tmp_path, monkeypatch):
+    root = tmp_path / "bht"
+    root.mkdir()
+    publication = HarvestedPublication("oai:example.org:1", [("T", "en")], [])
+    monkeypatch.setattr(bht, "claim_spf_path", lambda *args: "../outside.bht")
+    with pytest.raises(OSError, match="leaves"):
+        export([(publication, [], None)], str(root))
+    assert not (tmp_path / "outside.bht").exists()
+    assert [p.name for p in tmp_path.rglob("*")] == ["bht"]
 
 
 def test_claim_spf_path_never_shares_a_file():

@@ -386,6 +386,22 @@ def test_near_tokens_at_the_edges_of_the_segments(corpus_names, token, lev, expe
     assert sorted(TokenVocabulary(corpus_names, lev).near(token)) == expected
 
 
+def test_near_answers_a_repeated_query_without_checking(monkeypatch):
+    vocabulary = TokenVocabulary(["Shinsuke Mori", "Tetsuya Mory"], 2)
+    first = vocabulary.near("mori")
+    assert sorted(first) == ["mori", "mory"]
+    calls = []
+
+    def counting(a, b, limit=None):
+        calls.append((a, b))
+        return levenshtein(a, b, limit)
+
+    monkeypatch.setattr(dblp, "levenshtein", counting)
+    assert vocabulary.near("mori") is first
+    assert calls == []
+    assert vocabulary.near("shinsuke") == ["shinsuke"] and calls
+
+
 def test_a_large_budget_cuts_each_token_into_at_most_its_length_plus_one():
     # Each token is cut for its own length: tau + 1 segments per token, and
     # a window over every length within tau, would grow with the budget.

@@ -27,6 +27,12 @@ from jpbib.transcription import VOWEL_SITE_CAP, strip_length_h, to_hepburn
 from test_transcription import swap_consonants, vowel_pieces
 
 
+@given(st.text(), st.text())
+def test_display_joins_the_non_empty_parts(given_part, family):
+    expected = " ".join(p for p in (given_part, family) if p)
+    assert PersonName(given_part, family).display() == expected
+
+
 def test_split_fused_uppercase_family(name_dictionary):
     person, hint = split_latin_full_name("NobukazuYOSHIOKA", name_dictionary)
     assert person == PersonName("Nobukazu", "Yoshioka")

@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 
 from jpbib import bht, dblp, oai, pipeline, transcription
 from jpbib.config import Config, ConfigError, parse_config
-from jpbib.matching import NameStatus
+from jpbib.matching import AuthorResolution, NameStatus, PersonName
 from jpbib.oai import OAI_NS, TransportError, get_record, parse_junii2
 from jpbib.oai_mock import junii2_payload
 from jpbib.pipeline import run
 from jpbib.similarity import MatchConfig
 from jpbib.stats import RecordOutcome, RunStatistics
-from jpbib.store import SqliteStore
+from jpbib.store import SqliteStore, _resolution, _resolution_row, _to_json
 
 from corpora import (
     TitleScan,
@@ -810,8 +810,31 @@ def test_store_harvested_roundtrip(store, name_dictionary):
     assert stored_rows(store, publication.identifier) == stored
 
 
+_names = st.builds(PersonName, st.text(), st.text())
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.builds(
+        AuthorResolution,
+        st.none() | _names,
+        st.none() | _names,
+        st.lists(_names, max_size=3),
+        st.sampled_from(NameStatus),
+    ),
+    st.text().filter(lambda text: text not in {s.value for s in NameStatus}),
+)
+def test_author_row_codec_round_trips(resolution, unknown):
+    row = _resolution_row(resolution)
+    assert _resolution(*row) == resolution
+    # The stored candidates are the encoder's bytes, "[]" included.
+    pairs = [[c.given, c.family] for c in resolution.candidates]
+    assert row[-1] == _to_json(pairs)
+    with pytest.raises(KeyError):
+        _resolution(*row[:-2], unknown, row[-1])
+
+
 def test_store_harvested_reads_back_many_publications_in_id_order(store):
-    from jpbib.matching import AuthorResolution, PersonName
     from jpbib.oai import HarvestedPublication
 
     def publication(number, authors=0, titles=0, contributors=0, descriptions=0):
