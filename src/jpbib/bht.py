@@ -69,9 +69,12 @@ def escape_non_ascii(text: str) -> str:
     return _NON_ASCII_RE.sub(lambda match: f"&#x{ord(match[0]):X};", text)
 
 
-def _one_line(text: str) -> str:
-    # Each whitespace run (U+3000 too) that holds a CR or LF becomes one space.
-    return _LINE_BREAK_RE.sub(" ", text) if "\n" in text or "\r" in text else text
+def _text(text: str) -> str:
+    # The one way a text reaches a BHT file: each whitespace run (U+3000
+    # too) that holds a CR or LF becomes one space, then it is escaped.
+    if "\n" in text or "\r" in text:
+        text = _LINE_BREAK_RE.sub(" ", text)
+    return escape_non_ascii(text)
 
 
 def date_label(date: str | None) -> str | None:
@@ -91,7 +94,7 @@ def date_label(date: str | None) -> str | None:
 
 def _attr(text: str) -> str:
     # Attribute values additionally need their delimiter escaped.
-    return escape_non_ascii(text).replace('"', "&quot;")
+    return _text(text).replace('"', "&quot;")
 
 
 def _display_name(resolution: AuthorResolution) -> str:
@@ -107,78 +110,61 @@ def _display_name(resolution: AuthorResolution) -> str:
 def render_spf(entry: BhtEntry) -> str:
     """Render one publication in single publication format (LF endings).
 
-    In the header's volume, number and raw date, the title, the pages, the
-    ``ee`` URL and the original title and its type, each whitespace run
-    that holds a CR or LF is written as one space; other whitespace, U+3000
-    included, stays as written."""
-    lines: list[str] = []
-
-    header_parts = []
-    if entry.volume:
-        header_parts.append(f"Volume {entry.volume}")
-    if entry.number:
-        header_parts.append(f"Number {entry.number}")
-    label = date_label(entry.date)
-    if label:
-        header_parts.append(label)
-    header = _one_line(", ".join(header_parts))
-    lines.append(f"<h2>{escape_non_ascii(header)}</h2>")
-    lines.append("<ul>")
-
+    Every text, in an element or an attribute value, is written with each
+    whitespace run that holds a CR or LF as one space, so each element
+    keeps to its line; other whitespace, U+3000 included, stays as
+    written."""
+    header = ", ".join(
+        part
+        for part in (
+            entry.volume and f"Volume {entry.volume}",
+            entry.number and f"Number {entry.number}",
+            date_label(entry.date),
+        )
+        if part
+    )
     if not entry.authors:
         log.warning("publication %r has no authors", entry.title)
-    author_list = ", ".join(
-        escape_non_ascii(_display_name(a)) for a in entry.authors
-    )
-    lines.append(f"<li>{author_list}:")
-
-    title = _one_line(entry.title.strip())
+    names = [_text(_display_name(a)) for a in entry.authors]
+    title = entry.title.strip()
     if title and title[-1] not in ".?!":
         title += "."
-    lines.append(escape_non_ascii(title))
-    lines.append(escape_non_ascii(_one_line(entry.pages or "0-")))
+    lines = [
+        f"<h2>{_text(header)}</h2>",
+        "<ul>",
+        f"<li>{', '.join(names)}:",
+        _text(title),
+        _text(entry.pages or "0-"),
+    ]
     if entry.ee_url:
-        lines.append(f"<ee>{escape_non_ascii(_one_line(entry.ee_url))}</ee>")
+        lines.append(f"<ee>{_text(entry.ee_url)}</ee>")
 
-    for author in entry.authors:
-        display = _attr(_display_name(author))
+    for author, name in zip(entry.authors, names):
         if author.kanji is not None:
-            original = escape_non_ascii(
-                f"{author.kanji.family},{author.kanji.given}"
-            )
-            latin_attr = ""
-            if author.latin is not None and author.latin.display():
-                latin_attr = f' latin="{_attr(author.latin.display())}"'
-            lines.append(
-                f"<originalname{latin_attr}>{original}</originalname>"
-            )
-        lines.append(
-            f'<status name="{display}">{author.status.value}</status>'
-        )
+            original = _text(f"{author.kanji.family},{author.kanji.given}")
+            latin = author.latin.display() if author.latin is not None else ""
+            latin_attr = f' latin="{_attr(latin)}"' if latin else ""
+            lines.append(f"<originalname{latin_attr}>{original}</originalname>")
+        quoted = name.replace('"', "&quot;")
+        lines.append(f'<status name="{quoted}">{author.status.value}</status>')
         if author.candidates:
-            kanji_attr = ""
-            if author.kanji is not None:
-                kanji_attr = _attr(author.kanji.display())
-            rendered = ", ".join(c.display() for c in author.candidates)
+            kanji = _attr(author.kanji.display()) if author.kanji is not None else ""
+            rendered = _text(", ".join(c.display() for c in author.candidates))
             lines.append(
-                f'<namecandidates kanji="{kanji_attr}">'
-                f"{escape_non_ascii(rendered)}</namecandidates>"
+                f'<namecandidates kanji="{kanji}">{rendered}</namecandidates>'
             )
 
     if entry.original_title:
         text, lang, pub_type = entry.original_title
         lines.append(
-            f'<originaltitle lang="{lang}" type="{_attr(_one_line(pub_type))}">'
-            f"{escape_non_ascii(_one_line(text))}</originaltitle>"
+            f'<originaltitle lang="{_attr(lang)}" type="{_attr(pub_type)}">'
+            f"{_text(text)}</originaltitle>"
         )
     if entry.common_coauthors:
-        lines.append(
-            "<commoncoauthors>"
-            + escape_non_ascii(", ".join(entry.common_coauthors))
-            + "</commoncoauthors>"
-        )
+        coauthors = _text(", ".join(entry.common_coauthors))
+        lines.append(f"<commoncoauthors>{coauthors}</commoncoauthors>")
     if entry.dblp_key:
-        lines.append(f"<dblpkey>{escape_non_ascii(entry.dblp_key)}</dblpkey>")
+        lines.append(f"<dblpkey>{_text(entry.dblp_key)}</dblpkey>")
 
     lines.append("</ul>")
     return "\n".join(lines) + "\n"

@@ -180,7 +180,9 @@ def _request(
         code = error.get("code", "unknown")
         if code == absent:
             return None
-        raise OaiProtocolError(code, (error.text or "").strip())
+        # Each whitespace run is one space, so the error reads on one line.
+        text = error.text or ""
+        raise OaiProtocolError(" ".join(code.split()), " ".join(text.split()))
     verb = params["verb"]
     body = root.find(f"{{{OAI_NS}}}{verb}")
     if body is None:

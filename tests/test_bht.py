@@ -253,6 +253,63 @@ def test_render_writes_each_provider_text_on_its_line(field, value, line):
     assert lines[title].endswith(".") and "-" in lines[title + 1]
 
 
+# Any text, with line breaks, other whitespace and the XML specials likely.
+_texts = st.text(st.characters() | st.sampled_from("\n\r \t\u3000\x85<&\""), max_size=12)
+_names = st.builds(PersonName, _texts, _texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        BhtEntry,
+        volume=st.none() | _texts,
+        number=st.none() | _texts,
+        date=st.none() | _texts,
+        authors=st.lists(
+            st.builds(
+                AuthorResolution,
+                st.none() | _names,
+                st.none() | _names,
+                st.lists(_names, max_size=2),
+                st.sampled_from(NameStatus),
+            ),
+            max_size=3,
+        ),
+        title=_texts,
+        pages=st.none() | _texts,
+        ee_url=st.none() | _texts,
+        original_title=st.none() | st.tuples(_texts, _texts, _texts),
+        common_coauthors=st.lists(_texts, max_size=3),
+        dblp_key=st.none() | _texts,
+    )
+)
+def test_render_keeps_every_element_on_its_line(entry):
+    # The lines the elements give, each as the start it must have; the
+    # title and pages lines start with text, which never opens a tag.
+    expected = ["<h2>", "<ul>", "<li>", "", ""]
+    if entry.ee_url:
+        expected.append("<ee>")
+    for author in entry.authors:
+        if author.kanji is not None:
+            expected.append("<originalname")
+        expected.append("<status name=")
+        if author.candidates:
+            expected.append("<namecandidates kanji=")
+    if entry.original_title:
+        expected.append("<originaltitle lang=")
+    if entry.common_coauthors:
+        expected.append("<commoncoauthors>")
+    if entry.dblp_key:
+        expected.append("<dblpkey>")
+    expected += ["</ul>", ""]
+    rendered = render_spf(entry)
+    assert rendered.isascii() and "\r" not in rendered
+    lines = rendered.split("\n")
+    assert len(lines) == len(expected)
+    for line, start in zip(lines, expected):
+        assert line.startswith(start) if start else not line.startswith("<")
+
+
 def test_spf_relative_path(golden_entry):
     provider = build_provider()
     record = get_record(

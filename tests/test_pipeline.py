@@ -1659,6 +1659,18 @@ def test_run_oai_error_exits_with_error_status(tmp_path, capsys):
     assert "oai error: badArgument: illegal argument" in capsys.readouterr().err
 
 
+def test_run_oai_error_on_several_lines_prints_one_line(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    body = (
+        f'<OAI-PMH xmlns="{OAI_NS}">'
+        '<error code="bad&#10;Argument">first line\nsecond line</error></OAI-PMH>'
+    ).encode()
+    assert run(["--config", str(config), "--all"], fetch=lambda url: body) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "oai error: bad Argument: first line second line"
+    ]
+
+
 def test_run_repeated_resumption_token_exits_with_error_status(tmp_path, capsys):
     config = make_config_file(tmp_path)
     fetch = repeating_first_page(build_provider())
@@ -1777,6 +1789,29 @@ def test_run_all_matches_names_within_the_configured_edit_budget(
     assert ("<dblpkey>k/1</dblpkey>" in text) is found
     assert ("<commoncoauthors>Ken Sato</commoncoauthors>" in text) is found
     assert ("<commoncoauthors>" in text) is found
+
+
+def test_run_all_writes_corpus_text_on_its_line(tmp_path, capsys):
+    # The corpus keeps a line break in a key and in an author name; the
+    # BHT file writes each as one space, and each element keeps its line.
+    corpus = (
+        b"<dblp>"
+        b'<article key="a&#10;b"><author>Jane Doe</author><author>Cy\nIto</author>'
+        b"<title>Mock Title</title></article>"
+        b'<article key="k/2"><author>John Roe</author><author>Cy\nIto</author>'
+        b"<title>Other Title</title></article>"
+        b"</dblp>"
+    )
+    config = config_with_corpus(tmp_path, corpus)
+    fetch = one_page_fetch(
+        ("oai:mock:1", article("Mock Title", "5", ["Jane Doe", "John Roe"]))
+    )
+    assert run(["--config", str(config), "--all"], fetch=fetch) == 0
+    capsys.readouterr()
+    [text] = written_bht(tmp_path / "bht").values()
+    lines = text.split("\n")
+    assert "<commoncoauthors>Cy Ito</commoncoauthors>" in lines
+    assert "<dblpkey>a b</dblpkey>" in lines
 
 
 def test_run_repeated_identifier_last_copy_wins(tmp_path, capsys):
