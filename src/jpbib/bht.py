@@ -10,7 +10,6 @@ Output is pure ASCII; everything else is written as character
 references.
 """
 
-import calendar
 import itertools
 import logging
 import os
@@ -77,6 +76,13 @@ def _text(text: str) -> str:
     return escape_non_ascii(text)
 
 
+# English whatever the locale: calendar.month_name follows LC_TIME.
+_MONTH_NAMES = (
+    "January", "February", "March", "April", "May", "June", "July",
+    "August", "September", "October", "November", "December",
+)
+
+
 def date_label(date: str | None) -> str | None:
     """Human-readable issue date ("October 2011") from an ISO-style date."""
     if not date:
@@ -85,7 +91,7 @@ def date_label(date: str | None) -> str | None:
     if match:
         year, month = match.group(1), int(match.group(2))
         if 1 <= month <= 12:
-            return f"{calendar.month_name[month]} {year}"
+            return f"{_MONTH_NAMES[month - 1]} {year}"
     match = re.match(r"\d{4}", date)
     if match:
         return match.group(0)

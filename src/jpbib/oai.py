@@ -3,11 +3,12 @@
 Transport is a plain callable ``fetch(url) -> bytes`` so tests and replay
 runs can serve canned XML; the default implementation does an HTTP GET
 and raises ``TransportError`` for every network failure, a truncated
-response included.  Both verbs send each request through ``_request``:
-it builds the URL, fetches through the one retry site,
-``_fetch_with_retries``, and returns the verb element, or None for the
-verb's "absent" error code (``noRecordsMatch``, ``idDoesNotExist``); any
-other error raises ``OaiProtocolError``.  The retry site retries only a
+response included; it loads the network modules at the first request.
+Both verbs send each request through ``_request``: it builds the URL,
+fetches through the one retry site, ``_fetch_with_retries``, and returns
+the verb element, or None for the verb's "absent" error code
+(``noRecordsMatch``, ``idDoesNotExist``); any other error raises
+``OaiProtocolError``.  The retry site retries only a
 ``TransportError``: a network failure (no HTTP status), 429 or 5xx, up
 to ``RETRY_ATTEMPTS`` times, waiting an integer ``Retry-After`` (at most
 ``RETRY_AFTER_CAP_S``) or else an exponential backoff from
@@ -27,14 +28,11 @@ codes; ``URI`` (or an http identifier) is the electronic edition;
 ``contributor`` and ``description`` are carried through verbatim.
 """
 
-import http.client
 import itertools
 import logging
 import re
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
@@ -133,6 +131,12 @@ class HarvestedPublication:
 
 
 def http_fetch(url: str, timeout: float = 30.0) -> bytes:
+    """GET ``url``; every network failure raises ``TransportError``.  The
+    network modules, ``ssl`` among them, load here at the first request."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, headers={"User-Agent": "jpbib/0.1"})
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:

@@ -91,6 +91,29 @@ def test_date_label():
     assert date_label(None) is None
 
 
+ENGLISH_MONTHS = [
+    "January", "February", "March", "April", "May", "June", "July",
+    "August", "September", "October", "November", "December",
+]
+
+
+@pytest.mark.parametrize("month", range(1, 13))
+def test_date_label_names_every_month_in_english(month):
+    expected = f"{ENGLISH_MONTHS[month - 1]} 2011"
+    assert date_label(f"2011-{month:02d}") == expected
+
+
+def test_date_label_ignores_the_locale(monkeypatch):
+    # An embedding application that set LC_TIME to German would see these
+    # names in calendar.month_name; the BHT format writes English dates.
+    import calendar
+
+    german = ["", "Januar", "Februar", "März", "April", "Mai", "Juni", "Juli",
+              "August", "September", "Oktober", "November", "Dezember"]
+    monkeypatch.setattr(calendar, "month_name", german)
+    assert date_label("2011-10") == "October 2011"
+
+
 @pytest.fixture(scope="module")
 def golden_entry(name_dictionary, tmp_path_factory):
     provider = build_provider()

@@ -83,7 +83,7 @@ def serve_http(monkeypatch, provider, *errors):
             )
         return io.BytesIO(provider.fetch(request.full_url))
 
-    monkeypatch.setattr(oai.urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
     return requested
 
 

@@ -8,6 +8,8 @@ import logging
 import os
 import re
 import shutil
+import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
@@ -1033,6 +1035,35 @@ def test_all_over_the_mock_repository_walks_only_lowercase_text(
     capsys.readouterr()
     assert {"ohta", "yoshioka", "shinichi"} <= set(walked)
     assert [text for text in walked if text != text.lower()] == []
+
+
+# What urllib.request brings in; only oai.http_fetch needs any of it.
+NETWORK_MODULES = {"ssl", "http.client", "urllib.request", "urllib.error", "email"}
+
+
+def test_run_that_never_fetches_never_loads_the_network_stack(tmp_path, capsys):
+    config = make_config_file(tmp_path)
+    argv = ["--config", str(config), "-d", "-e", "-h"]
+    assert run(argv, fetch=build_provider().fetch) == 0
+    capsys.readouterr()
+    responses = shutil.copytree(tmp_path / "files-harvester", tmp_path / "responses")
+    # A fresh interpreter, since pytest's own imports would mask the
+    # result; the harvest replays the saved responses, as perfbench does.
+    script = "\n".join([
+        "import json, sys",
+        f"sys.path.insert(0, {str(Path(pipeline.__file__).parents[1])!r})",
+        "from jpbib.oai import replay_fetcher",
+        "from jpbib.pipeline import run",
+        f"argv = ['--config', {str(config)!r}, '-d', '-e', '-h', '-b']",
+        f"status = run(argv, fetch=replay_fetcher({str(responses)!r}))",
+        f"loaded = sorted({sorted(NETWORK_MODULES)!r} & sys.modules.keys())",
+        "print(json.dumps([status, loaded]))",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
 
 
 def test_run_concatenate_without_bht_fails(tmp_path, capsys):
@@ -2252,7 +2283,7 @@ def test_truncated_http_response_fails_the_harvest_without_a_traceback(
             return Truncated()
         return io.BytesIO(provider.fetch(request.full_url))
 
-    monkeypatch.setattr(oai.urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
     monkeypatch.setattr(oai.time, "sleep", lambda seconds: None)
     assert run(["--config", str(config), "-h"]) == 1
     assert "error: fetch failed after 3 attempts" in capsys.readouterr().err
